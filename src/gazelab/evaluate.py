@@ -11,8 +11,10 @@ Two regimes compare predictions with ground truth:
 The saliency path pools fixations per image into Gaussian-smoothed density
 maps and scores them with CC, AUC, NSS, sAUC, KLD, and SIM.
 
-Per-pair computations are pure; ``threads`` > 1 maps them across a thread
-pool with a deterministic, order-preserving reduce.
+ScanMatch scores every pair of a call in one batched Needleman-Wunsch
+sweep (``metrics.scanmatch_pairs``). ``threads`` > 1 maps only MultiMatch,
+string-edit distance and the per-row rank sort across a thread pool, with a
+deterministic, order-preserving reduce.
 """
 
 from __future__ import annotations
@@ -24,8 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import MetricConfig, multimatch, scanmatch, string_edit_distance
-from .scanpath import Scanpath
+# scanmatch stays importable here beside the other per-pair metrics
+from .metrics import (  # noqa: F401
+    MetricConfig,
+    multimatch,
+    scanmatch,
+    scanmatch_pairs,
+    string_edit_distance,
+)
 
 log = logging.getLogger(__name__)
 
@@ -78,12 +86,16 @@ class ValueResult:
     stderr: dict
 
 
-def _pair_scores(pred: Scanpath, gt: Scanpath, config: MetricConfig) -> dict:
-    return {
-        "sm": scanmatch(pred, gt, config),
-        "mm": multimatch(pred, gt, config).mean,
-        "sed": float(string_edit_distance(pred, gt, config)),
-    }
+def _value_rows(pairs, config: MetricConfig, threads: int) -> list:
+    """SM, MultiMatch mean and SED of each (prediction, ground truth) pair."""
+    sms = scanmatch_pairs(pairs, config)
+
+    def others(pair):
+        return (multimatch(*pair, config).mean,
+                float(string_edit_distance(*pair, config)))
+
+    return [{"sm": float(sm), "mm": mm, "sed": sed}
+            for sm, (mm, sed) in zip(sms, _pmap(others, pairs, threads))]
 
 
 def value_eval(preds, gt, config: MetricConfig | None = None,
@@ -98,11 +110,9 @@ def value_eval(preds, gt, config: MetricConfig | None = None,
                 f"missing prediction for image {sp.image_id}, "
                 f"observer {sp.observer_id}")
 
-    def score(sp):
-        return _pair_scores(by_pair[(sp.image_id, sp.observer_id)], sp,
-                            config)
-
-    scored = _pmap(score, ordered, threads)
+    scored = _value_rows(
+        [(by_pair[(sp.image_id, sp.observer_id)], sp) for sp in ordered],
+        config, threads)
     pairs = {(sp.image_id, sp.observer_id): row
              for sp, row in zip(ordered, scored)}
     means, stderr = {}, {}
@@ -154,10 +164,14 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
         (sp for sp in preds if sp.image_id in usable),
         key=lambda sp: (sp.image_id, sp.observer_id))
 
-    def rank_one(pred):
-        per_obs = usable[pred.image_id]
-        scored = [(scanmatch(pred, per_obs[obs], config), obs)
-                  for obs in observers]
+    scores = scanmatch_pairs(
+        [(pred, usable[pred.image_id][obs])
+         for pred in pred_rows for obs in observers],
+        config).reshape(len(pred_rows), len(observers))
+
+    def rank_one(row):
+        pred, row_scores = row
+        scored = list(zip(row_scores.tolist(), observers))
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         for position, (_, obs) in enumerate(scored, start=1):
             if obs == pred.observer_id:
@@ -166,7 +180,7 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
             f"prediction observer {pred.observer_id} has no ground truth "
             f"on image {pred.image_id}")
 
-    ranks_list = _pmap(rank_one, pred_rows, threads)
+    ranks_list = _pmap(rank_one, list(zip(pred_rows, scores)), threads)
     ranks = {(sp.image_id, sp.observer_id): rank
              for sp, rank in zip(pred_rows, ranks_list)}
     values = np.array(ranks_list, dtype=float)
@@ -189,7 +203,7 @@ def human_consistency(gt, config: MetricConfig | None = None,
     by_image: dict[int, list] = {}
     for sp in gt:
         by_image.setdefault(sp.image_id, []).append(sp)
-    jobs = []
+    jobs, pairs = [], []
     for image_id, group in sorted(by_image.items()):
         if len(group) < 2:
             log.warning("human_consistency: image %s has a single "
@@ -198,15 +212,11 @@ def human_consistency(gt, config: MetricConfig | None = None,
         group = sorted(group, key=lambda sp: sp.observer_id)
         for sp in group:
             others = [o for o in group if o.observer_id != sp.observer_id]
-            jobs.append((sp, others))
-
-    def agree(job):
-        sp, others = job
-        rows = [_pair_scores(sp, other, config) for other in others]
-        return {name: float(np.mean([row[name] for row in rows]))
-                for name in VALUE_METRICS}
-
-    scored = _pmap(agree, jobs, threads)
+            jobs.append(slice(len(pairs), len(pairs) + len(others)))
+            pairs.extend((sp, other) for other in others)
+    rows = _value_rows(pairs, config, threads)
+    scored = [{name: float(np.mean([row[name] for row in rows[job]]))
+               for name in VALUE_METRICS} for job in jobs]
     return {name: (float(np.mean([row[name] for row in scored]))
                    if scored else float("nan"))
             for name in VALUE_METRICS}

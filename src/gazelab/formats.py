@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,16 @@ def _check_header(path, lines, expected: str) -> None:
             f"got {header.get('format')!r}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # the bound rejects inf, nan and integers too large for a float
+    return (_is_integer(value) or isinstance(value, float)) and \
+        abs(value) <= sys.float_info.max
+
+
 def _require_keys(path, lineno: int, record: dict, keys: tuple) -> None:
     missing = sorted(set(keys) - set(record))
     if missing:
@@ -91,10 +102,11 @@ def read_scanpaths(path) -> list:
                 f"{path}:{lineno}: fixations must be a nonempty list")
         fixations = []
         for entry in record["fixations"]:
-            if not isinstance(entry, list) or len(entry) != 3:
+            if not isinstance(entry, list) or len(entry) != 3 or \
+                    not all(_is_finite_number(v) for v in entry):
                 raise ValueError(
-                    f"{path}:{lineno}: fixation must be [x, y, dur_ms], "
-                    f"got {entry!r}")
+                    f"{path}:{lineno}: fixation must be [x, y, dur_ms] "
+                    f"of finite numbers, got {entry!r}")
             x, y, dur = (float(v) for v in entry)
             if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
                 raise ValueError(
@@ -104,8 +116,13 @@ def read_scanpaths(path) -> list:
                 raise ValueError(
                     f"{path}:{lineno}: non-positive duration {dur}")
             fixations.append(Fixation(x, y, dur))
-        scanpaths.append(Scanpath(image_id=int(record["image_id"]),
-                                  observer_id=int(record["observer_id"]),
+        for key in ("image_id", "observer_id"):
+            if not _is_integer(record[key]):
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be a JSON integer, "
+                    f"got {record[key]!r}")
+        scanpaths.append(Scanpath(image_id=record["image_id"],
+                                  observer_id=record["observer_id"],
                                   fixations=fixations))
     return scanpaths
 
@@ -252,12 +269,17 @@ def read_corpus(data_dir) -> Corpus:
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: no corpus manifest found")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(
             f"{manifest_path}: expected format {MANIFEST_FORMAT!r}, "
             f"got {manifest.get('format')!r}")
     config = coerce_section(CorpusConfig, manifest.get("config", {}),
                             "corpus")
+    missing = sorted({"seed", "splits", "files"} - set(manifest))
+    if missing:
+        raise ValueError(f"{manifest_path}: missing keys {missing}")
     files = manifest["files"]
     scenes = read_scenes(root / files["scenes"])
     profiles = read_observers(root / files["observers"])

@@ -14,7 +14,12 @@ Three value-based comparisons between fixation sequences:
 Coordinates are normalized to [0,1] x [0,1]; distances are measured on a
 screen with the configured aspect ratio. For MultiMatch the screen is scaled
 so its diagonal has length sqrt(2), which puts every dimension in [0,1].
-All functions are pure; parallelizing across pairs is safe.
+
+ScanMatch has one Needleman-Wunsch implementation, ``nw_scores``: a NumPy
+kernel that aligns a whole batch of token-string pairs in one sweep over
+the anti-diagonals of their tables, keeping two diagonals per pair.
+``scanmatch_pairs`` scores many scanpath pairs with one call to it;
+``scanmatch`` and ``nw_score`` are batches of one. All functions are pure.
 """
 
 from __future__ import annotations
@@ -117,24 +122,85 @@ def substitution_matrix(grid: tuple[int, int], aspect: tuple[float, float]) -> n
     return 1.0 - 2.0 * d / d_max
 
 
+def nw_scores(a_list, b_list, sub: np.ndarray, gap: float) -> np.ndarray:
+    """Needleman-Wunsch best global alignment scores of many pairs at once.
+
+    Sweeps the anti-diagonals of every pair's (len(a)+1) x (len(b)+1)
+    table together. The strings are padded to the longest; a padded cell
+    never feeds a cell inside its own pair's table, and pair ``p``'s score
+    is read off diagonal ``len(a) + len(b)``. Entry ``i`` of diagonal ``d``
+    holds cell ``(i, d - i)``, and only the last two diagonals are kept.
+    Each cell repeats the row-by-row recurrence's float operations in the
+    same order, so the scores are bit-identical to it for any gap.
+    """
+    n_pairs = len(a_list)
+    if n_pairs != len(b_list):
+        raise ValueError(f"{n_pairs} first strings against {len(b_list)} second")
+    out = np.empty(n_pairs)
+    if n_pairs == 0:
+        return out
+    len_a = np.array([len(a) for a in a_list], dtype=np.intp)
+    len_b = np.array([len(b) for b in b_list], dtype=np.intp)
+    n, m = int(len_a.max()), int(len_b.max())
+    A = np.zeros((n_pairs, n), dtype=np.intp)
+    # B reversed and right-aligned, so the tokens b[j - 1] along a
+    # diagonal, read in order of increasing i, are one contiguous slice
+    B_rev = np.zeros((n_pairs, m), dtype=np.intp)
+    for p, (a, b) in enumerate(zip(a_list, b_list)):
+        A[p, :len(a)] = a
+        B_rev[p, m - len(b):] = b[::-1]
+    rows, k = sub.shape
+    if ((A < 0) | (A >= rows)).any() or ((B_rev < 0) | (B_rev >= k)).any():
+        raise ValueError(f"token outside the {rows}x{k} substitution matrix")
+    A *= k  # row offsets into the flattened matrix
+    flat = sub.ravel()
+    ends = len_a + len_b
+    prev2 = np.empty((n_pairs, n + 1))
+    prev1 = np.empty((n_pairs, n + 1))
+    cur = np.empty((n_pairs, n + 1))
+    for d in range(n + m + 1):
+        if d <= m:
+            cur[:, 0] = d * gap
+        if d <= n:
+            cur[:, d] = d * gap
+        lo, hi = max(1, d - m), min(n, d - 1)
+        if lo <= hi:
+            s = flat[A[:, lo - 1:hi] + B_rev[:, m - d + lo:m - d + hi + 1]]
+            diag = prev2[:, lo - 1:hi] + s
+            up = prev1[:, lo - 1:hi] + gap
+            left = prev1[:, lo:hi + 1] + gap
+            best = np.where(diag >= up, diag, up)
+            cur[:, lo:hi + 1] = np.where(left > best, left, best)
+        done = np.flatnonzero(ends == d)
+        out[done] = cur[done, len_a[done]]
+        prev2, prev1, cur = prev1, cur, prev2
+    return out
+
+
 def nw_score(a: list[int], b: list[int], sub: np.ndarray, gap: float) -> float:
-    """Needleman-Wunsch best global alignment score."""
-    n, m = len(a), len(b)
-    prev = [j * gap for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [i * gap] + [0.0] * m
-        ai = a[i - 1]
-        row = sub[ai]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + row[b[j - 1]]
-            up = prev[j] + gap
-            left = cur[j - 1] + gap
-            best = diag if diag >= up else up
-            if left > best:
-                best = left
-            cur[j] = best
-        prev = cur
-    return prev[m]
+    """Needleman-Wunsch best global alignment score of one pair."""
+    return float(nw_scores([a], [b], sub, gap)[0])
+
+
+def scanmatch_pairs(pairs, cfg: MetricConfig | None = None) -> np.ndarray:
+    """ScanMatch similarity of each ``(a, b)`` scanpath pair, in [0, 1].
+
+    Each distinct scanpath is quantized once and the substitution matrix
+    is built once; all alignments run in one ``nw_scores`` call.
+    """
+    cfg = cfg or MetricConfig()
+    pairs = list(pairs)
+    tokens: dict[int, list[int]] = {}
+    for pair in pairs:
+        for sp in pair:
+            if id(sp) not in tokens:
+                tokens[id(sp)] = quantize(sp, cfg.sm_grid, cfg.sm_tbin).tokens
+    ta = [tokens[id(a)] for a, _ in pairs]
+    tb = [tokens[id(b)] for _, b in pairs]
+    sub = substitution_matrix(cfg.sm_grid, cfg.aspect)
+    scores = nw_scores(ta, tb, sub, cfg.sm_gap)
+    longer = np.array([max(len(x), len(y)) for x, y in zip(ta, tb)], dtype=float)
+    return np.clip(scores / longer, 0.0, 1.0)
 
 
 def scanmatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> float:
@@ -144,14 +210,7 @@ def scanmatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> floa
     score by the longer expanded length; with maximum substitution score 1
     this makes the self-similarity exactly 1.
     """
-    cfg = cfg or MetricConfig()
-    _require_nonempty(a, b)
-    qa = quantize(a, cfg.sm_grid, cfg.sm_tbin)
-    qb = quantize(b, cfg.sm_grid, cfg.sm_tbin)
-    sub = substitution_matrix(cfg.sm_grid, cfg.aspect)
-    score = nw_score(qa.tokens, qb.tokens, sub, cfg.sm_gap)
-    sm = score / max(len(qa.tokens), len(qb.tokens))
-    return float(min(max(sm, 0.0), 1.0))
+    return float(scanmatch_pairs([(a, b)], cfg)[0])
 
 
 def levenshtein(a: list[int], b: list[int]) -> int:

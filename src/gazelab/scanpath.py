@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,8 @@ class Scanpath:
                     f"fixation {i} of image {self.image_id} observer {self.observer_id}: "
                     f"coordinates ({f.x}, {f.y}) outside [0, 1]"
                 )
-            if not f.dur_ms > 0.0:
+            if not 0.0 < f.dur_ms < math.inf:
                 raise ValueError(
                     f"fixation {i} of image {self.image_id} observer {self.observer_id}: "
-                    f"nonpositive duration {f.dur_ms}"
+                    f"duration {f.dur_ms} not positive and finite"
                 )

@@ -227,6 +227,32 @@ def brute_force_nw(a, b, sub_score, gap: float) -> float:
     return best
 
 
+def plain_nw(a, b, sub_matrix, gap: float) -> float:
+    """Needleman-Wunsch by the row-by-row table recurrence, one cell a step."""
+    prev = [j * gap for j in range(len(b) + 1)]
+    for i in range(1, len(a) + 1):
+        cur = [i * gap] + [0.0] * len(b)
+        for j in range(1, len(b) + 1):
+            diag = prev[j - 1] + sub_matrix[a[i - 1]][b[j - 1]]
+            up = prev[j] + gap
+            left = cur[j - 1] + gap
+            best = diag if diag >= up else up
+            cur[j] = left if left > best else best
+        prev = cur
+    return prev[len(b)]
+
+
+def plain_scanmatch(a, b, cfg) -> float:
+    """ScanMatch of one pair through ``plain_nw``."""
+    from gazelab.metrics import quantize, substitution_matrix
+
+    ta = quantize(a, cfg.sm_grid, cfg.sm_tbin).tokens
+    tb = quantize(b, cfg.sm_grid, cfg.sm_tbin).tokens
+    sub_matrix = substitution_matrix(cfg.sm_grid, cfg.aspect)
+    score = plain_nw(ta, tb, sub_matrix, cfg.sm_gap)
+    return min(max(score / max(len(ta), len(tb)), 0.0), 1.0)
+
+
 def naive_levenshtein(a, b) -> int:
     """Plain recursion, no memoization."""
     if not a:

@@ -33,6 +33,7 @@ from gazelab.metrics import (
     levenshtein,
     multimatch,
     nw_score,
+    nw_scores,
     scanmatch,
     string_edit_distance,
     substitution_matrix,
@@ -152,12 +153,13 @@ def test_03_metric_oracle_equivalence():
     start = time.monotonic()
     ok = True
     # alignment score vs exhaustive path enumeration, every sequence pair
-    # of lengths 1..4 over the 4-token alphabet of a 2x2 grid
+    # of lengths 1..4 over the 4-token alphabet of a 2x2 grid, all scored
+    # in one batched call; the mixed lengths exercise the kernel's padding
     sub = substitution_matrix((2, 2), (4.0, 3.0))
     gap = 0.0
     seqs = {n: np.array(list(itertools.product(range(4), repeat=n)))
             for n in range(1, 5)}
-    worst_nw = 0.0
+    firsts, seconds, oracle = [], [], []
     for m, A in seqs.items():
         for n, B in seqs.items():
             best = np.full((len(A), len(B)), -np.inf)
@@ -168,8 +170,15 @@ def test_03_metric_oracle_equivalence():
                 np.maximum(best, s, out=best)
             for ia, a in enumerate(A):
                 for ib, b in enumerate(B):
-                    got = nw_score(list(a), list(b), sub, gap)
-                    worst_nw = max(worst_nw, abs(got - best[ia, ib]))
+                    firsts.append(a)
+                    seconds.append(b)
+                    oracle.append(best[ia, ib])
+    got = nw_scores(firsts, seconds, sub, gap)
+    worst_nw = float(np.max(np.abs(got - np.array(oracle))))
+    # the single-pair entry point runs the same kernel as a batch of one
+    for k in range(0, len(firsts), 997):
+        one = nw_score(list(firsts[k]), list(seconds[k]), sub, gap)
+        worst_nw = max(worst_nw, abs(one - oracle[k]))
     ok = ok and worst_nw <= 1e-9
 
     # edit distance vs plain recursion: every pair over a binary alphabet

@@ -94,6 +94,17 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert ":3:" in err and "non-positive duration" in err
 
+    def test_infinite_duration_exit_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"format": "isp-gaze-v1"}\n'
+                        '{"image_id": 0, "observer_id": 0,'
+                        ' "fixations": [[0.5, 0.5, Infinity]]}\n')
+        code = main(["eval-value", "--config", SMOKE,
+                     "--data", workspace["data"], "--pred", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+
     def test_unparseable_gaze_line_exit_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "isp-gaze-v1"}\n{broken\n')

@@ -19,6 +19,8 @@ from gazelab.evaluate import (
 from gazelab.metrics import MetricConfig, multimatch, scanmatch, string_edit_distance
 from gazelab.scanpath import Fixation, Scanpath
 
+from support import plain_scanmatch
+
 
 def random_scanpath(rng, image_id, observer_id, length=5):
     fixes = tuple(Fixation(float(rng.uniform(0.05, 0.95)),
@@ -133,6 +135,55 @@ class TestRankEval:
         assert result.recall_at[1] <= result.recall_at[3] <= \
             result.recall_at[5]
         assert 0.0 < result.mrr <= 1.0
+
+
+class TestBatchedScanMatch:
+    """value_eval and rank_eval against a per-pair ScanMatch loop."""
+
+    def corpus(self):
+        gt = random_set(40, n_images=3, n_observers=4, length=6)
+        # observers 1 and 2 share their ground truth on image 0: a tie
+        gt[2] = retarget(gt[1], 2)
+        preds = random_set(41, n_images=3, n_observers=4, length=6)
+        preds[2] = retarget(gt[1], 2)
+        preds[1] = retarget(gt[1], 1)
+        return preds, gt
+
+    def test_value_pairs_equal_loop(self):
+        cfg = MetricConfig()
+        preds, gt = self.corpus()
+        result = value_eval(preds, gt, cfg)
+        by_pair = {(p.image_id, p.observer_id): p for p in preds}
+        for sp in gt:
+            key = (sp.image_id, sp.observer_id)
+            row = result.pairs[key]
+            assert row["sm"] == plain_scanmatch(by_pair[key], sp, cfg)
+            assert row["mm"] == multimatch(by_pair[key], sp, cfg).mean
+            assert row["sed"] == float(
+                string_edit_distance(by_pair[key], sp, cfg))
+
+    def test_ranks_equal_loop(self):
+        cfg = MetricConfig()
+        preds, gt = self.corpus()
+        result = rank_eval(preds, gt, cfg, ks=(1, 2))
+        per_image = {}
+        for sp in gt:
+            per_image.setdefault(sp.image_id, {})[sp.observer_id] = sp
+        ranks = {}
+        for pred in preds:
+            scored = sorted(
+                ((plain_scanmatch(pred, sp, cfg), obs)
+                 for obs, sp in per_image[pred.image_id].items()),
+                key=lambda pair: (-pair[0], pair[1]))
+            ranks[(pred.image_id, pred.observer_id)] = 1 + [
+                obs for _, obs in scored].index(pred.observer_id)
+        assert result.ranks == ranks
+        # the tie goes to the lower observer id
+        assert ranks[(0, 1)] == 1 and ranks[(0, 2)] == 2
+        values = np.array([ranks[key] for key in sorted(ranks)], dtype=float)
+        assert result.mrr == float(np.mean(1.0 / values))
+        assert result.recall_at == {
+            k: float(np.mean(values <= k) * 100.0) for k in (1, 2)}
 
 
 class TestHumanConsistency:

@@ -98,6 +98,33 @@ class TestScanpathFile:
         with pytest.raises(ValueError, match="nonempty list"):
             read_scanpaths(file)
 
+    @pytest.mark.parametrize("entry", [
+        "[null, 0.5, 100]", '[0.5, "0.5", 100]', "[0.5, 0.5, true]",
+        "[0.5, 0.5, Infinity]", "[NaN, 0.5, 100]", "[0.5, -Infinity, 100]",
+        "[0.5, 0.5, 1e400]", "[0.5, 0.5, 1" + "0" * 400 + "]"])
+    def test_non_finite_or_non_numeric_fixation_names_line(self, tmp_path,
+                                                            entry):
+        file = tmp_path / "gaze.jsonl"
+        file.write_text('{"format": "isp-gaze-v1"}\n'
+                        '{"image_id": 0, "observer_id": 0,'
+                        ' "fixations": [[0.5, 0.5, 100]]}\n'
+                        '{"image_id": 0, "observer_id": 1,'
+                        f' "fixations": [{entry}]}}\n')
+        with pytest.raises(ValueError, match=r":3:.*finite numbers"):
+            read_scanpaths(file)
+
+    @pytest.mark.parametrize("key", ["image_id", "observer_id"])
+    @pytest.mark.parametrize("value", ["1.5", "true", '"x3"', "null"])
+    def test_non_integer_id_names_line(self, tmp_path, key, value):
+        record = {"image_id": "0", "observer_id": "0",
+                  "fixations": "[[0.5, 0.5, 100]]", key: value}
+        body = ", ".join(f'"{k}": {v}' for k, v in record.items())
+        file = tmp_path / "gaze.jsonl"
+        file.write_text('{"format": "isp-gaze-v1"}\n{' + body + '}\n')
+        with pytest.raises(ValueError, match=rf":2:.*{key} must be a JSON "
+                                             "integer"):
+            read_scanpaths(file)
+
     def test_non_triple_fixation_rejected(self, tmp_path):
         file = tmp_path / "gaze.jsonl"
         file.write_text('{"format": "isp-gaze-v1"}\n'
@@ -244,6 +271,17 @@ class TestCorpusDirectory:
         write_corpus(tiny_corpus, tmp_path / "b")
         for file in sorted((tmp_path / "a").iterdir()):
             assert file.read_bytes() == (tmp_path / "b" / file.name).read_bytes()
+
+    def test_manifest_without_files_names_manifest(self, tmp_path,
+                                                   tiny_corpus):
+        write_corpus(tiny_corpus, tmp_path / "data")
+        manifest_path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["files"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json: missing keys "
+                                             r"\['files'\]"):
+            read_corpus(tmp_path / "data")
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gazelab.metrics import (
     MetricConfig,
@@ -9,8 +11,10 @@ from gazelab.metrics import (
     levenshtein,
     multimatch,
     nw_score,
+    nw_scores,
     quantize,
     scanmatch,
+    scanmatch_pairs,
     string_edit_distance,
     substitution_matrix,
 )
@@ -20,6 +24,8 @@ from support import (
     brute_force_nw,
     enumerate_monotone_pairings,
     naive_levenshtein,
+    plain_nw,
+    plain_scanmatch,
 )
 
 
@@ -61,6 +67,12 @@ class TestQuantize:
             reps = int(np.ceil(f.dur_ms / tbin))
             expected.extend([col * gy + row] * reps)
         assert quantize(sp, (gx, gy), tbin).tokens == expected
+
+    @pytest.mark.parametrize("dur", [float("inf"), float("nan"), 0.0])
+    def test_bad_duration_rejected(self, dur):
+        sp = Scanpath(0, 0, [Fixation(0.5, 0.5, dur)])
+        with pytest.raises(ValueError, match="not positive and finite"):
+            quantize(sp, (8, 6), 50.0)
 
     def test_out_of_range_coordinates_rejected(self):
         sp = Scanpath(0, 0, [Fixation(1.2, 0.5, 100.0)])
@@ -129,6 +141,43 @@ class TestScanMatch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             scanmatch(Scanpath(0, 0, []), path_from([(0.5, 0.5)]))
+
+
+SUB_8X6 = substitution_matrix((8, 6), (4.0, 3.0))
+token_strings = st.lists(st.integers(0, 47), min_size=1, max_size=12)
+
+
+class TestBatchedNeedlemanWunsch:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(token_strings, token_strings),
+                          min_size=1, max_size=8),
+           gap=st.sampled_from([0.0, -0.5, 0.3]))
+    @example(pairs=[([5], [7])], gap=-0.5)
+    def test_equals_plain_recurrence_exactly(self, pairs, gap):
+        got = nw_scores([a for a, _ in pairs], [b for _, b in pairs],
+                        SUB_8X6, gap)
+        want = [plain_nw(a, b, SUB_8X6, gap) for a, b in pairs]
+        assert got.tolist() == want
+
+    def test_empty_batch(self):
+        assert nw_scores([], [], SUB_8X6, 0.0).shape == (0,)
+
+    def test_empty_string_scores_its_gaps(self):
+        got = nw_scores([[], [3, 4]], [[1, 2, 5], []], SUB_8X6, -0.5)
+        assert got.tolist() == [-1.5, -1.0]
+
+    def test_token_outside_matrix_rejected(self):
+        with pytest.raises(ValueError, match="substitution matrix"):
+            nw_score([0, 48], [1], SUB_8X6, 0.0)
+
+    def test_scanmatch_pairs_equals_plain_scanmatch(self):
+        rng = np.random.default_rng(31)
+        cfg = MetricConfig(sm_gap=-0.2)
+        paths = [random_scanpath(rng) for _ in range(6)]
+        pairs = [(a, b) for a in paths for b in paths]
+        got = scanmatch_pairs(pairs, cfg)
+        assert got.tolist() == [plain_scanmatch(a, b, cfg) for a, b in pairs]
+        assert scanmatch(paths[0], paths[1], cfg) == got[1]
 
 
 class TestMultiMatch:
