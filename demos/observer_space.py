@@ -10,7 +10,7 @@ center-bias strengths), then shows that
 3. the observer codes separate the two trait groups. Every code starts
    near zero, so what separates them was learned from each observer's
    gaze; the release gate checks the same leave-one-out classification.
-Training runs at full benchmark scale, so expect two to three minutes.
+Training runs at full benchmark scale, so expect about half a minute.
 Run as:  python3 demos/observer_space.py
 """
 
@@ -26,7 +26,7 @@ from gazelab.model import ModelConfig
 from gazelab.synthetic import CorpusConfig, build_corpus
 from gazelab.train import TrainConfig, train_variant
 
-print("building the benchmark corpus and training (2-3 minutes)...")
+print("building the benchmark corpus and training (about 30 s)...")
 corpus = build_corpus(CorpusConfig(), seed=0)
 train_cfg = TrainConfig()
 model = train_variant("OE+FI+FP", corpus, ModelConfig(), train_cfg,

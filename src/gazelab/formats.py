@@ -275,19 +275,42 @@ def read_corpus(data_dir) -> Corpus:
         raise ValueError(
             f"{manifest_path}: expected format {MANIFEST_FORMAT!r}, "
             f"got {manifest.get('format')!r}")
-    config = coerce_section(CorpusConfig, manifest.get("config", {}),
-                            "corpus")
+    try:
+        config = coerce_section(CorpusConfig, manifest.get("config", {}),
+                                "corpus")
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     missing = sorted({"seed", "splits", "files"} - set(manifest))
     if missing:
         raise ValueError(f"{manifest_path}: missing keys {missing}")
-    files = manifest["files"]
+    seed, files = manifest["seed"], manifest["files"]
+    splits = manifest["splits"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f'{manifest_path}: "seed" must be an integer, '
+                         f"got {seed!r}")
+    gaze = files.get("gaze") if isinstance(files, dict) else None
+    if not isinstance(gaze, dict):
+        raise ValueError(f'{manifest_path}: "files" must be an object '
+                         'holding a "gaze" object')
+    unnamed = [key for key in ("scenes", "observers")
+               if not isinstance(files.get(key), str)]
+    unnamed += [f"gaze.{split}" for split in SPLITS
+                if not isinstance(gaze.get(split), str)]
+    if unnamed:
+        raise ValueError(f'{manifest_path}: "files" lacks a file name for '
+                         f"{unnamed}")
+    if not isinstance(splits, dict) or sorted(splits) != sorted(SPLITS) or \
+            not all(isinstance(ids, list) and all(
+                isinstance(i, int) and not isinstance(i, bool) for i in ids)
+                for ids in splits.values()):
+        raise ValueError(f'{manifest_path}: "splits" must map each of '
+                         f"{list(SPLITS)} to a list of integer image ids")
     scenes = read_scenes(root / files["scenes"])
     profiles = read_observers(root / files["observers"])
-    scanpaths = {split: read_scanpaths(root / files["gaze"][split])
+    scanpaths = {split: read_scanpaths(root / gaze[split])
                  for split in SPLITS}
-    split_ids = {split: list(ids)
-                 for split, ids in manifest["splits"].items()}
-    return Corpus(config=config, seed=int(manifest["seed"]), scenes=scenes,
+    split_ids = {split: list(ids) for split, ids in splits.items()}
+    return Corpus(config=config, seed=seed, scenes=scenes,
                   profiles=profiles, split_ids=split_ids,
                   scanpaths=scanpaths)
 

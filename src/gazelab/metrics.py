@@ -276,34 +276,33 @@ def align_minimum_cost(cost: np.ndarray) -> list[tuple[int, int]]:
     """Monotone alignment through a cost matrix with minimal summed cost.
 
     Moves are right, down, and diagonal; the path runs from (0,0) to the
-    opposite corner and every visited cell is an aligned pair.
+    opposite corner and every visited cell is an aligned pair. The table is
+    filled on Python floats, which take the same ``min`` and ``+`` as NumPy
+    scalars at a fraction of the cost per cell.
     """
     n, m = cost.shape
-    total = np.full((n, m), np.inf)
-    total[0, 0] = cost[0, 0]
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                continue
-            best = np.inf
-            if i > 0:
-                best = min(best, total[i - 1, j])
-            if j > 0:
-                best = min(best, total[i, j - 1])
-            if i > 0 and j > 0:
-                best = min(best, total[i - 1, j - 1])
-            total[i, j] = best + cost[i, j]
+    c = cost.tolist()
+    total = [[0.0] * m for _ in range(n)]
+    row = total[0]
+    row[0] = c[0][0]
+    for j in range(1, m):
+        row[j] = row[j - 1] + c[0][j]
+    for i in range(1, n):
+        prev, row, ci = total[i - 1], total[i], c[i]
+        row[0] = prev[0] + ci[0]
+        for j in range(1, m):
+            row[j] = min(prev[j], row[j - 1], prev[j - 1]) + ci[j]
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while (i, j) != (0, 0):
         candidates = []
         if i > 0 and j > 0:
-            candidates.append((total[i - 1, j - 1], (i - 1, j - 1)))
+            candidates.append((total[i - 1][j - 1], (i - 1, j - 1)))
         if i > 0:
-            candidates.append((total[i - 1, j], (i - 1, j)))
+            candidates.append((total[i - 1][j], (i - 1, j)))
         if j > 0:
-            candidates.append((total[i, j - 1], (i, j - 1)))
-        _, (i, j) = min(candidates, key=lambda c: c[0])
+            candidates.append((total[i][j - 1], (i, j - 1)))
+        _, (i, j) = min(candidates, key=lambda cand: cand[0])
         path.append((i, j))
     path.reverse()
     return path

@@ -35,17 +35,17 @@ from .scanpath import Fixation, Scanpath
 from .tensor import (
     Tensor,
     concat,
+    lstm,
     mean,
     narrow,
-    outer,
     pick,
+    relu,
     reshape,
-    sigmoid,
     softmax,
     softplus,
     tanh,
     transpose,
-    relu,
+    tsum,
 )
 
 OBSERVER_MODES = ("embedding", "one_hot_concat")
@@ -116,10 +116,10 @@ class ModelConfig:
 
 @dataclass
 class DecoderState:
-    """LSTM carry plus the step counter guarding against overruns."""
+    """LSTM carry [hidden, cell] (length 2h) plus the step counter guarding
+    against overruns."""
 
-    hidden: Tensor
-    cell: Tensor
+    carry: Tensor
     t: int = 0
 
 
@@ -253,6 +253,11 @@ class ScanpathModel:
         return self.encode_observer(observer_id)
 
     # -- forward pieces --------------------------------------------------
+    #
+    # Each pathway takes a leading step axis of T rows. Under teacher
+    # forcing every input that does not depend on the hidden state is known
+    # before the first step, so one call covers the whole scanpath; the
+    # free-running rollout calls the same code with T = 1.
 
     def features(self, E: np.ndarray) -> Tensor:
         """Constant (HW, C) view of a (C, H, W) feature stack."""
@@ -264,118 +269,164 @@ class ScanpathModel:
         return Tensor(np.ascontiguousarray(E.reshape(cfg.channels, -1).T))
 
     def observer_guidance(self, E_flat: Tensor, u: Tensor | None) -> Tensor:
-        """Length-HW probability map of observer-salient locations."""
+        """Length-HW probability map of observer-salient locations.
+
+        It does not depend on the step, so a rollout computes it once.
+        """
         scores = E_flat @ transpose(self.params["W_eu"])
         if u is not None:
             scores = scores + self.params["W_mu"] @ u
         return softmax(tanh(scores) @ self.params["w_eu"])
 
-    def fixated_features(self, E_flat: Tensor, m_prev: Tensor) -> Tensor:
-        """Features gated by a spatial map: each row of E scaled by m."""
-        return E_flat * reshape(m_prev, (self.config.cells, 1))
+    def integrate_features(self, E_flat: Tensor, maps: Tensor,
+                           m_u: Tensor | None, u: Tensor | None) -> Tensor:
+        """(T, h) decoder input: row t is the fused map R_t pooled over space.
 
-    def integrate_features(self, X_t: Tensor, X_u: Tensor | None,
-                           u: Tensor | None) -> Tensor:
-        """(HW, h) fused map R_t.
+        ``maps`` (T, HW) holds the map fed back into each step and ``m_u``
+        the guidance map. The fixated stacks are X_t = E * m_t and
+        X_u = E * m_u (each row of E scaled by the map).
 
-        FI on: spatial and channel fusion vectors from the concatenated
-        stacks, each shifted by a projection of u, combined by outer
-        product. FI off: per-location linear projection of X_t alone.
+        FI on: R_t = outer(u_s, u_c), where u_s comes from the channel mean
+        of [X_t, X_u], u_c from their spatial mean, and each is shifted by
+        a projection of u. Only the pooled mean(u_s) * u_c is returned; the
+        channel mean is (m_t + m_u) * rowsum(E) / 2C and the spatial mean
+        [m_t @ E, m_u @ E] / HW, so neither the stacks nor the (HW, h)
+        product is built. FI off: R_t = X_t @ W_fi + b_fi, which pools to
+        (m_t @ E / HW) @ W_fi + b_fi.
         """
+        cfg = self.config
         p = self.params
-        if not self.config.enable_fi:
-            return X_t @ p["W_fi"] + p["b_fi"]
-        X_ut = concat([X_t, X_u], axis=1)
-        u_s = relu(p["W_hs"] @ mean(X_ut, axis=1) + p["b_hs"])
-        u_c = relu(p["W_hc"] @ mean(X_ut, axis=0) + p["b_hc"])
+        steps = maps.shape[0]
+        glimpse = (maps @ E_flat) * (1.0 / cfg.cells)
+        if not cfg.enable_fi:
+            return glimpse @ p["W_fi"] + p["b_fi"]
+        rowsum = Tensor(E_flat.data.sum(axis=1) * (0.5 / cfg.channels))
+        spatial = (maps + m_u) * rowsum
+        u_s = relu(spatial @ transpose(p["W_hs"]) + p["b_hs"])
+        guided = Tensor(np.ones((steps, 1))) * (m_u @ E_flat)
+        pooled = concat([glimpse, guided * (1.0 / cfg.cells)], axis=1)
+        u_c = relu(pooled @ transpose(p["W_hc"]) + p["b_hc"])
         if u is not None:
             u_s = u_s + p["W_us"] @ u
             u_c = u_c + p["W_uc"] @ u
-        return outer(u_s, u_c)
+        return reshape(mean(u_s, axis=1), (steps, 1)) * u_c
 
     def initial_state(self) -> DecoderState:
-        h = self.config.hidden
-        return DecoderState(Tensor(np.zeros(h)), Tensor(np.zeros(h)), 0)
+        return DecoderState(Tensor(np.zeros(2 * self.config.hidden)), 0)
 
-    def decoder_step(self, R_t: Tensor, state: DecoderState,
+    def decoder_step(self, X: Tensor, state: DecoderState,
                      observer_id: int) -> tuple[DecoderState, Tensor]:
-        """One LSTM step over pooled R_t; returns new state and (L, HW) maps."""
+        """LSTM over the T rows of X from ``state``.
+
+        Returns the state after the last row and the (T, h) hidden states.
+        All T input projections are one matmul; the recurrence is one
+        ``lstm`` node.
+        """
         cfg = self.config
-        if state.t >= cfg.max_steps:
+        steps = X.shape[0]
+        if state.t + steps > cfg.max_steps:
             raise ValueError(
-                f"decoder step {state.t} would exceed max_steps "
+                f"decoder step {state.t + steps - 1} would exceed max_steps "
                 f"{cfg.max_steps}")
         p = self.params
-        x = mean(R_t, axis=0)
         if cfg.uses_one_hot:
-            x = concat([x, Tensor(self.one_hot(observer_id))], axis=0)
-        z = p["W_ih"] @ x + p["W_hh"] @ state.hidden + p["b_lstm"]
+            identity = np.tile(self.one_hot(observer_id), (steps, 1))
+            X = concat([X, Tensor(identity)], axis=1)
+        Z = X @ transpose(p["W_ih"]) + p["b_lstm"]
+        seq = lstm(Z, p["W_hh"], state.carry)
         h = cfg.hidden
-        gate_i = sigmoid(narrow(z, 0, 0, h))
-        gate_f = sigmoid(narrow(z, 0, h, h))
-        gate_g = tanh(narrow(z, 0, 2 * h, h))
-        gate_o = sigmoid(narrow(z, 0, 3 * h, h))
-        cell = gate_f * state.cell + gate_i * gate_g
-        hidden = gate_o * tanh(cell)
-        A_t = reshape(p["W_a"] @ hidden + p["b_a"],
-                      (cfg.semantic_channels, cfg.cells))
-        return DecoderState(hidden, cell, state.t + 1), A_t
+        carry = reshape(narrow(seq, 0, steps - 1, 1), (2 * h,))
+        return DecoderState(carry, state.t + steps), narrow(seq, 1, 0, h)
 
-    def prioritize_fixation(self, E_flat: Tensor, A_t: Tensor,
-                            u: Tensor | None, hidden: Tensor,
+    def prioritize_fixation(self, E_flat: Tensor, H: Tensor,
+                            u: Tensor | None,
                             visited: np.ndarray | None = None
                             ) -> tuple[Tensor, Tensor, Tensor]:
-        """Next-fixation map m_t with the map weights and descriptors.
+        """(T, HW) next-fixation logits with the map weights and descriptors.
 
-        FP on: semantic map l is the decoder's spatial map A_t[l] plus this
-        scene's feature channels weighted by a hidden-state query,
-        S[l] = A_t[l] + E q_l with q = W_q @ hidden + b_q, so the maps follow
-        the image. Per-map descriptors V[l] = mean over space of E gated by
-        S[l], softmax weights beta over maps, spatial softmax of the weighted
-        combination. ``visited`` (length HW) counts the fixations made so
-        far per cell; spread by inhibition_kernel and scaled by the learned
-        strength softplus(b_ior), it is subtracted from the combined logits
-        (inhibition of return). FP off: spatial softmax of a hidden-state
-        projection; beta degenerates to a point mass and V to zeros.
+        FP on: semantic map l of step t is the spatial map A_t[l] read from
+        the hidden state h_t by W_a, plus this scene's feature channels
+        weighted by a hidden-state query, S[l] = A_t[l] + E q_l with
+        q = W_q @ h_t + b_q, so the maps follow the image. Per-map
+        descriptors V[l] = mean over space of E gated by S[l], softmax
+        weights beta over maps, and the logits are the beta-weighted sum of
+        the maps. ``visited`` (T, HW) counts the fixations made before each
+        step per cell; spread by inhibition_kernel and scaled by the learned
+        strength softplus(b_ior), it is subtracted from the logits
+        (inhibition of return). Returns the logits, beta (T, L) and V
+        (T * L, C). FP off: a hidden-state projection, with beta a point
+        mass (T, 1) and V zeros (T, C).
         """
         cfg = self.config
         p = self.params
+        steps = H.shape[0]
         if not cfg.enable_fp:
-            m = softmax(p["W_fp"] @ hidden + p["b_fp"])
-            beta = Tensor(np.ones(1))
-            V = Tensor(np.zeros((1, cfg.channels)))
-            return m, beta, V
-        queries = reshape(p["W_q"] @ hidden + p["b_q"],
-                          (cfg.semantic_channels, cfg.channels))
-        A_t = A_t + queries @ transpose(E_flat)
-        V = (A_t @ E_flat) * (1.0 / cfg.cells)
+            logits = H @ transpose(p["W_fp"]) + p["b_fp"]
+            return (logits, Tensor(np.ones((steps, 1))),
+                    Tensor(np.zeros((steps, cfg.channels))))
+        n = steps * cfg.semantic_channels
+        A = reshape(H @ transpose(p["W_a"]) + p["b_a"], (n, cfg.cells))
+        queries = reshape(H @ transpose(p["W_q"]) + p["b_q"],
+                          (n, cfg.channels))
+        S = A + queries @ transpose(E_flat)
+        V = (S @ E_flat) * (1.0 / cfg.cells)
         scores = V @ transpose(p["W_b"])
         if u is not None:
             scores = scores + p["W_um"] @ u
-        beta = softmax(tanh(scores) @ p["w_b"])
-        logits = beta @ A_t
+        beta = softmax(reshape(tanh(scores) @ p["w_b"],
+                               (steps, cfg.semantic_channels)), axis=1)
+        weighted = reshape(beta, (n, 1)) * S
+        logits = tsum(reshape(weighted, (steps, cfg.semantic_channels,
+                                         cfg.cells)), axis=1)
         if visited is not None:
             logits = logits - softplus(p["b_ior"]) * Tensor(
-                self.inhibition @ visited)
-        return softmax(logits), beta, V
+                visited @ self.inhibition)
+        return logits, beta, V
 
-    def duration_head(self, state: DecoderState) -> tuple[Tensor, Tensor]:
-        """Gaussian parameters (mu, var) for the log duration in ms."""
-        v = self.params["W_dur"] @ state.hidden + self.params["b_dur"]
-        return pick(v, 0), softplus(pick(v, 1)) + VAR_FLOOR
+    def duration_head(self, H: Tensor) -> tuple[Tensor, Tensor]:
+        """Gaussian parameters (mu, var), each length T, of the log
+        duration in ms."""
+        steps = H.shape[0]
+        v = H @ transpose(self.params["W_dur"]) + self.params["b_dur"]
+        mu = reshape(narrow(v, 1, 0, 1), (steps,))
+        var = softplus(reshape(narrow(v, 1, 1, 1), (steps,))) + VAR_FLOOR
+        return mu, var
 
     def initial_map(self) -> Tensor:
         return softmax(self.params["m0_logits"])
 
     # -- rollouts --------------------------------------------------------
 
-    def rollout_teacher_forced(self, E: np.ndarray, observer_id: int,
-                               gt: Scanpath) -> list[tuple[Tensor, Tensor, Tensor]]:
-        """Per-step (m_t, mu_t, var_t) with ground-truth feedback.
+    def _context(self, E: np.ndarray, observer_id: int):
+        """Per-rollout constants: (E_flat, u, m_u)."""
+        u = self._code(observer_id)
+        E_flat = self.features(E)
+        m_u = (self.observer_guidance(E_flat, u)
+               if self.config.enable_fi else None)
+        return E_flat, u, m_u
+
+    def _steps(self, context, maps: Tensor, visited: np.ndarray,
+               state: DecoderState, observer_id: int):
+        """The step core shared by both rollouts, over the T rows of maps.
+
+        Returns (state, logits (T, HW), mu (T,), var (T,)).
+        """
+        E_flat, u, m_u = context
+        X = self.integrate_features(E_flat, maps, m_u, u)
+        state, H = self.decoder_step(X, state, observer_id)
+        logits, _, _ = self.prioritize_fixation(E_flat, H, u, visited)
+        mu, var = self.duration_head(H)
+        return state, logits, mu, var
+
+    def teacher_forced(self, E: np.ndarray, observer_id: int,
+                       gt: Scanpath) -> tuple[Tensor, Tensor, Tensor]:
+        """Stacked (logits (T, HW), mu (T,), var (T,)) with ground-truth
+        feedback, from one pass of the step core.
 
         Step t sees the one-hot map of the ground-truth fixation t-1 (the
-        learned initial map at t=0), so the outputs at step t depend only
-        on fixations before t.
+        learned initial map at t=0), and the fixations before t feed the
+        inhibition of return, so the outputs at step t depend only on
+        fixations before t.
         """
         cfg = self.config
         if len(gt) > cfg.max_steps:
@@ -383,37 +434,38 @@ class ScanpathModel:
                 f"ground truth length {len(gt)} exceeds max_steps "
                 f"{cfg.max_steps}")
         gt.validate()
-        u = self._code(observer_id)
-        E_flat = self.features(E)
-        m_u = (self.observer_guidance(E_flat, u)
-               if cfg.enable_fi else None)
-        state = self.initial_state()
-        m_prev = self.initial_map()
-        visited = np.zeros(cfg.cells)
-        steps = []
-        for fix in gt.fixations:
-            X_t = self.fixated_features(E_flat, m_prev)
-            X_u = (self.fixated_features(E_flat, m_u)
-                   if cfg.enable_fi else None)
-            R_t = self.integrate_features(X_t, X_u, u)
-            state, A_t = self.decoder_step(R_t, state, observer_id)
-            m_t, _, _ = self.prioritize_fixation(E_flat, A_t, u, state.hidden,
-                                                 visited)
-            mu_t, var_t = self.duration_head(state)
-            steps.append((m_t, mu_t, var_t))
-            forced = np.zeros(cfg.cells)
-            forced[grid_cell(fix.x, fix.y, cfg.height, cfg.width)] = 1.0
-            visited += forced
-            m_prev = Tensor(forced)
-        return steps
+        context = self._context(E, observer_id)
+        steps = len(gt)
+        forced = np.zeros((steps, cfg.cells))
+        forced[np.arange(steps),
+               [grid_cell(f.x, f.y, cfg.height, cfg.width)
+                for f in gt.fixations]] = 1.0
+        maps = reshape(self.initial_map(), (1, cfg.cells))
+        if steps > 1:
+            maps = concat([maps, Tensor(forced[:-1])], axis=0)
+        visited = np.cumsum(forced, axis=0) - forced
+        _, logits, mu, var = self._steps(context, maps, visited,
+                                         self.initial_state(), observer_id)
+        return logits, mu, var
+
+    def rollout_teacher_forced(self, E: np.ndarray, observer_id: int,
+                               gt: Scanpath) -> list[tuple[Tensor, Tensor, Tensor]]:
+        """Per-step (m_t, mu_t, var_t) of ``teacher_forced``, m_t the
+        length-HW softmax map."""
+        logits, mu, var = self.teacher_forced(E, observer_id, gt)
+        maps = softmax(logits, axis=1)
+        cells = self.config.cells
+        return [(reshape(narrow(maps, 0, t, 1), (cells,)), pick(mu, t),
+                 pick(var, t)) for t in range(len(gt))]
 
     def sample_scanpath(self, E: np.ndarray, observer_id: int,
                         n_steps: int | None = None, mode: str = "argmax",
                         seed=0, image_id: int = -1) -> Scanpath:
         """Free-running rollout feeding back its own soft maps.
 
-        The cells it fixates, not the soft maps, feed the inhibition of
-        return, as the ground-truth cells do under teacher forcing.
+        Each step is one pass of the step core with T = 1 from the carried
+        state. The cells it fixates, not the soft maps, feed the inhibition
+        of return, as the ground-truth cells do under teacher forcing.
 
         ``argmax`` picks the modal cell and the median duration exp(mu);
         ``sample`` draws the cell from m_t and the duration log-normally,
@@ -427,36 +479,27 @@ class ScanpathModel:
         if mode not in ("argmax", "sample"):
             raise ValueError("mode must be 'argmax' or 'sample'")
         rng = np.random.default_rng(seed)
-        u = self._code(observer_id)
-        E_flat = self.features(E)
-        m_u = (self.observer_guidance(E_flat, u)
-               if cfg.enable_fi else None)
+        context = self._context(E, observer_id)
         state = self.initial_state()
-        m_prev = self.initial_map()
-        visited = np.zeros(cfg.cells)
+        m_prev = reshape(self.initial_map(), (1, cfg.cells))
+        visited = np.zeros((1, cfg.cells))
         fixations = []
         for _ in range(steps):
-            X_t = self.fixated_features(E_flat, m_prev)
-            X_u = (self.fixated_features(E_flat, m_u)
-                   if cfg.enable_fi else None)
-            R_t = self.integrate_features(X_t, X_u, u)
-            state, A_t = self.decoder_step(R_t, state, observer_id)
-            m_t, _, _ = self.prioritize_fixation(E_flat, A_t, u, state.hidden,
-                                                 visited)
-            mu_t, var_t = self.duration_head(state)
-            prob = m_t.data
+            state, logits, mu, var = self._steps(context, m_prev, visited,
+                                                 state, observer_id)
+            m_prev = softmax(logits, axis=1)
+            prob = m_prev.data[0]
             if mode == "argmax":
                 cell = int(np.argmax(prob))
-                log_dur = float(mu_t.data)
+                log_dur = float(mu.data[0])
             else:
                 cell = int(rng.choice(prob.size, p=prob / prob.sum()))
-                log_dur = float(rng.normal(mu_t.data,
-                                           np.sqrt(var_t.data)))
+                log_dur = float(rng.normal(mu.data[0],
+                                           np.sqrt(var.data[0])))
             dur = float(np.clip(np.exp(log_dur), *DUR_CLAMP_MS))
             x, y = cell_center(cell, cfg.height, cfg.width)
             fixations.append(Fixation(x, y, dur))
-            visited[cell] += 1.0
-            m_prev = m_t
+            visited[0, cell] += 1.0
         return Scanpath(image_id=image_id, observer_id=int(observer_id),
                         fixations=tuple(fixations))
 

@@ -116,12 +116,20 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of primitive applications for one forward pass."""
+    """Append-only record of primitive applications for one forward pass.
+
+    Gradients can be taken once: ``gradients`` frees every node's backward
+    closure as it goes, so the arrays the closures hold are released by
+    reference counting rather than left to the cyclic collector (each
+    recorded Tensor points back at its tape). The node list itself stays,
+    so ``len(tape.nodes)`` still counts what was recorded.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self._leaves: dict[int, Tensor] = {}
         self._entered = False
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         if self._entered:
@@ -154,24 +162,31 @@ class Tape:
         """Backpropagate from a scalar root.
 
         Returns a mapping from trainable leaf Tensor to its gradient array.
-        Leaves the loss never touched are absent from the map.
+        Leaves the loss never touched are absent from the map. A second
+        call on the same tape raises ``ValueError``.
         """
+        if self._spent:
+            raise ValueError("gradients were already taken from this tape")
         if root.node is None and root.trainable:
             self._leaf_id(root)
         if root.node is None or root._tape_token is not self:
             raise ValueError("root was not recorded on this tape")
         if root.data.size != 1:
             raise ValueError(f"backprop root must be scalar, got shape {root.data.shape}")
+        self._spent = True
+        for node in self.nodes[root.node + 1:]:
+            node.backward = None
         grads: dict[int, np.ndarray] = {root.node: np.ones_like(root.data)}
         for nid in range(root.node, -1, -1):
+            node = self.nodes[nid]
+            backward, node.backward = node.backward, None
             g = grads.pop(nid, None)
             if g is None:
                 continue
-            node = self.nodes[nid]
-            if node.backward is None:
+            if backward is None:
                 grads[nid] = g  # keep leaf grads
                 continue
-            for pid, contrib in node.backward(g):
+            for pid, contrib in backward(g):
                 if pid in grads:
                     grads[pid] = grads[pid] + contrib
                 else:
@@ -385,7 +400,7 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expects a 2-D operand, got {a.data.shape}")
-    out = a.data.T.copy()
+    out = a.data.T  # a view: matmul hands it to BLAS as transposed, uncopied
 
     def build(pids, slots):
         def backward(g):
@@ -589,11 +604,12 @@ def relu(a) -> Tensor:
     return _unary("relu", a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
 
 
-def sigmoid(a) -> Tensor:
-    def fwd(x):
-        return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
-    return _unary("sigmoid", a, fwd, lambda g, x, y: g * y * (1.0 - y))
+
+def sigmoid(a) -> Tensor:
+    return _unary("sigmoid", a, _sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
 
 def softplus(a) -> Tensor:
@@ -601,7 +617,7 @@ def softplus(a) -> Tensor:
         "softplus",
         a,
         lambda x: np.logaddexp(0.0, x),
-        lambda g, x, y: g * (0.5 * (1.0 + np.tanh(0.5 * x))),
+        lambda g, x, y: g * _sigmoid(x),
     )
 
 
@@ -614,6 +630,138 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: operand has entries <= 0")
     return _unary("log", a, np.log, lambda g, x, y: g / x)
+
+
+# ---------------------------------------------------------------------------
+# fused sequence and loss primitives
+
+
+def lstm(z, w_hh, state) -> Tensor:
+    """LSTM recurrence over a (T, 4h) sequence of input pre-activations.
+
+    Gates are ordered i, f, g, o. Step t adds ``w_hh @ h_{t-1}`` to row t
+    of ``z``; then c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t).
+    ``state`` is the length-2h carry [h_0, c_0]. Returns (T, 2h) with row t
+    equal to [h_t, c_t], so the last row is the carry of a following call;
+    T chained one-row calls give bit-identical rows. The backward pass is
+    backpropagation through time over the saved gate activations.
+    """
+    z, w_hh, state = as_tensor(z), as_tensor(w_hh), as_tensor(state)
+    zv, wv, sv = z.data, w_hh.data, state.data
+    if zv.ndim != 2 or zv.shape[0] < 1 or zv.shape[1] % 4 != 0:
+        raise ShapeError(f"lstm: pre-activations must be (T >= 1, 4h), got {zv.shape}")
+    steps, h = zv.shape[0], zv.shape[1] // 4
+    if wv.shape != (4 * h, h) or sv.shape != (2 * h,):
+        raise ShapeError(
+            f"lstm: with {zv.shape} pre-activations w_hh must be {(4 * h, h)} and "
+            f"state {(2 * h,)}, got {wv.shape} and {sv.shape}"
+        )
+    out = np.empty((steps, 2 * h))
+    acts = np.empty((steps, 4 * h))
+    hidden, cell = sv[:h], sv[h:]
+    for t in range(steps):
+        a = zv[t] + wv @ hidden
+        act = acts[t]
+        act[:] = _sigmoid(a)
+        act[2 * h:3 * h] = np.tanh(a[2 * h:3 * h])
+        cell = act[h:2 * h] * cell + act[:h] * act[2 * h:3 * h]
+        hidden = act[3 * h:] * np.tanh(cell)
+        out[t, :h] = hidden
+        out[t, h:] = cell
+
+    def build(pids, slots):
+        prev = np.vstack([sv[None, :], out[:-1]])  # carry entering each step
+        tanh_c = np.tanh(out[:, h:])
+
+        def backward(g):
+            dz = np.empty((steps, 4 * h))
+            dh = np.zeros(h)
+            dc = np.zeros(h)
+            for t in range(steps - 1, -1, -1):
+                i, f = acts[t, :h], acts[t, h:2 * h]
+                gg, o = acts[t, 2 * h:3 * h], acts[t, 3 * h:]
+                dh = g[t, :h] + dh
+                dc = g[t, h:] + dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+                dz[t, :h] = dc * gg * i * (1.0 - i)
+                dz[t, h:2 * h] = dc * prev[t, h:] * f * (1.0 - f)
+                dz[t, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
+                dz[t, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
+                dh = dz[t] @ wv
+                dc = dc * f
+            grads = {0: dz, 1: dz.T @ prev[:, :h], 2: np.concatenate([dh, dc])}
+            return [(pid, grads[slot]) for pid, slot in zip(pids, slots)]
+
+        return backward
+
+    return _trace("lstm", out, (z, w_hh, state), build)
+
+
+def softmax_nll(logits, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits[t])[targets[t]], a scalar.
+
+    ``logits`` is (T, K); ``targets`` holds T integer class indices and is
+    not differentiated. Computed from the logits by log-sum-exp, so no
+    probability is ever rounded to zero.
+    """
+    x = as_tensor(logits)
+    xv = x.data
+    idx = np.asarray(targets)
+    if xv.ndim != 2 or xv.shape[0] < 1:
+        raise ShapeError(f"softmax_nll: logits must be (T >= 1, K), got {xv.shape}")
+    if idx.shape != (xv.shape[0],) or not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(
+            f"softmax_nll: needs {xv.shape[0]} integer targets, got {idx.shape} {idx.dtype}"
+        )
+    if np.any((idx < 0) | (idx >= xv.shape[1])):
+        raise DomainError(f"softmax_nll: targets outside [0, {xv.shape[1]})")
+    rows = np.arange(xv.shape[0])
+    shifted = xv - xv.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    out = np.asarray(np.mean(np.log(total) - shifted[rows, idx]))
+
+    def build(pids, slots):
+        def backward(g):
+            p = e / total[:, None]
+            p[rows, idx] -= 1.0
+            return [(pids[0], p * (g / xv.shape[0]))]
+
+        return backward
+
+    return _trace("softmax_nll", out, (x,), build)
+
+
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def gaussian_nll(mu, var, x) -> Tensor:
+    """Mean Gaussian negative log-likelihood of ``x`` under (mu, var), a scalar.
+
+    ``mu``, ``var`` and ``x`` share one shape; ``x`` is not differentiated.
+    Every entry of ``var`` must be positive.
+    """
+    mu, var = as_tensor(mu), as_tensor(var)
+    xv = _as_array(x)
+    if mu.data.shape != var.data.shape or mu.data.shape != xv.shape or xv.size == 0:
+        raise ShapeError(
+            f"gaussian_nll: mu {mu.data.shape}, var {var.data.shape} and x {xv.shape} "
+            "must match and be nonempty"
+        )
+    vv = var.data
+    if np.any(vv <= 0.0):
+        raise DomainError("gaussian_nll: variance has entries <= 0")
+    r = mu.data - xv
+    out = np.asarray(np.mean(0.5 * (np.log(vv) + r * r / vv)) + HALF_LOG_2PI)
+
+    def build(pids, slots):
+        def backward(g):
+            scale = g / xv.size
+            grads = {0: scale * r / vv, 1: scale * 0.5 * (1.0 - r * r / vv) / vv}
+            return [(pid, grads[slot]) for pid, slot in zip(pids, slots)]
+
+        return backward
+
+    return _trace("gaussian_nll", out, (mu, var), build)
 
 
 # Closed set of differentiable primitives. Tests iterate over this registry,
@@ -640,6 +788,9 @@ DIFFERENTIABLE_PRIMITIVES: dict[str, Callable] = {
     "softplus": softplus,
     "exp": exp,
     "log": log,
+    "lstm": lstm,
+    "softmax_nll": softmax_nll,
+    "gaussian_nll": gaussian_nll,
 }
 
 

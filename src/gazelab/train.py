@@ -26,10 +26,8 @@ from .model import (
 )
 from .optim import Adam
 from .scanpath import Scanpath
-from .tensor import Tape, Tensor, log, pick
+from .tensor import Tape, Tensor, gaussian_nll, softmax_nll
 
-LOG_EPS = 1e-12
-HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 # Adam moves an entry by at most about lr per update, so a default run (15
 # epochs of 168 batches at lr 1e-4) carries a parameter at most ~0.25 from
 # where it starts. The observer codes W_u start near zero and must reach the
@@ -66,43 +64,42 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
 
 
-def position_loss(maps, gt: Scanpath, height: int, width: int) -> Tensor:
-    """Mean over steps of -log m_t[ground-truth cell]."""
-    if len(maps) != len(gt):
+def position_loss(logits: Tensor, gt: Scanpath, height: int,
+                  width: int) -> Tensor:
+    """Mean over steps of -log softmax(logits_t)[ground-truth cell].
+
+    ``logits`` is (T, HW), one row per ground-truth fixation; the loss is
+    one fused ``softmax_nll`` node.
+    """
+    if logits.shape[0] != len(gt):
         raise ValueError(
-            f"got {len(maps)} maps for {len(gt)} ground-truth fixations")
+            f"got {logits.shape[0]} step maps for {len(gt)} ground-truth "
+            "fixations")
     gt.validate()
-    total = None
-    for m_t, fix in zip(maps, gt.fixations):
-        cell = grid_cell(fix.x, fix.y, height, width)
-        nll = -log(pick(m_t, cell) + LOG_EPS)
-        total = nll if total is None else total + nll
-    return total * (1.0 / len(maps))
+    return softmax_nll(logits, [grid_cell(f.x, f.y, height, width)
+                                for f in gt.fixations])
 
 
-def duration_loss(dur_params, gt: Scanpath) -> Tensor:
-    """Mean Gaussian NLL of log durations under per-step (mu, var)."""
-    if len(dur_params) != len(gt):
+def duration_loss(mu: Tensor, var: Tensor, gt: Scanpath) -> Tensor:
+    """Mean Gaussian NLL of log durations under per-step (mu, var).
+
+    ``mu`` and ``var`` hold one entry per ground-truth fixation; the loss
+    is one fused ``gaussian_nll`` node.
+    """
+    if mu.shape != (len(gt),) or var.shape != (len(gt),):
         raise ValueError(
-            f"got {len(dur_params)} duration parameters for {len(gt)} "
-            "ground-truth fixations")
+            f"got duration parameters of shapes {mu.shape} and {var.shape} "
+            f"for {len(gt)} ground-truth fixations")
     gt.validate()
-    total = None
-    for (mu, var), fix in zip(dur_params, gt.fixations):
-        residual = mu - float(np.log(fix.dur_ms))
-        nll = (log(var) + residual * residual / var) * 0.5 + HALF_LOG_2PI
-        total = nll if total is None else total + nll
-    return total * (1.0 / len(dur_params))
+    return gaussian_nll(mu, var, np.log(gt.durations()))
 
 
 def rollout_loss(model: ScanpathModel, E: np.ndarray, observer_id: int,
                  gt: Scanpath, duration_weight: float = 0.1):
     """Teacher-forced total loss; returns (total, position, duration)."""
-    steps = model.rollout_teacher_forced(E, observer_id, gt)
-    maps = [m for m, _, _ in steps]
-    durs = [(mu, var) for _, mu, var in steps]
-    pos = position_loss(maps, gt, model.config.height, model.config.width)
-    dur = duration_loss(durs, gt)
+    logits, mu, var = model.teacher_forced(E, observer_id, gt)
+    pos = position_loss(logits, gt, model.config.height, model.config.width)
+    dur = duration_loss(mu, var, gt)
     return pos + dur * duration_weight, pos, dur
 
 

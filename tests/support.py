@@ -15,7 +15,9 @@ from gazelab.tensor import (
     concat,
     div,
     exp,
+    gaussian_nll,
     log,
+    lstm,
     matmul,
     mean,
     mul,
@@ -27,6 +29,7 @@ from gazelab.tensor import (
     reshape,
     sigmoid,
     softmax,
+    softmax_nll,
     softplus,
     sub,
     tanh,
@@ -182,6 +185,24 @@ def primitive_grad_cases(seed: int) -> dict:
     x = Tensor(np.abs(rng.normal(size=(m, n))) + 0.5, trainable=True)
     rd = reader((m, n))
     cases["log"] = (lambda x=x, rd=rd: rd(log(x)), {"x": x})
+
+    steps, h = dims(2, 1, 4)
+    z, w_hh, state = t((steps, 4 * h)), t((4 * h, h)), t((2 * h,))
+    rd = reader((steps, 2 * h))
+    cases["lstm"] = (lambda z=z, w=w_hh, s=state, rd=rd: rd(lstm(z, w, s)),
+                     {"z": z, "w_hh": w_hh, "state": state})
+
+    m, n = dims(lo=2)
+    x = t((m, n))
+    targets = rng.integers(0, n, size=m)
+    cases["softmax_nll"] = (lambda x=x, c=targets: softmax_nll(x, c), {"x": x})
+
+    (k,) = dims(1)
+    mu = t((k,))
+    var = Tensor(np.abs(rng.normal(size=k)) + 0.5, trainable=True)
+    target = rng.normal(size=k)
+    cases["gaussian_nll"] = (lambda mu=mu, var=var, x=target: gaussian_nll(mu, var, x),
+                             {"mu": mu, "var": var})
 
     missing = set(DIFFERENTIABLE_PRIMITIVES) - set(cases)
     assert not missing, f"gradient-check cases missing for primitives: {sorted(missing)}"

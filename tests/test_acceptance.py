@@ -41,7 +41,7 @@ from gazelab.metrics import (
 from gazelab.model import ABLATION_VARIANTS, ModelConfig, ScanpathModel
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import CorpusConfig, build_corpus
-from gazelab.tensor import grad_check
+from gazelab.tensor import grad_check, reshape, softmax
 from gazelab.train import TrainConfig, rollout_loss, train_variant
 
 from support import (
@@ -128,17 +128,14 @@ def test_02_simplex_invariants():
             maps = [model.initial_map().data,
                     model.observer_guidance(E_flat, u).data]
             state = model.initial_state()
-            m_prev = model.initial_map()
+            m_prev = reshape(model.initial_map(), (1, cfg.cells))
             m_u = model.observer_guidance(E_flat, u)
             for _ in range(2):
-                X_t = model.fixated_features(E_flat, m_prev)
-                X_u = model.fixated_features(E_flat, m_u)
-                R_t = model.integrate_features(X_t, X_u, u)
-                state, A_t = model.decoder_step(R_t, state, obs)
-                m_t, beta, _ = model.prioritize_fixation(
-                    E_flat, A_t, u, state.hidden)
-                maps.extend([m_t.data, beta.data])
-                m_prev = m_t
+                X = model.integrate_features(E_flat, m_prev, m_u, u)
+                state, H = model.decoder_step(X, state, obs)
+                logits, beta, _ = model.prioritize_fixation(E_flat, H, u)
+                m_prev = softmax(logits, axis=1)
+                maps.extend([m_prev.data[0], beta.data[0]])
             for vec in maps:
                 min_value = min(min_value, float(vec.min()))
                 worst_sum = max(worst_sum, abs(float(vec.sum()) - 1.0))

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through main() in process."""
 
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -114,6 +115,26 @@ class TestValidationErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert ":2:" in err and "invalid JSON" in err
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("files", {}),
+        ("files", {"scenes": "scenes.jsonl", "observers": "observers.json",
+                   "gaze": {"train": "gaze_train.jsonl"}}),
+        ("splits", "train"),
+    ])
+    def test_malformed_manifest_exit_2(self, workspace, tmp_path, capsys,
+                                       key, value):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest[key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval-rank", "--config", SMOKE, "--data", str(data),
+                     "--checkpoint", workspace["ckpt"],
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{data / 'manifest.json'}: " in capsys.readouterr().err
 
 
 class TestGenData:

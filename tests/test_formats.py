@@ -252,6 +252,48 @@ class TestCheckpoint:
         assert list(a.fixations) == list(b.fixations)
 
 
+def edit_manifest(data_dir, edit):
+    path = data_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+# (edit, message) per manifest entry that the reader once used unchecked
+MANIFEST_EDITS = [
+    pytest.param(lambda m: m.__setitem__("seed", None),
+                 '"seed" must be an integer', id="seed-null"),
+    pytest.param(lambda m: m.__setitem__("seed", 1.5),
+                 '"seed" must be an integer', id="seed-float"),
+    pytest.param(lambda m: m.__setitem__("config", [1]),
+                 "config section 'corpus' must be an object",
+                 id="config-list"),
+    pytest.param(lambda m: m.__setitem__("files", {}),
+                 '"files" must be an object', id="files-empty"),
+    pytest.param(lambda m: m.__setitem__("files", ["scenes.jsonl"]),
+                 '"files" must be an object', id="files-list"),
+    pytest.param(lambda m: m["files"].pop("scenes"),
+                 r'"files" lacks a file name for \[\'scenes\'\]',
+                 id="no-scenes"),
+    pytest.param(lambda m: m["files"].pop("observers"),
+                 r'"files" lacks a file name for \[\'observers\'\]',
+                 id="no-observers"),
+    pytest.param(lambda m: m["files"].__setitem__("gaze", {}),
+                 r'"files" lacks a file name for '
+                 r"\['gaze\.train', 'gaze\.val', 'gaze\.test'\]",
+                 id="gaze-empty"),
+    pytest.param(lambda m: m["files"]["gaze"].pop("test"),
+                 r'"files" lacks a file name for \[\'gaze\.test\'\]',
+                 id="no-test-gaze"),
+    pytest.param(lambda m: m.__setitem__("splits", [1, 2]),
+                 '"splits" must map', id="splits-list"),
+    pytest.param(lambda m: m["splits"].pop("val"),
+                 '"splits" must map', id="no-val-split"),
+    pytest.param(lambda m: m["splits"].__setitem__("train", [0, "1"]),
+                 '"splits" must map', id="string-image-id"),
+]
+
+
 class TestCorpusDirectory:
     def test_round_trip(self, tmp_path, tiny_corpus):
         write_corpus(tiny_corpus, tmp_path / "data")
@@ -281,6 +323,15 @@ class TestCorpusDirectory:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"manifest\.json: missing keys "
                                              r"\['files'\]"):
+            read_corpus(tmp_path / "data")
+
+    @pytest.mark.parametrize("edit, message", MANIFEST_EDITS)
+    def test_malformed_manifest_entries_name_manifest(self, tmp_path,
+                                                      tiny_corpus, edit,
+                                                      message):
+        write_corpus(tiny_corpus, tmp_path / "data")
+        edit_manifest(tmp_path / "data", edit)
+        with pytest.raises(ValueError, match=r"manifest\.json: " + message):
             read_corpus(tmp_path / "data")
 
     def test_missing_manifest_rejected(self, tmp_path):

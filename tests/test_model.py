@@ -6,7 +6,6 @@ import pytest
 from gazelab.model import (
     ABLATION_VARIANTS,
     IOR_SIGMA_CELLS,
-    DecoderState,
     ModelConfig,
     ScanpathModel,
     ablation_config,
@@ -161,39 +160,6 @@ class TestGuidance:
 
 
 class TestFixatedFeatures:
-    def test_one_hot_mask_keeps_single_row(self):
-        cfg = tiny_config()
-        model = ScanpathModel(cfg)
-        E = random_E(cfg, seed=6)
-        E_flat = model.features(E)
-        mask = np.zeros(cfg.cells)
-        mask[2] = 1.0
-        X = model.fixated_features(E_flat, Tensor(mask))
-        np.testing.assert_array_equal(X.data[2], E_flat.data[2])
-        for loc in (0, 1, 3):
-            np.testing.assert_array_equal(X.data[loc], 0.0)
-
-    def test_uniform_mask_scales_by_hw(self):
-        cfg = tiny_config()
-        model = ScanpathModel(cfg)
-        E_flat = model.features(random_E(cfg, seed=7))
-        X = model.fixated_features(E_flat,
-                                   Tensor(np.full(cfg.cells, 1 / cfg.cells)))
-        np.testing.assert_allclose(X.data, E_flat.data / cfg.cells,
-                                   atol=1e-15)
-
-    def test_matches_elementwise_loop(self):
-        cfg = tiny_config()
-        model = ScanpathModel(cfg)
-        rng = np.random.default_rng(8)
-        E_flat = model.features(random_E(cfg, seed=8))
-        m = rng.dirichlet(np.ones(cfg.cells))
-        X = model.fixated_features(E_flat, Tensor(m))
-        for loc in range(cfg.cells):
-            for ch in range(cfg.channels):
-                assert X.data[loc, ch] == pytest.approx(
-                    E_flat.data[loc, ch] * m[loc], abs=1e-15)
-
     def test_feature_grid_layout_is_row_major(self):
         cfg = tiny_config()
         model = ScanpathModel(cfg)
@@ -211,18 +177,24 @@ class TestFixatedFeatures:
 
 
 class TestIntegration:
+    def two_maps(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        return Tensor(rng.dirichlet(np.ones(cfg.cells), size=2))
+
     def test_all_zero_weights_annihilate(self):
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=1)
         for name in ("W_hs", "b_hs", "W_hc", "b_hc", "W_us", "W_uc"):
             model.params[name].data[:] = 0.0
         E_flat = model.features(random_E(cfg))
-        X = model.fixated_features(E_flat, model.initial_map())
-        R = model.integrate_features(X, X, model.encode_observer(0))
-        np.testing.assert_array_equal(R.data, np.zeros((cfg.cells,
-                                                        cfg.hidden)))
+        maps = self.two_maps(cfg, 1)
+        X = model.integrate_features(E_flat, maps, model.initial_map(),
+                                     model.encode_observer(0))
+        np.testing.assert_array_equal(X.data, np.zeros((2, cfg.hidden)))
 
     def test_basis_vectors_give_single_entry(self):
+        # u_s = e_1 and u_c = e_2 make R_t the single entry [1, 2]; pooled
+        # over the HW cells it is 1 / HW at entry 2 of every row
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=1)
         model.params["W_hs"].data[:] = 0.0
@@ -234,60 +206,65 @@ class TestIntegration:
         model.params["b_hc"].data[:] = 0.0
         model.params["b_hc"].data[2] = 1.0
         E_flat = model.features(random_E(cfg))
-        X = model.fixated_features(E_flat, model.initial_map())
-        R = model.integrate_features(X, X, model.encode_observer(0))
-        expect = np.zeros((cfg.cells, cfg.hidden))
-        expect[1, 2] = 1.0
-        np.testing.assert_array_equal(R.data, expect)
+        X = model.integrate_features(E_flat, self.two_maps(cfg, 2),
+                                     model.initial_map(),
+                                     model.encode_observer(0))
+        expect = np.zeros((2, cfg.hidden))
+        expect[:, 2] = 1.0 / cfg.cells
+        np.testing.assert_array_equal(X.data, expect)
 
     def test_matches_composed_loop_oracle(self):
+        # the closed forms against the fixated stacks and the outer
+        # product they stand for
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=11)
         p = {k: v.data for k, v in model.params.items()}
         E_flat = model.features(random_E(cfg, seed=11))
-        rng = np.random.default_rng(11)
-        m_prev = rng.dirichlet(np.ones(cfg.cells))
-        m_u = rng.dirichlet(np.ones(cfg.cells))
+        maps = self.two_maps(cfg, 11)
+        m_u = np.random.default_rng(12).dirichlet(np.ones(cfg.cells))
         u = model.encode_observer(2)
-        X_t = model.fixated_features(E_flat, Tensor(m_prev))
-        X_u = model.fixated_features(E_flat, Tensor(m_u))
-        R = model.integrate_features(X_t, X_u, u)
-        X = np.concatenate([E_flat.data * m_prev[:, None],
-                            E_flat.data * m_u[:, None]], axis=1)
-        u_s = np.maximum(p["W_hs"] @ X.mean(axis=1) + p["b_hs"], 0.0)
-        u_s = u_s + p["W_us"] @ u.data
-        u_c = np.maximum(p["W_hc"] @ X.mean(axis=0) + p["b_hc"], 0.0)
-        u_c = u_c + p["W_uc"] @ u.data
-        np.testing.assert_allclose(R.data, np.outer(u_s, u_c), atol=1e-12)
+        X = model.integrate_features(E_flat, maps, Tensor(m_u), u)
+        for t, m_prev in enumerate(maps.data):
+            stacks = np.concatenate([E_flat.data * m_prev[:, None],
+                                     E_flat.data * m_u[:, None]], axis=1)
+            u_s = np.maximum(p["W_hs"] @ stacks.mean(axis=1) + p["b_hs"], 0.0)
+            u_s = u_s + p["W_us"] @ u.data
+            u_c = np.maximum(p["W_hc"] @ stacks.mean(axis=0) + p["b_hc"], 0.0)
+            u_c = u_c + p["W_uc"] @ u.data
+            np.testing.assert_allclose(X.data[t],
+                                       np.outer(u_s, u_c).mean(axis=0),
+                                       atol=1e-12)
 
     def test_disabled_path_is_linear_projection(self):
         cfg = tiny_config(enable_fi=False)
         model = ScanpathModel(cfg, seed=12)
         E_flat = model.features(random_E(cfg, seed=12))
-        X = model.fixated_features(E_flat, model.initial_map())
-        R = model.integrate_features(X, None, model.encode_observer(0))
-        expect = X.data @ model.params["W_fi"].data + \
-            model.params["b_fi"].data
-        np.testing.assert_allclose(R.data, expect, atol=1e-12)
+        maps = self.two_maps(cfg, 12)
+        X = model.integrate_features(E_flat, maps, None,
+                                     model.encode_observer(0))
+        for t, m_prev in enumerate(maps.data):
+            R = (E_flat.data * m_prev[:, None]) @ model.params["W_fi"].data \
+                + model.params["b_fi"].data
+            np.testing.assert_allclose(X.data[t], R.mean(axis=0), atol=1e-12)
 
 
 class TestDecoder:
     def test_zero_network_emits_biases(self):
+        # a zero LSTM keeps the hidden state at zero, so the heads it feeds
+        # read only their biases
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=1)
-        for name in ("W_ih", "W_hh", "b_lstm", "W_a"):
+        for name in ("W_ih", "W_hh", "b_lstm"):
             model.params[name].data[:] = 0.0
-        model.params["b_a"].data[:] = np.arange(
-            cfg.semantic_channels * cfg.cells, dtype=float)
-        state = model.initial_state()
-        R = Tensor(np.zeros((cfg.cells, cfg.hidden)))
-        new_state, A = model.decoder_step(R, state, 0)
-        np.testing.assert_array_equal(new_state.hidden.data,
-                                      np.zeros(cfg.hidden))
-        np.testing.assert_array_equal(
-            A.data, np.arange(cfg.semantic_channels * cfg.cells,
-                              dtype=float).reshape(cfg.semantic_channels,
-                                                   cfg.cells))
+        model.params["b_dur"].data[:] = [1.5, -0.3]
+        X = Tensor(np.random.default_rng(1).normal(size=(3, cfg.hidden)))
+        state, H = model.decoder_step(X, model.initial_state(), 0)
+        np.testing.assert_array_equal(H.data, np.zeros((3, cfg.hidden)))
+        np.testing.assert_array_equal(state.carry.data,
+                                      np.zeros(2 * cfg.hidden))
+        assert state.t == 3
+        mu, _ = model.duration_head(H)
+        np.testing.assert_array_equal(mu.data, [1.5, 1.5, 1.5])
 
     def test_scalar_lstm_closed_form(self):
         cfg = tiny_config(hidden=1, semantic_channels=1, height=1, width=1,
@@ -298,7 +275,7 @@ class TestDecoder:
         model.params["W_hh"].data[:] = 0.0
         model.params["b_lstm"].data[:] = [0.1, 0.2, 0.3, 0.4]
         r = 0.7
-        state, _ = model.decoder_step(Tensor(np.array([[r]])),
+        state, H = model.decoder_step(Tensor(np.array([[r]])),
                                       model.initial_state(), 0)
 
         def logistic(v):
@@ -308,39 +285,70 @@ class TestDecoder:
         gg = np.tanh(wg * r + 0.3)
         go = logistic(wo * r + 0.4)
         cell = gi * gg
-        np.testing.assert_allclose(state.cell.data, [cell], atol=1e-12)
-        np.testing.assert_allclose(state.hidden.data,
-                                   [go * np.tanh(cell)], atol=1e-12)
+        np.testing.assert_allclose(state.carry.data,
+                                   [go * np.tanh(cell), cell], atol=1e-12)
+        np.testing.assert_allclose(H.data, [[go * np.tanh(cell)]],
+                                   atol=1e-12)
+
+    def test_rows_match_one_row_calls(self):
+        # one call over T rows runs the recurrence of T one-row calls from
+        # the carried state; the input projection of all rows is one matmul,
+        # which may round differently from T one-row products
+        cfg = tiny_config()
+        model = ScanpathModel(cfg, seed=3)
+        X = Tensor(np.random.default_rng(3).normal(size=(4, cfg.hidden)))
+        whole_state, whole = model.decoder_step(X, model.initial_state(), 1)
+        state = model.initial_state()
+        for t in range(4):
+            state, H = model.decoder_step(Tensor(X.data[t:t + 1]), state, 1)
+            np.testing.assert_allclose(H.data[0], whole.data[t], rtol=0,
+                                       atol=1e-14)
+        np.testing.assert_allclose(state.carry.data, whole_state.carry.data,
+                                   rtol=0, atol=1e-14)
 
     def test_deterministic(self):
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=3)
-        R = Tensor(np.random.default_rng(3).normal(size=(cfg.cells,
-                                                         cfg.hidden)))
-        s1, a1 = model.decoder_step(R, model.initial_state(), 1)
-        s2, a2 = model.decoder_step(R, model.initial_state(), 1)
-        np.testing.assert_array_equal(s1.hidden.data, s2.hidden.data)
-        np.testing.assert_array_equal(a1.data, a2.data)
+        X = Tensor(np.random.default_rng(3).normal(size=(2, cfg.hidden)))
+        s1, h1 = model.decoder_step(X, model.initial_state(), 1)
+        s2, h2 = model.decoder_step(X, model.initial_state(), 1)
+        np.testing.assert_array_equal(s1.carry.data, s2.carry.data)
+        np.testing.assert_array_equal(h1.data, h2.data)
 
     def test_step_overflow_rejected(self):
         cfg = tiny_config(max_steps=2)
         model = ScanpathModel(cfg)
-        R = Tensor(np.zeros((cfg.cells, cfg.hidden)))
+        X = Tensor(np.zeros((1, cfg.hidden)))
         state = model.initial_state()
-        state, _ = model.decoder_step(R, state, 0)
-        state, _ = model.decoder_step(R, state, 0)
+        state, _ = model.decoder_step(X, state, 0)
+        state, _ = model.decoder_step(X, state, 0)
         with pytest.raises(ValueError, match="max_steps"):
-            model.decoder_step(R, state, 0)
+            model.decoder_step(X, state, 0)
+        with pytest.raises(ValueError, match="max_steps"):
+            model.decoder_step(Tensor(np.zeros((3, cfg.hidden))),
+                               model.initial_state(), 0)
 
     def test_one_hot_concat_conditions_decoder(self):
         cfg = tiny_config(observer_mode="one_hot_concat", enable_fi=False,
                           enable_fp=False)
         model = ScanpathModel(cfg, seed=4)
-        R = Tensor(np.random.default_rng(4).normal(size=(cfg.cells,
-                                                         cfg.hidden)))
-        s0, _ = model.decoder_step(R, model.initial_state(), 0)
-        s1, _ = model.decoder_step(R, model.initial_state(), 1)
-        assert np.max(np.abs(s0.hidden.data - s1.hidden.data)) > 0.0
+        X = Tensor(np.random.default_rng(4).normal(size=(1, cfg.hidden)))
+        _, h0 = model.decoder_step(X, model.initial_state(), 0)
+        _, h1 = model.decoder_step(X, model.initial_state(), 1)
+        assert np.max(np.abs(h0.data - h1.data)) > 0.0
+
+
+def fixed_bank(model, A):
+    """Make the semantic maps of a zero hidden state equal the rows of A."""
+    for name in ("W_a", "W_q", "b_q"):
+        model.params[name].data[:] = 0.0
+    model.params["b_a"].data[:] = np.asarray(A).ravel()
+    return Tensor(np.zeros((1, model.config.hidden)))
+
+
+def softmax_row(v):
+    e = np.exp(v - v.max())
+    return e / e.sum()
 
 
 class TestPrioritization:
@@ -348,34 +356,24 @@ class TestPrioritization:
         cfg = tiny_config(semantic_channels=1)
         model = ScanpathModel(cfg, seed=5)
         E_flat = model.features(random_E(cfg, seed=5))
-        A = Tensor(np.random.default_rng(5).normal(size=(1, cfg.cells)))
-        hidden = Tensor(np.zeros(cfg.hidden))
-        m, beta, _ = model.prioritize_fixation(E_flat, A,
-                                               model.encode_observer(0),
-                                               hidden)
-        np.testing.assert_allclose(beta.data, [1.0], atol=1e-12)
-        logits = A.data[0]
-        expect = np.exp(logits - logits.max())
-        expect /= expect.sum()
-        np.testing.assert_allclose(m.data, expect, atol=1e-12)
+        A = np.random.default_rng(5).normal(size=(1, cfg.cells))
+        H = fixed_bank(model, A)
+        logits, beta, _ = model.prioritize_fixation(
+            E_flat, H, model.encode_observer(0))
+        np.testing.assert_allclose(beta.data, [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(logits.data, A, atol=1e-12)
 
     def test_identical_maps_make_weights_irrelevant(self):
         cfg = tiny_config(semantic_channels=3)
         model = ScanpathModel(cfg, seed=6)
         E_flat = model.features(random_E(cfg, seed=6))
         row = np.random.default_rng(6).normal(size=cfg.cells)
-        A = Tensor(np.tile(row, (3, 1)))
-        hidden = Tensor(np.zeros(cfg.hidden))
-        maps = []
+        H = fixed_bank(model, np.tile(row, (3, 1)))
         for i in range(cfg.n_observers):
-            m, _, _ = model.prioritize_fixation(E_flat, A,
-                                                model.encode_observer(i),
-                                                hidden)
-            maps.append(m.data)
-        expect = np.exp(row - row.max())
-        expect /= expect.sum()
-        for m in maps:
-            np.testing.assert_allclose(m, expect, atol=1e-12)
+            logits, _, _ = model.prioritize_fixation(
+                E_flat, H, model.encode_observer(i))
+            np.testing.assert_allclose(softmax_row(logits.data[0]),
+                                       softmax_row(row), atol=1e-12)
 
     def test_two_map_scalar_trace(self):
         cfg = tiny_config(semantic_channels=2)
@@ -383,38 +381,32 @@ class TestPrioritization:
         p = {k: v.data for k, v in model.params.items()}
         E_flat = model.features(random_E(cfg, seed=7))
         A = np.random.default_rng(7).normal(size=(2, cfg.cells))
+        H = fixed_bank(model, A)
         u = model.encode_observer(1)
-        m, beta, V = model.prioritize_fixation(E_flat, Tensor(A), u,
-                                               Tensor(np.zeros(cfg.hidden)))
+        logits, beta, V = model.prioritize_fixation(E_flat, H, u)
         V_ref = np.zeros((2, cfg.channels))
         scores = np.zeros(2)
         for l in range(2):
             V_ref[l] = (E_flat.data * A[l][:, None]).mean(axis=0)
             scores[l] = p["w_b"] @ np.tanh(p["W_b"] @ V_ref[l] +
                                            p["W_um"] @ u.data)
-        beta_ref = np.exp(scores - scores.max())
-        beta_ref /= beta_ref.sum()
+        beta_ref = softmax_row(scores)
         combined = beta_ref[0] * A[0] + beta_ref[1] * A[1]
-        m_ref = np.exp(combined - combined.max())
-        m_ref /= m_ref.sum()
         np.testing.assert_allclose(V.data, V_ref, atol=1e-12)
-        np.testing.assert_allclose(beta.data, beta_ref, atol=1e-12)
-        np.testing.assert_allclose(m.data, m_ref, atol=1e-12)
+        np.testing.assert_allclose(beta.data, [beta_ref], atol=1e-12)
+        np.testing.assert_allclose(logits.data, [combined], atol=1e-12)
 
     def test_disabled_path_projects_hidden_state(self):
         cfg = tiny_config(enable_fp=False)
         model = ScanpathModel(cfg, seed=8)
         E_flat = model.features(random_E(cfg, seed=8))
-        hidden = Tensor(np.random.default_rng(8).normal(size=cfg.hidden))
-        m, beta, _ = model.prioritize_fixation(E_flat, None,
-                                               model.encode_observer(0),
-                                               hidden)
-        logits = model.params["W_fp"].data @ hidden.data + \
+        H = Tensor(np.random.default_rng(8).normal(size=(2, cfg.hidden)))
+        logits, beta, _ = model.prioritize_fixation(
+            E_flat, H, model.encode_observer(0))
+        expect = H.data @ model.params["W_fp"].data.T + \
             model.params["b_fp"].data
-        expect = np.exp(logits - logits.max())
-        expect /= expect.sum()
-        np.testing.assert_allclose(m.data, expect, atol=1e-12)
-        np.testing.assert_array_equal(beta.data, [1.0])
+        np.testing.assert_allclose(logits.data, expect, atol=1e-12)
+        np.testing.assert_array_equal(beta.data, [[1.0], [1.0]])
 
     def test_logit_shift_invariance(self):
         # adding a constant to the combined pre-softmax scores leaves the
@@ -424,14 +416,12 @@ class TestPrioritization:
         E_flat = model.features(random_E(cfg, seed=9))
         A = np.random.default_rng(9).normal(size=(cfg.semantic_channels,
                                                   cfg.cells))
-        m, beta, _ = model.prioritize_fixation(E_flat, Tensor(A),
-                                               model.encode_observer(0),
-                                               Tensor(np.zeros(cfg.hidden)))
-        combined = beta.data @ A
-        shifted = combined + 123.456
-        expect = np.exp(shifted - shifted.max())
-        expect /= expect.sum()
-        assert np.max(np.abs(m.data - expect)) < 1e-9
+        H = fixed_bank(model, A)
+        logits, beta, _ = model.prioritize_fixation(
+            E_flat, H, model.encode_observer(0))
+        shifted = beta.data[0] @ A + 123.456
+        assert np.max(np.abs(softmax_row(logits.data[0]) -
+                             softmax_row(shifted))) < 1e-9
 
 
 class TestDurationHead:
@@ -440,22 +430,19 @@ class TestDurationHead:
         model = ScanpathModel(cfg, seed=1)
         model.params["W_dur"].data[:] = 0.0
         model.params["b_dur"].data[:] = [1.5, -0.3]
-        state = DecoderState(Tensor(np.ones(cfg.hidden)),
-                             Tensor(np.zeros(cfg.hidden)), 0)
-        mu, var = model.duration_head(state)
-        assert float(mu.data) == pytest.approx(1.5, abs=1e-12)
-        assert float(var.data) == pytest.approx(
-            np.logaddexp(0.0, -0.3) + 1e-4, abs=1e-12)
+        mu, var = model.duration_head(Tensor(np.ones((2, cfg.hidden))))
+        np.testing.assert_allclose(mu.data, [1.5, 1.5], atol=1e-12)
+        np.testing.assert_allclose(
+            var.data, [np.logaddexp(0.0, -0.3) + 1e-4] * 2, atol=1e-12)
 
     def test_variance_positive_across_draws(self):
         cfg = tiny_config()
         rng = np.random.default_rng(2)
         for trial in range(1000):
             model = ScanpathModel(cfg, seed=trial % 17)
-            hidden = Tensor(rng.normal(scale=3.0, size=cfg.hidden))
-            _, var = model.duration_head(
-                DecoderState(hidden, Tensor(np.zeros(cfg.hidden)), 0))
-            assert float(var.data) > 0.0
+            H = Tensor(rng.normal(scale=3.0, size=(1, cfg.hidden)))
+            _, var = model.duration_head(H)
+            assert float(var.data[0]) > 0.0
 
     def test_nll_gradient_matches_finite_differences(self):
         cfg = tiny_config()
@@ -464,8 +451,8 @@ class TestDurationHead:
         gt = path_at_cells([0, 3, 1], cfg, dur=240.0)
 
         def f():
-            steps = model.rollout_teacher_forced(E, 1, gt)
-            return duration_loss([(mu, var) for _, mu, var in steps], gt)
+            _, mu, var = model.teacher_forced(E, 1, gt)
+            return duration_loss(mu, var, gt)
 
         head = {"W_dur": model.params["W_dur"],
                 "b_dur": model.params["b_dur"]}
@@ -650,6 +637,27 @@ class TestInvariants:
 
         report = grad_check(f, model.params, eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
+
+    # rollout_loss records a scanpath in one pass of the step core: only
+    # the concat of the fed-back maps joins past the first step, and the
+    # count is flat from two steps on. Recording any pathway per step again
+    # adds several nodes a step and breaks this budget.
+    NODES_PER_EXTRA_STEP = 1
+
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_tape_nodes_do_not_grow_with_length(self, variant):
+        cfg = ablation_config(tiny_config(max_steps=8), variant)
+        model = ScanpathModel(cfg, seed=3)
+        E = random_E(cfg, seed=3)
+        counts = []
+        for length in range(1, 9):
+            gt = path_at_cells([3 * t % cfg.cells for t in range(length)], cfg)
+            with Tape() as tape:
+                rollout_loss(model, E, 0, gt)
+            counts.append(len(tape.nodes))
+        for extra, count in enumerate(counts):
+            assert count - counts[0] <= self.NODES_PER_EXTRA_STEP * extra, \
+                counts
 
     EXPECTED_REACHABLE = {
         "none": {"m0_logits", "W_fi", "b_fi", "W_ih", "W_hh", "b_lstm",

@@ -1,7 +1,12 @@
 """Engine tests: primitive forwards vs oracles, backprop, tape, Adam."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazelab.optim import Adam
 from gazelab.tensor import (
@@ -12,12 +17,17 @@ from gazelab.tensor import (
     Tape,
     Tensor,
     concat,
+    gaussian_nll,
     grad_check,
     log,
+    lstm,
     matmul,
     mul,
+    narrow,
     outer,
+    reshape,
     softmax,
+    softmax_nll,
     split,
     tanh,
     tsum,
@@ -115,6 +125,106 @@ class TestBackward:
         with Tape() as tape:
             loss = tsum(mul(x, x))
         np.testing.assert_allclose(tape.gradients(loss)[x], [4.0])
+
+
+class TestTape:
+    def test_gradients_free_the_backward_closures(self):
+        # every recorded Tensor points back at its tape, so a closure that
+        # holds one sits in a reference cycle; freeing the closures lets
+        # reference counting release what they hold, with no cyclic collector
+        w = Tensor(np.ones(3), trainable=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                scaled = mul(w, 2.0)
+                loss = tsum(tanh(scaled))
+            captured = weakref.ref(scaled.data)
+            del scaled
+            assert captured() is not None  # held by tanh's backward closure
+            tape.gradients(loss)
+            assert captured() is None
+        finally:
+            gc.enable()
+        assert [node.op for node in tape.nodes] == ["leaf", "mul", "tanh", "sum"]
+
+    def test_second_gradients_call_rejected(self):
+        x = Tensor(np.ones(2), trainable=True)
+        with Tape() as tape:
+            loss = tsum(mul(x, x))
+        tape.gradients(loss)
+        with pytest.raises(ValueError, match="already"):
+            tape.gradients(loss)
+
+
+class TestFusedPrimitives:
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.integers(1, 7), h=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lstm_sequence_equals_chained_single_steps(self, steps, h, seed):
+        # free running feeds the carry of one-row calls forward; teacher
+        # forcing makes one call over all rows: both must run one recurrence
+        rng = np.random.default_rng(seed)
+        z = rng.normal(scale=2.0, size=(steps, 4 * h))
+        w_hh = rng.normal(size=(4 * h, h))
+        state = Tensor(rng.normal(size=2 * h))
+        whole = lstm(z, w_hh, state).data
+        for t in range(steps):
+            row = lstm(z[t:t + 1], w_hh, state)
+            np.testing.assert_array_equal(row.data[0], whole[t])
+            state = reshape(narrow(row, 0, 0, 1), (2 * h,))
+
+    def test_lstm_matches_gate_equations(self):
+        rng = np.random.default_rng(4)
+        steps, h = 5, 3
+        z = rng.normal(size=(steps, 4 * h))
+        w_hh = rng.normal(size=(4 * h, h))
+        state = rng.normal(size=2 * h)
+        out = lstm(z, w_hh, state).data
+
+        def logistic(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        hid, cell = state[:h], state[h:]
+        for t in range(steps):
+            a = z[t] + w_hh @ hid
+            cell = logistic(a[h:2 * h]) * cell + \
+                logistic(a[:h]) * np.tanh(a[2 * h:3 * h])
+            hid = logistic(a[3 * h:]) * np.tanh(cell)
+            np.testing.assert_allclose(out[t], np.concatenate([hid, cell]),
+                                       rtol=0, atol=1e-12)
+
+    def test_lstm_shape_errors(self):
+        with pytest.raises(ShapeError, match="lstm"):
+            lstm(np.zeros((2, 6)), np.zeros((6, 1)), np.zeros(2))
+        with pytest.raises(ShapeError, match="lstm"):
+            lstm(np.zeros((2, 8)), np.zeros((8, 2)), np.zeros(2))
+
+    def test_softmax_nll_matches_log_of_softmax(self):
+        rng = np.random.default_rng(6)
+        logits = rng.normal(scale=3.0, size=(4, 7))
+        targets = [0, 6, 3, 3]
+        probs = softmax(logits, axis=1).data
+        expect = np.mean([-np.log(probs[t, c]) for t, c in enumerate(targets)])
+        assert float(softmax_nll(logits, targets).data) == pytest.approx(expect, abs=1e-12)
+
+    def test_softmax_nll_finite_where_softmax_underflows(self):
+        # a probability below the smallest double still has a finite NLL
+        logits = np.array([[0.0, -800.0]])
+        assert float(softmax_nll(logits, [1]).data) == pytest.approx(800.0, abs=1e-9)
+
+    def test_softmax_nll_rejects_bad_targets(self):
+        with pytest.raises(DomainError, match="softmax_nll"):
+            softmax_nll(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(ShapeError, match="softmax_nll"):
+            softmax_nll(np.zeros((2, 3)), [0.0, 1.0])
+        with pytest.raises(ShapeError, match="softmax_nll"):
+            softmax_nll(np.zeros((2, 3)), [0])
+
+    def test_gaussian_nll_rejects_bad_input(self):
+        with pytest.raises(DomainError, match="variance"):
+            gaussian_nll(np.zeros(2), np.array([1.0, 0.0]), np.zeros(2))
+        with pytest.raises(ShapeError, match="gaussian_nll"):
+            gaussian_nll(np.zeros(2), np.ones(3), np.zeros(2))
 
 
 class TestGradCheck:

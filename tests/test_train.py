@@ -43,20 +43,16 @@ def path_at(cells, height, width, durs, image_id=0, observer_id=0):
 class TestPositionLoss:
     def test_uniform_maps(self):
         hw = 12
-        maps = [Tensor(np.full(hw, 1.0 / hw)) for _ in range(3)]
         gt = path_at([0, 5, 11], 3, 4, [200.0] * 3)
-        loss = position_loss(maps, gt, 3, 4)
+        loss = position_loss(Tensor(np.zeros((3, hw))), gt, 3, 4)
         assert float(loss.data) == pytest.approx(np.log(hw), rel=1e-9)
 
     def test_perfect_prediction(self):
         hw = 12
         gt = path_at([2, 7, 9], 3, 4, [200.0] * 3)
-        maps = []
-        for cell in (2, 7, 9):
-            m = np.zeros(hw)
-            m[cell] = 1.0
-            maps.append(Tensor(m))
-        loss = position_loss(maps, gt, 3, 4)
+        logits = np.zeros((3, hw))
+        logits[[0, 1, 2], [2, 7, 9]] = 50.0
+        loss = position_loss(Tensor(logits), gt, 3, 4)
         assert abs(float(loss.data)) < 1e-11
 
     def test_matches_hand_sum(self):
@@ -64,36 +60,36 @@ class TestPositionLoss:
         hw = 12
         cells = [3, 1, 10, 4]
         gt = path_at(cells, 3, 4, [200.0] * 4)
-        maps = [rng.dirichlet(np.ones(hw)) for _ in range(4)]
-        loss = position_loss([Tensor(m) for m in maps], gt, 3, 4)
-        expect = np.mean([-np.log(m[c] + 1e-12)
-                          for m, c in zip(maps, cells)])
+        logits = rng.normal(scale=2.0, size=(4, hw))
+        loss = position_loss(Tensor(logits), gt, 3, 4)
+        maps = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        expect = np.mean([-np.log(m[c]) for m, c in zip(maps, cells)])
         assert float(loss.data) == pytest.approx(expect, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         gt = path_at([0, 1], 3, 4, [200.0] * 2)
         with pytest.raises(ValueError, match="maps"):
-            position_loss([Tensor(np.full(12, 1 / 12))], gt, 3, 4)
+            position_loss(Tensor(np.zeros((1, 12))), gt, 3, 4)
 
     def test_out_of_bounds_fixation_rejected(self):
         gt = Scanpath(image_id=0, observer_id=0,
                       fixations=(Fixation(0.5, 1.2, 100.0),))
         with pytest.raises(ValueError):
-            position_loss([Tensor(np.full(12, 1 / 12))], gt, 3, 4)
+            position_loss(Tensor(np.zeros((1, 12))), gt, 3, 4)
 
 
 class TestDurationLoss:
     def test_zero_residual_unit_variance(self):
         gt = path_at([0, 1], 2, 2, [300.0, 120.0])
-        params = [(Tensor(np.log(300.0)), Tensor(1.0)),
-                  (Tensor(np.log(120.0)), Tensor(1.0))]
-        loss = duration_loss(params, gt)
+        loss = duration_loss(Tensor(np.log([300.0, 120.0])),
+                             Tensor(np.ones(2)), gt)
         assert float(loss.data) == pytest.approx(HALF_LOG_2PI, abs=1e-12)
 
     def test_doubling_variance_adds_half_log_two(self):
         gt = path_at([0], 2, 2, [250.0])
-        base = duration_loss([(Tensor(np.log(250.0)), Tensor(1.0))], gt)
-        doubled = duration_loss([(Tensor(np.log(250.0)), Tensor(2.0))], gt)
+        mu = Tensor(np.log([250.0]))
+        base = duration_loss(mu, Tensor([1.0]), gt)
+        doubled = duration_loss(mu, Tensor([2.0]), gt)
         assert float(doubled.data) - float(base.data) == pytest.approx(
             0.5 * np.log(2.0), abs=1e-12)
 
@@ -103,8 +99,7 @@ class TestDurationLoss:
         mus = rng.normal(5.5, 0.5, 5)
         variances = rng.uniform(0.2, 2.0, 5)
         gt = path_at(range(5), 4, 4, durs)
-        loss = duration_loss(
-            [(Tensor(m), Tensor(v)) for m, v in zip(mus, variances)], gt)
+        loss = duration_loss(Tensor(mus), Tensor(variances), gt)
         expect = np.mean(
             0.5 * (np.log(2 * np.pi) + np.log(variances) +
                    (np.log(durs) - mus) ** 2 / variances))
@@ -113,7 +108,7 @@ class TestDurationLoss:
     def test_length_mismatch_rejected(self):
         gt = path_at([0], 2, 2, [100.0])
         with pytest.raises(ValueError, match="duration parameters"):
-            duration_loss([], gt)
+            duration_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)), gt)
 
 
 class TestTrainConfig:
