@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
                      description="individualized scanpath prediction lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, handler, seed_required, help_text, **extra):
+    def command(name, handler, seed_required, help_text):
         p = sub.add_parser(name, help=help_text)
         _add_common(p, seed_required)
         p.set_defaults(handler=handler)

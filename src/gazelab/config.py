@@ -26,11 +26,42 @@ from .synthetic import CorpusConfig
 from .train import TrainConfig
 
 
-def coerce_section(cls, data: dict, name: str):
-    """Build a config dataclass from a dict, rejecting unknown keys.
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the JSON kind of a field whose default is
+    ``default``. A bool is not an integer; a float field takes either."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and \
+            len(value) == len(default) and \
+            all(_fits(d, v) for d, v in zip(default, value))
+    # the only None default is the optional checkpoint path
+    return isinstance(value, str) or (default is None and value is None)
 
-    List values are coerced to tuples for fields whose defaults are
-    tuples, so JSON round-trips reproduce the original field types.
+
+def _kind(default) -> str:
+    if isinstance(default, bool):
+        return "true or false"
+    if isinstance(default, int):
+        return "an integer"
+    if isinstance(default, float):
+        return "a number"
+    if isinstance(default, tuple):
+        return f"a list like {json.dumps(list(default))}"
+    return "a string" if default is not None else "a string or null"
+
+
+def coerce_section(cls, data: dict, name: str):
+    """Build a config dataclass from a dict, rejecting unknown keys and
+    values of the wrong kind.
+
+    Each value must have the JSON kind of its field's default. List values
+    are coerced to tuples, so JSON round-trips reproduce the original field
+    types; a number in a float field is stored as given.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config section {name!r} must be an object")
@@ -40,7 +71,11 @@ def coerce_section(cls, data: dict, name: str):
         raise ValueError(f"unknown keys in config section {name!r}: {unknown}")
     kwargs = {}
     for key, value in data.items():
-        if isinstance(value, list) and isinstance(fields[key].default, tuple):
+        default = fields[key].default
+        if not _fits(default, value):
+            raise ValueError(f"config value {name}.{key} must be "
+                             f"{_kind(default)}, got {value!r}")
+        if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
@@ -107,10 +142,6 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
-
-
-def load_run_config(path) -> RunConfig:
-    return RunConfig.from_json(Path(path).read_text())
 
 
 def apply_overrides(data: dict, assignments) -> dict:

@@ -34,6 +34,7 @@ from .metrics import (  # noqa: F401
     scanmatch_pairs,
     string_edit_distance,
 )
+from .scanpath import grid_cell
 
 log = logging.getLogger(__name__)
 
@@ -236,12 +237,10 @@ class SaliencyMap:
 
 
 def _bin_fixations(fixations, height: int, width: int) -> np.ndarray:
-    counts = np.zeros((height, width))
+    counts = np.zeros(height * width)
     for fix in fixations:
-        col = min(int(fix.x * width), width - 1)
-        row = min(int(fix.y * height), height - 1)
-        counts[row, col] += 1.0
-    return counts
+        counts[grid_cell(fix.x, fix.y, height, width)] += 1.0
+    return counts.reshape(height, width)
 
 
 def build_saliency(fixations, sigma: float | None = None,
@@ -299,8 +298,8 @@ KLD_EPS = 1e-7
 
 
 def _fix_cells(fixations, height, width):
-    return [(min(int(f.y * height), height - 1),
-             min(int(f.x * width), width - 1)) for f in fixations]
+    return [divmod(grid_cell(f.x, f.y, height, width), width)
+            for f in fixations]
 
 
 def _auc_from_values(pos: np.ndarray, neg: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from .config import coerce_section
 from .model import ModelConfig, ScanpathModel, init_params
 from .scanpath import Fixation, Scanpath
 from .synthetic import (
+    CATEGORIES,
     Blob,
     Corpus,
     CorpusConfig,
@@ -29,7 +30,7 @@ from .synthetic import (
 from .tensor import Tensor
 
 GAZE_FORMAT = "isp-gaze-v1"
-SCENE_FORMAT = "isp-scene-v1"
+SCENE_FORMAT = "isp-scene-v2"
 CKPT_FORMAT = "isp-ckpt-v2"
 OBSERVERS_FORMAT = "isp-observers-v1"
 MANIFEST_FORMAT = "isp-corpus-v1"
@@ -134,30 +135,63 @@ def write_scenes(scenes, path) -> None:
             "id": int(scene.id),
             "E": scene.E.tolist(),
             "roi_mask": scene.roi_mask.tolist(),
-            "m0": scene.m0.tolist(),
             "blobs": [dataclasses.asdict(blob) for blob in scene.blobs],
         }))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_scenes(path) -> list:
+def _numeric_array(path, lineno: int, key: str, value, kinds: str):
+    """``value`` as an array whose dtype kind is one of ``kinds``."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, OverflowError):
+        arr = None  # ragged nesting
+    if arr is None or arr.dtype.kind not in kinds:
+        what = "integers" if kinds == "iu" else "numbers"
+        raise ValueError(f"{path}:{lineno}: {key} must be a nested list of "
+                         f"{what} of equal lengths")
+    return arr
+
+
+def read_scenes(path, shape: tuple | None = None) -> list:
+    """Scenes of a scene file; ``shape`` is the (C, H, W) every E must have.
+
+    E must be a finite 3-D array and roi_mask an (H, W) integer array of
+    ``CATEGORIES`` codes.
+    """
     lines = Path(path).read_text().splitlines()
     _check_header(path, lines, SCENE_FORMAT)
     scenes = []
     for lineno, line in enumerate(lines[1:], start=2):
         record = _parse_json_line(path, lineno, line)
-        _require_keys(path, lineno, record,
-                      ("id", "E", "roi_mask", "m0", "blobs"))
+        _require_keys(path, lineno, record, ("id", "E", "roi_mask", "blobs"))
+        if not _is_integer(record["id"]):
+            raise ValueError(f"{path}:{lineno}: id must be a JSON integer, "
+                             f"got {record['id']!r}")
+        E = _numeric_array(path, lineno, "E", record["E"], "iuf")
+        if E.ndim != 3 or 0 in E.shape or not np.isfinite(E).all():
+            raise ValueError(f"{path}:{lineno}: E must be a nonempty (C, H, W) "
+                             f"array of finite numbers, got shape {E.shape}")
+        if shape is not None and E.shape != tuple(shape):
+            raise ValueError(f"{path}:{lineno}: E has shape {E.shape}, "
+                             f"expected {tuple(shape)}")
+        roi = _numeric_array(path, lineno, "roi_mask", record["roi_mask"],
+                             "iu")
+        if roi.shape != E.shape[1:]:
+            raise ValueError(f"{path}:{lineno}: roi_mask has shape "
+                             f"{roi.shape}, expected {E.shape[1:]}")
+        if roi.min() < 0 or roi.max() >= len(CATEGORIES):
+            raise ValueError(f"{path}:{lineno}: roi_mask codes must lie in "
+                             f"[0, {len(CATEGORIES) - 1}]")
         try:
             blobs = [Blob(**blob) for blob in record["blobs"]]
         except TypeError as err:
             raise ValueError(f"{path}:{lineno}: bad blob entry: {err}") \
                 from None
         scenes.append(SyntheticScene(
-            id=int(record["id"]),
-            E=np.asarray(record["E"], dtype=float),
-            roi_mask=np.asarray(record["roi_mask"], dtype=np.int64),
-            m0=np.asarray(record["m0"], dtype=float),
+            id=record["id"],
+            E=E.astype(float),
+            roi_mask=roi.astype(np.int64),
             blobs=blobs,
         ))
     return scenes
@@ -218,7 +252,10 @@ def read_checkpoint(path) -> ScanpathModel:
         raise ValueError(
             f"{path}: expected format {CKPT_FORMAT!r}, "
             f"got {data.get('format')!r}")
-    config = coerce_section(ModelConfig, data.get("config", {}), "config")
+    try:
+        config = coerce_section(ModelConfig, data.get("config", {}), "config")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     expected = init_params(config, seed=0)
     stored = data.get("params", {})
     missing = sorted(set(expected) - set(stored))
@@ -305,7 +342,8 @@ def read_corpus(data_dir) -> Corpus:
                 for ids in splits.values()):
         raise ValueError(f'{manifest_path}: "splits" must map each of '
                          f"{list(SPLITS)} to a list of integer image ids")
-    scenes = read_scenes(root / files["scenes"])
+    scenes = read_scenes(root / files["scenes"],
+                         (config.channels, config.height, config.width))
     profiles = read_observers(root / files["observers"])
     scanpaths = {split: read_scanpaths(root / gaze[split])
                  for split in SPLITS}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scanpath import Scanpath
+from .scanpath import Scanpath, grid_cell
 
 
 @dataclass
@@ -78,25 +78,21 @@ def _require_nonempty(*scanpaths: Scanpath) -> None:
             )
 
 
-def _bin_index(value: float, bins: int) -> int:
-    # floor binning with the closed upper edge folded into the last bin
-    idx = int(np.floor(value * bins))
-    return min(idx, bins - 1)
-
-
 def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> GriddedScanpath:
     """Bin fixations onto a Gx x Gy grid, column-major token ids.
 
-    Token id is ``col * Gy + row``. With ``tbin > 0`` each fixation token is
-    repeated ``ceil(dur / tbin)`` times, so longer fixations occupy more of
-    the string.
+    Cells follow ``grid_cell`` with Gy rows and Gx columns; the token id is
+    ``col * Gy + row``. With ``tbin > 0`` each fixation token is repeated
+    ``ceil(dur / tbin)`` times, so longer fixations occupy more of the
+    string.
     """
     _require_nonempty(sp)
     sp.validate()
     gx, gy = grid
     tokens: list[int] = []
     for f in sp.fixations:
-        token = _bin_index(f.x, gx) * gy + _bin_index(f.y, gy)
+        row, col = divmod(grid_cell(f.x, f.y, gy, gx), gx)
+        token = col * gy + row
         reps = int(np.ceil(f.dur_ms / tbin)) if tbin > 0 else 1
         tokens.extend([token] * max(reps, 1))
     return GriddedScanpath(tokens=tokens, grid=grid, source=sp)

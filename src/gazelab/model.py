@@ -18,11 +18,7 @@ toggleable; each disabled path is replaced by a small learned projection so
 ablation rows stay trainable. FP builds its semantic maps from the scene's
 feature channels and inhibits the cells already fixated. All forward math
 runs on the in-house tensor engine, so the same code path serves training
-(under a tape) and inference.
-
-Grid cells are indexed row-major: cell = row * width + col. A fixation at
-normalized (x, y) lands in row floor(y * H), col floor(x * W), clamped to
-the grid.
+(under a tape) and inference. Grid cells follow ``scanpath.grid_cell``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scanpath import Fixation, Scanpath
+from .scanpath import Fixation, Scanpath, cell_center, grid_cell
 from .tensor import (
     Tensor,
     concat,
@@ -121,18 +117,6 @@ class DecoderState:
 
     carry: Tensor
     t: int = 0
-
-
-def grid_cell(x: float, y: float, height: int, width: int) -> int:
-    """Row-major cell index for a normalized fixation position."""
-    col = min(int(x * width), width - 1)
-    row = min(int(y * height), height - 1)
-    return row * width + col
-
-
-def cell_center(index: int, height: int, width: int) -> tuple[float, float]:
-    row, col = divmod(int(index), width)
-    return (col + 0.5) / width, (row + 0.5) / height
 
 
 def inhibition_kernel(height: int, width: int) -> np.ndarray:

@@ -46,11 +46,6 @@ class Adam:
                 continue
             self._update(name, g)
 
-    def step_named(self, grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            if name in self.params:
-                self._update(name, g)
-
     def _update(self, name: str, g: np.ndarray) -> None:
         p = self.params[name]
         if g.shape != p.data.shape:

@@ -47,3 +47,25 @@ class Scanpath:
                     f"fixation {i} of image {self.image_id} observer {self.observer_id}: "
                     f"duration {f.dur_ms} not positive and finite"
                 )
+
+
+def grid_cell(x: float, y: float, height: int, width: int) -> int:
+    """Row-major index ``row * width + col`` of the cell holding (x, y).
+
+    The unit square splits into ``height`` rows and ``width`` columns:
+    row = floor(y * height) and col = floor(x * width), with the closed
+    upper edge (a coordinate of exactly 1) folded into the last row or
+    column. Coordinates outside [0, 1] raise ValueError.
+    """
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"grid_cell: coordinates ({x}, {y}) outside [0, 1]")
+    col = min(int(x * width), width - 1)
+    row = min(int(y * height), height - 1)
+    return row * width + col
+
+
+def cell_center(index: int, height: int, width: int) -> tuple[float, float]:
+    """Normalized (x, y) center of row-major cell ``index``:
+    ((col + 0.5) / width, (row + 0.5) / height)."""
+    row, col = divmod(int(index), width)
+    return (col + 0.5) / width, (row + 0.5) / height

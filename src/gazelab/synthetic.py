@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .scanpath import Fixation, Scanpath
+from .scanpath import Fixation, Scanpath, cell_center, grid_cell
 
 CATEGORIES = ("background", "nonsocial", "social")
 BACKGROUND, NONSOCIAL, SOCIAL = 0, 1, 2
@@ -91,12 +91,11 @@ class Blob:
 
 @dataclass
 class SyntheticScene:
-    """Feature stack E, ROI labels, and a mild task-guidance prior m0."""
+    """Feature stack E and ROI labels."""
 
     id: int
     E: np.ndarray  # (C, H, W), nonnegative
     roi_mask: np.ndarray  # (H, W) of category codes
-    m0: np.ndarray  # (H, W) simplex
     blobs: list[Blob] = field(default_factory=list)
 
     @property
@@ -105,9 +104,7 @@ class SyntheticScene:
 
     def category_at(self, x: float, y: float) -> str:
         h, w = self.roi_mask.shape
-        row = min(int(y * h), h - 1)
-        col = min(int(x * w), w - 1)
-        return CATEGORIES[self.roi_mask[row, col]]
+        return CATEGORIES[self.roi_mask.flat[grid_cell(x, y, h, w)]]
 
 
 @dataclass
@@ -206,10 +203,7 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
         roi_mask[owned] = blob.category
         strongest = np.maximum(strongest, np.where(owned, value, 0.0))
 
-    guidance = center_bias_map(h, w, config.center_sigma)
-    m0 = np.exp(guidance - guidance.max())
-    m0 /= m0.sum()
-    return SyntheticScene(id=scene_id, E=E, roi_mask=roi_mask, m0=m0, blobs=blobs)
+    return SyntheticScene(id=scene_id, E=E, roi_mask=roi_mask, blobs=blobs)
 
 
 def generate_scenes(n: int, config: CorpusConfig, seed) -> list[SyntheticScene]:
@@ -323,8 +317,7 @@ def sample_gt_scanpath(
     for _ in range(T):
         p = priority_map(profile, scene, ior, config)
         idx = int(rng.choice(h * w, p=p.reshape(-1)))
-        row, col = divmod(idx, w)
-        x, y = (col + 0.5) / w, (row + 0.5) / h
+        x, y = cell_center(idx, h, w)
         dur = float(np.exp(rng.normal(profile.log_dur_mean, profile.log_dur_sd)))
         dur = float(np.clip(dur, 50.0, 5000.0))
         fixations.append(Fixation(x, y, dur))

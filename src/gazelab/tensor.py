@@ -28,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Raised when operand values leave a primitive's domain (e.g. log of <= 0)."""
+    """Raised when operand values leave a primitive's domain (e.g. a zero divisor)."""
 
 
 _STATE = threading.local()
@@ -373,29 +373,6 @@ def matmul(a, b) -> Tensor:
     return _trace("matmul", out, (a, b), build)
 
 
-def outer(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(f"outer: expects two 1-D operands, got {a.data.shape} and {b.data.shape}")
-    out = np.outer(a.data, b.data)
-
-    def build(pids, slots):
-        av, bv = a.data, b.data
-
-        def backward(g):
-            outs = []
-            for pid, slot in zip(pids, slots):
-                if slot == 0:
-                    outs.append((pid, g @ bv))
-                else:
-                    outs.append((pid, av @ g))
-            return outs
-
-        return backward
-
-    return _trace("outer", out, (a, b), build)
-
-
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
@@ -467,18 +444,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         return backward
 
     return _trace("narrow", out, (a,), build)
-
-
-def split(a, sizes: Sequence[int], axis: int = 0) -> list:
-    """Inverse of concat: consecutive narrows covering the whole axis."""
-    a = as_tensor(a)
-    if sum(sizes) != a.data.shape[axis]:
-        raise ShapeError(f"split: sizes {list(sizes)} do not cover axis {axis} of {a.data.shape}")
-    parts, start = [], 0
-    for n in sizes:
-        parts.append(narrow(a, axis, start, n))
-        start += n
-    return parts
 
 
 def reshape(a, shape) -> Tensor:
@@ -619,17 +584,6 @@ def softplus(a) -> Tensor:
         lambda x: np.logaddexp(0.0, x),
         lambda g, x, y: g * _sigmoid(x),
     )
-
-
-def exp(a) -> Tensor:
-    return _unary("exp", a, np.exp, lambda g, x, y: g * y)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: operand has entries <= 0")
-    return _unary("log", a, np.log, lambda g, x, y: g / x)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +727,6 @@ DIFFERENTIABLE_PRIMITIVES: dict[str, Callable] = {
     "div": div,
     "neg": neg,
     "matmul": matmul,
-    "outer": outer,
     "transpose": transpose,
     "concat": concat,
     "narrow": narrow,
@@ -786,8 +739,6 @@ DIFFERENTIABLE_PRIMITIVES: dict[str, Callable] = {
     "relu": relu,
     "sigmoid": sigmoid,
     "softplus": softplus,
-    "exp": exp,
-    "log": log,
     "lstm": lstm,
     "softmax_nll": softmax_nll,
     "gaussian_nll": gaussian_nll,

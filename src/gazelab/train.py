@@ -22,10 +22,9 @@ from .model import (
     ModelConfig,
     ScanpathModel,
     ablation_config,
-    grid_cell,
 )
 from .optim import Adam
-from .scanpath import Scanpath
+from .scanpath import Scanpath, grid_cell
 from .tensor import Tape, Tensor, gaussian_nll, softmax_nll
 
 # Adam moves an entry by at most about lr per update, so a default run (15

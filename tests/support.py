@@ -14,16 +14,13 @@ from gazelab.tensor import (
     Tensor,
     concat,
     div,
-    exp,
     gaussian_nll,
-    log,
     lstm,
     matmul,
     mean,
     mul,
     narrow,
     neg,
-    outer,
     pick,
     relu,
     reshape,
@@ -61,14 +58,6 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out.reshape(p)
     if b.ndim == 1:
         return out.reshape(m)
-    return out
-
-
-def naive_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.size, b.size))
-    for i in range(a.size):
-        for j in range(b.size):
-            out[i, j] = a[i] * b[j]
     return out
 
 
@@ -125,11 +114,6 @@ def primitive_grad_cases(seed: int) -> dict:
     a, b, rd = t((m, n)), t((n, p)), reader((m, p))
     cases["matmul"] = (lambda a=a, b=b, rd=rd: rd(matmul(a, b)), {"a": a, "b": b})
 
-    (i,) = dims(1)
-    (j,) = dims(1)
-    a, b, rd = t((i,)), t((j,)), reader((i, j))
-    cases["outer"] = (lambda a=a, b=b, rd=rd: rd(outer(a, b)), {"a": a, "b": b})
-
     m, n = dims()
     x, rd = t((m, n)), reader((n, m))
     cases["transpose"] = (lambda x=x, rd=rd: rd(transpose(x)), {"x": x})
@@ -169,7 +153,7 @@ def primitive_grad_cases(seed: int) -> dict:
     x, rd = t((m, n)), reader((m, n))
     cases["softmax"] = (lambda x=x, rd=rd: rd(softmax(x, axis=-1)), {"x": x})
 
-    for name, op in (("tanh", tanh), ("sigmoid", sigmoid), ("softplus", softplus), ("exp", exp)):
+    for name, op in (("tanh", tanh), ("sigmoid", sigmoid), ("softplus", softplus)):
         m, n = dims()
         x, rd = t((m, n)), reader((m, n))
         cases[name] = (lambda x=x, op=op, rd=rd: rd(op(x)), {"x": x})
@@ -180,11 +164,6 @@ def primitive_grad_cases(seed: int) -> dict:
     x = Tensor(raw, trainable=True)
     rd = reader((m, n))
     cases["relu"] = (lambda x=x, rd=rd: rd(relu(x)), {"x": x})
-
-    m, n = dims()
-    x = Tensor(np.abs(rng.normal(size=(m, n))) + 0.5, trainable=True)
-    rd = reader((m, n))
-    cases["log"] = (lambda x=x, rd=rd: rd(log(x)), {"x": x})
 
     steps, h = dims(2, 1, 4)
     z, w_hh, state = t((steps, 4 * h)), t((4 * h, h)), t((2 * h,))

@@ -26,8 +26,7 @@ from gazelab.tensor import Tensor
 def grid_scene(scene_id, mask):
     mask = np.asarray(mask, dtype=np.int64)
     h, w = mask.shape
-    return SyntheticScene(id=scene_id, E=np.zeros((1, h, w)),
-                          roi_mask=mask, m0=np.full((h, w), 1.0 / (h * w)))
+    return SyntheticScene(id=scene_id, E=np.zeros((1, h, w)), roi_mask=mask)
 
 
 def path(image_id, observer_id, points):

@@ -116,6 +116,32 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert ":2:" in err and "invalid JSON" in err
 
+    @pytest.mark.parametrize("override", [
+        "model.enable_fi=False", "corpus.scanpath_len=2.5",
+        'corpus.n_scenes="x"'])
+    def test_wrong_config_value_kind_exit_2(self, tmp_path, capsys,
+                                            override):
+        code = main(["gen-data", "--seed", "0", "--set", override,
+                     "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert f"{override.partition('=')[0]} must be" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_malformed_scene_file_exit_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        path = data / "scenes.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["roi_mask"][0][0] = 9
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval-rank", "--config", SMOKE, "--data", str(data),
+                     "--checkpoint", workspace["ckpt"],
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{path}:2: roi_mask codes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("files", {}),

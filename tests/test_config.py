@@ -54,6 +54,51 @@ class TestRunConfig:
             RunConfig.from_dict({"corpus": {"scanpath_len": 9}})
 
 
+class TestValueKinds:
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "enable_fi", "False"),
+        ("model", "enable_fi", 0),
+        ("model", "hidden", 32.0),
+        ("model", "hidden", True),
+        ("model", "observer_mode", 1),
+        ("corpus", "scanpath_len", 2.5),
+        ("corpus", "n_scenes", "x"),
+        ("corpus", "blob_count", [2]),
+        ("corpus", "blob_count", [2, 5.0]),
+        ("corpus", "blob_sigma", "0.05"),
+        ("metric", "aspect", [4.0, None]),
+        ("train", "lr", "0.001"),
+        ("train", "lr", False),
+        ("paths", "out_dir", 5),
+        ("paths", "data_dir", None),
+        ("paths", "checkpoint", 7),
+    ])
+    def test_wrong_kind_names_section_and_key(self, section, key, value):
+        with pytest.raises(ValueError, match=rf"{section}\.{key} must be"):
+            RunConfig.from_dict({section: {key: value}})
+
+    def test_float_fields_keep_integers_as_given(self):
+        cfg = RunConfig.from_dict({"train": {"lr": 1},
+                                   "metric": {"aspect": [4, 3]}})
+        assert cfg.train.lr == 1 and isinstance(cfg.train.lr, int)
+        assert cfg.metric.aspect == (4, 3)
+        assert config_hash(cfg) == config_hash(RunConfig.from_json(
+            cfg.to_json()))
+
+    def test_checkpoint_may_be_null_or_string(self):
+        assert RunConfig.from_dict(
+            {"paths": {"checkpoint": None}}).paths.checkpoint is None
+        assert RunConfig.from_dict(
+            {"paths": {"checkpoint": "a.json"}}).paths.checkpoint == "a.json"
+
+    def test_string_bool_override_rejected(self):
+        data = apply_overrides({}, ["model.enable_fi=False"])
+        with pytest.raises(ValueError, match=r"model\.enable_fi"):
+            RunConfig.from_dict(data)
+        data = apply_overrides({}, ["model.enable_fi=false"])
+        assert RunConfig.from_dict(data).model.enable_fi is False
+
+
 class TestOverrides:
     def test_json_literals_and_strings(self):
         data = apply_overrides({}, ["model.hidden=32",

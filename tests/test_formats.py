@@ -144,6 +144,48 @@ def tiny_corpus():
     return build_corpus(config, seed=0)
 
 
+def edit_scene(path, edit):
+    """Apply ``edit`` to the second scene record (line 3) of a scene file."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_entry(key, index, value):
+    def edit(record):
+        node = record[key]
+        for i in index[:-1]:
+            node = node[i]
+        node[index[-1]] = value
+    return edit
+
+
+SCENE_EDITS = [
+    pytest.param(_set_entry("roi_mask", (1, 2), 9), "roi_mask codes",
+                 id="roi-code-9"),
+    pytest.param(_set_entry("roi_mask", (1, 2), -1), "roi_mask codes",
+                 id="roi-code-negative"),
+    pytest.param(_set_entry("roi_mask", (1, 2), 1.5), "roi_mask must be",
+                 id="roi-float"),
+    pytest.param(lambda r: r.__setitem__("roi_mask", r["roi_mask"][:-1]),
+                 "roi_mask has shape", id="roi-short"),
+    pytest.param(_set_entry("E", (0, 1, 2), "0.5"), "E must be",
+                 id="E-string"),
+    pytest.param(_set_entry("E", (0, 1, 2), None), "E must be",
+                 id="E-null"),
+    pytest.param(_set_entry("E", (0, 1, 2), float("nan")), "E must be",
+                 id="E-nan"),
+    pytest.param(_set_entry("E", (0, 1), [0.5]), "E must be",
+                 id="E-ragged"),
+    pytest.param(lambda r: r.__setitem__("E", r["E"][0]), "E must be",
+                 id="E-2d"),
+    pytest.param(lambda r: r.__setitem__("id", "1"), "id must be",
+                 id="id-string"),
+]
+
+
 class TestSceneAndObserverFiles:
     def test_scene_round_trip(self, tmp_path, tiny_corpus):
         path = tmp_path / "scenes.jsonl"
@@ -154,7 +196,6 @@ class TestSceneAndObserverFiles:
             assert got.id == want.id
             np.testing.assert_array_equal(got.E, want.E)
             np.testing.assert_array_equal(got.roi_mask, want.roi_mask)
-            np.testing.assert_array_equal(got.m0, want.m0)
             assert got.blobs == want.blobs
 
     def test_observer_round_trip(self, tmp_path, tiny_corpus):
@@ -169,8 +210,44 @@ class TestSceneAndObserverFiles:
     def test_scene_bad_header(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         path.write_text('{"format": "isp-gaze-v1"}\n')
-        with pytest.raises(ValueError, match="isp-scene-v1"):
+        with pytest.raises(ValueError, match="isp-scene-v2"):
             read_scenes(path)
+
+    def test_previous_scene_version_rejected_by_tag(self, tmp_path,
+                                                    tiny_corpus):
+        # v1 scene records also carried an unused guidance prior m0
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(tiny_corpus.scenes, path)
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            record["m0"] = np.full((8, 8), 1.0 / 64).tolist()
+        path.write_text("\n".join([json.dumps({"format": "isp-scene-v1"})]
+                                  + [json.dumps(r) for r in records]) + "\n")
+        with pytest.raises(ValueError,
+                           match="expected format 'isp-scene-v2'"):
+            read_scenes(path)
+
+    @pytest.mark.parametrize("edit, message", SCENE_EDITS)
+    def test_malformed_scene_names_line(self, tmp_path, tiny_corpus, edit,
+                                        message):
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(tiny_corpus.scenes, path)
+        edit_scene(path, edit)
+        with pytest.raises(ValueError, match=rf"scenes\.jsonl:3: {message}"):
+            read_scenes(path)
+
+    def test_scene_shape_checked_against_manifest(self, tmp_path,
+                                                  tiny_corpus):
+        # 3 of the 6 configured channels: a valid scene file on its own
+        write_corpus(tiny_corpus, tmp_path / "data")
+        path = tmp_path / "data" / "scenes.jsonl"
+        edit_scene(path, lambda r: r.__setitem__("E", r["E"][:3]))
+        assert read_scenes(path)[1].E.shape == (3, 8, 8)
+        with pytest.raises(ValueError, match=r"scenes\.jsonl:3: E has shape "
+                                             r"\(3, 8, 8\), expected "
+                                             r"\(6, 8, 8\)"):
+            read_corpus(tmp_path / "data")
 
 
 class TestCheckpoint:
@@ -227,6 +304,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="isp-ckpt-v2"):
             read_checkpoint(path)
 
+    def test_config_value_kind_checked(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(ScanpathModel(self.config(), seed=0), path)
+        payload = json.loads(path.read_text())
+        payload["config"]["enable_fi"] = "False"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"ckpt\.json: config value "
+                                             r"config\.enable_fi must be"):
+            read_checkpoint(path)
+
     def test_previous_version_rejected_by_tag(self, tmp_path):
         # v1 checkpoints predate the W_q, b_q and b_ior parameters
         model = ScanpathModel(self.config(), seed=0)
@@ -268,6 +355,9 @@ MANIFEST_EDITS = [
     pytest.param(lambda m: m.__setitem__("config", [1]),
                  "config section 'corpus' must be an object",
                  id="config-list"),
+    pytest.param(lambda m: m["config"].__setitem__("n_scenes", "x"),
+                 r"config value corpus\.n_scenes must be an integer",
+                 id="config-string-count"),
     pytest.param(lambda m: m.__setitem__("files", {}),
                  '"files" must be an object', id="files-empty"),
     pytest.param(lambda m: m.__setitem__("files", ["scenes.jsonl"]),

@@ -29,16 +29,13 @@ class TestScenes:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.E, sb.E)
             np.testing.assert_array_equal(sa.roi_mask, sb.roi_mask)
-            np.testing.assert_array_equal(sa.m0, sb.m0)
 
     def test_zero_scenes_empty(self):
         assert generate_scenes(0, small_config(), 1) == []
 
-    def test_nonnegative_features_and_simplex_m0(self):
+    def test_nonnegative_features(self):
         for scene in generate_scenes(5, small_config(), 3):
             assert scene.E.min() >= 0.0
-            assert scene.m0.min() >= 0.0
-            assert scene.m0.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_blob_mass_matches_analytic_gaussian(self):
         # discrete channel mass vs 2 pi sigma^2 amp per blob, 64x64 grid

@@ -19,21 +19,18 @@ from gazelab.tensor import (
     concat,
     gaussian_nll,
     grad_check,
-    log,
     lstm,
     matmul,
     mul,
     narrow,
-    outer,
     reshape,
     softmax,
     softmax_nll,
-    split,
     tanh,
     tsum,
 )
 
-from support import naive_matmul, naive_outer, primitive_grad_cases
+from support import naive_matmul, primitive_grad_cases
 
 
 class TestForward:
@@ -53,11 +50,6 @@ class TestForward:
         np.testing.assert_allclose(matmul(a, v).data, naive_matmul(a, v), rtol=1e-12)
         np.testing.assert_allclose(matmul(w, a).data, naive_matmul(w, a), rtol=1e-12)
         np.testing.assert_allclose(matmul(v, v).data, naive_matmul(v, v), rtol=1e-12)
-
-    def test_outer_matches_loop(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=5), rng.normal(size=3)
-        np.testing.assert_allclose(outer(a, b).data, naive_outer(a, b), rtol=1e-12)
 
     def test_forward_identical_with_and_without_tape(self):
         rng = np.random.default_rng(11)
@@ -269,8 +261,9 @@ class TestInvariants:
         sizes = [int(n) for n in rng.integers(1, 5, size=3)]
         parts = [rng.normal(size=(n, 4)) for n in sizes]
         joined = concat([Tensor(p) for p in parts], axis=0)
-        back = split(joined, sizes, axis=0)
-        for original, piece in zip(parts, back):
+        offsets = np.cumsum([0] + sizes)
+        for original, start in zip(parts, offsets):
+            piece = narrow(joined, 0, int(start), original.shape[0])
             np.testing.assert_array_equal(original, piece.data)
 
     def test_shape_error_names_op_and_shapes(self):
@@ -279,30 +272,26 @@ class TestInvariants:
         with pytest.raises(ShapeError, match="concat"):
             concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
 
-    def test_log_domain_error(self):
-        with pytest.raises(DomainError, match="log"):
-            log(np.array([1.0, -0.5]))
-
 
 class TestAdam:
     def test_null_update_leaves_params_bit_identical(self):
         p = Tensor(np.array([1.0, -2.0, 3.5]), trainable=True)
         before = p.data.copy()
         opt = Adam({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step_named({"p": np.zeros(3)})
+        opt.step({p: np.zeros(3)})
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_identity(self):
         p = Tensor(np.array(1.0), trainable=True)
         opt = Adam({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step_named({"p": np.array(1.0)})
+        opt.step({p: np.array(1.0)})
         # bias-corrected m_hat / sqrt(v_hat) is exactly 1 on the first step
         assert abs(float(p.data) - 0.9) < 1e-8
 
     def test_decoupled_weight_decay_shrinks_without_gradient_signal(self):
         p = Tensor(np.array(1.0), trainable=True)
         opt = Adam({"p": p}, lr=0.1, weight_decay=0.1)
-        opt.step_named({"p": np.array(0.0)})
+        opt.step({p: np.array(0.0)})
         assert abs(float(p.data) - 0.99) < 1e-12
 
     def test_quadratic_convergence(self):
