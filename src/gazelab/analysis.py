@@ -250,23 +250,22 @@ class ObserverFeature:
 
 
 def extract_observer_features(model, observers=None) -> list[ObserverFeature]:
-    """Per-observer vector [W_mu u, W_us u, W_uc u, W_um u].
-
-    Requires the embedding pathway; without it every observer maps to the
-    same code and the projections carry no identity.
+    """Per-observer vector [W_mu u, W_us u, W_uc u, W_um u] of the
+    projections the model holds: FI holds the first three, FP the last.
+    Without them no pathway reads the code and every observer looks alike.
     """
-    if not model.config.uses_embedding:
+    weights = [model.params[name].data for name in
+               ("W_mu", "W_us", "W_uc", "W_um") if name in model.params]
+    if not weights:
         raise ValueError(
-            "observer features require the embedding pathway (enable_oe "
-            "with embedding mode)")
+            "observer features require a pathway that reads the observer "
+            "code (embedding mode with FI or FP)")
     if observers is None:
         observers = range(model.config.n_observers)
-    p = model.params
     features = []
     for obs in observers:
         u = model.encode_observer(int(obs)).data
-        v = np.concatenate([p["W_mu"].data @ u, p["W_us"].data @ u,
-                            p["W_uc"].data @ u, p["W_um"].data @ u])
+        v = np.concatenate([W @ u for W in weights])
         features.append(ObserverFeature(observer_id=int(obs), v=v))
     return features
 

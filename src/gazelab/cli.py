@@ -40,6 +40,7 @@ from .evaluate import (
 from .formats import (
     read_checkpoint,
     read_corpus,
+    read_json,
     read_scanpaths,
     write_checkpoint,
     write_corpus,
@@ -169,7 +170,7 @@ def build_parser() -> _Parser:
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        data = read_json(args.config)
     apply_overrides(data, args.set)
     return RunConfig.from_dict(data)
 

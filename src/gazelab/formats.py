@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import coerce_section
-from .model import ModelConfig, ScanpathModel, init_params
+from .model import ModelConfig, ScanpathModel, param_shapes
 from .scanpath import Fixation, Scanpath
 from .synthetic import (
     CATEGORIES,
@@ -31,27 +32,41 @@ from .tensor import Tensor
 
 GAZE_FORMAT = "isp-gaze-v1"
 SCENE_FORMAT = "isp-scene-v2"
-CKPT_FORMAT = "isp-ckpt-v2"
+CKPT_FORMAT = "isp-ckpt-v3"
 OBSERVERS_FORMAT = "isp-observers-v1"
 MANIFEST_FORMAT = "isp-corpus-v1"
 
 SPLITS = ("train", "val", "test")
 
 
-def _parse_json_line(path, lineno: int, line: str) -> dict:
+def _parse_json(path, text: str, lineno: int = 1) -> dict:
+    """The JSON object in ``text``, which starts at line ``lineno`` of
+    ``path``; errors name the file and the line."""
     try:
-        record = json.loads(line)
+        record = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ValueError(f"{path}:{lineno}: invalid JSON: {err}") from None
+        raise ValueError(f"{path}:{lineno + err.lineno - 1}: invalid JSON: "
+                         f"{err.msg} (column {err.colno})") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}:{lineno}: expected a JSON object")
     return record
 
 
+def read_json(path, expected_format: str | None = None) -> dict:
+    """The JSON object a whole file holds, checked for its format tag when
+    ``expected_format`` is given."""
+    document = _parse_json(path, Path(path).read_text())
+    if expected_format is not None and \
+            document.get("format") != expected_format:
+        raise ValueError(f"{path}: expected format {expected_format!r}, "
+                         f"got {document.get('format')!r}")
+    return document
+
+
 def _check_header(path, lines, expected: str) -> None:
     if not lines:
         raise ValueError(f"{path}: empty file, expected {expected} header")
-    header = _parse_json_line(path, 1, lines[0])
+    header = _parse_json(path, lines[0])
     if header.get("format") != expected:
         raise ValueError(
             f"{path}:1: expected format {expected!r}, "
@@ -68,13 +83,13 @@ def _is_finite_number(value) -> bool:
         abs(value) <= sys.float_info.max
 
 
-def _require_keys(path, lineno: int, record: dict, keys: tuple) -> None:
+def _require_keys(where: str, record: dict, keys: tuple) -> None:
     missing = sorted(set(keys) - set(record))
     if missing:
-        raise ValueError(f"{path}:{lineno}: missing keys {missing}")
+        raise ValueError(f"{where}: missing keys {missing}")
     extra = sorted(set(record) - set(keys))
     if extra:
-        raise ValueError(f"{path}:{lineno}: unexpected keys {extra}")
+        raise ValueError(f"{where}: unexpected keys {extra}")
 
 
 def write_scanpaths(scanpaths, path) -> None:
@@ -94,8 +109,8 @@ def read_scanpaths(path) -> list:
     _check_header(path, lines, GAZE_FORMAT)
     scanpaths = []
     for lineno, line in enumerate(lines[1:], start=2):
-        record = _parse_json_line(path, lineno, line)
-        _require_keys(path, lineno, record,
+        record = _parse_json(path, line, lineno)
+        _require_keys(f"{path}:{lineno}", record,
                       ("image_id", "observer_id", "fixations"))
         if not isinstance(record["fixations"], list) or \
                 not record["fixations"]:
@@ -163,8 +178,9 @@ def read_scenes(path, shape: tuple | None = None) -> list:
     _check_header(path, lines, SCENE_FORMAT)
     scenes = []
     for lineno, line in enumerate(lines[1:], start=2):
-        record = _parse_json_line(path, lineno, line)
-        _require_keys(path, lineno, record, ("id", "E", "roi_mask", "blobs"))
+        record = _parse_json(path, line, lineno)
+        _require_keys(f"{path}:{lineno}", record,
+                      ("id", "E", "roi_mask", "blobs"))
         if not _is_integer(record["id"]):
             raise ValueError(f"{path}:{lineno}: id must be a JSON integer, "
                              f"got {record['id']!r}")
@@ -218,19 +234,39 @@ def write_observers(profiles, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def read_observers(path) -> list:
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != OBSERVERS_FORMAT:
-        raise ValueError(
-            f"{path}: expected format {OBSERVERS_FORMAT!r}, "
-            f"got {data.get('format')!r}")
+def read_observers(path, channels: int | None = None) -> list:
+    """Observer profiles of an observers file; ``channels`` is the length
+    every channel_pref must have. Errors name ``observers[i].key``."""
+    records = read_json(path, OBSERVERS_FORMAT).get("observers")
+    if not isinstance(records, list):
+        raise ValueError(f'{path}: "observers" must be a list')
     profiles = []
-    for i, record in enumerate(data.get("observers", [])):
-        _require_keys(path, i, record, _PROFILE_KEYS)
-        kwargs = dict(record)
-        kwargs["channel_pref"] = np.asarray(record["channel_pref"],
-                                            dtype=float)
-        profiles.append(ObserverProfile(**kwargs))
+    for i, record in enumerate(records):
+        where = f"{path}: observers[{i}]"
+        if not isinstance(record, dict):
+            raise ValueError(f"{where} must be an object")
+        _require_keys(where, record, _PROFILE_KEYS)
+        if not _is_integer(record["id"]):
+            raise ValueError(f"{where}.id must be an integer, "
+                             f"got {record['id']!r}")
+        if not isinstance(record["group"], str):
+            raise ValueError(f"{where}.group must be a string, "
+                             f"got {record['group']!r}")
+        pref = record["channel_pref"]
+        if not isinstance(pref, list) or \
+                not all(_is_finite_number(v) for v in pref) or \
+                (channels is not None and len(pref) != channels):
+            raise ValueError(f"{where}.channel_pref must be a list of "
+                             f"{channels or 'C'} finite numbers, got {pref!r}")
+        for key in _PROFILE_KEYS[3:]:  # the scalar traits
+            if not _is_finite_number(record[key]):
+                raise ValueError(f"{where}.{key} must be a finite number, "
+                                 f"got {record[key]!r}")
+        try:
+            profiles.append(ObserverProfile(
+                **dict(record, channel_pref=np.asarray(pref, dtype=float))))
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
     return profiles
 
 
@@ -247,17 +283,21 @@ def write_checkpoint(model: ScanpathModel, path) -> None:
 
 
 def read_checkpoint(path) -> ScanpathModel:
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != CKPT_FORMAT:
-        raise ValueError(
-            f"{path}: expected format {CKPT_FORMAT!r}, "
-            f"got {data.get('format')!r}")
+    """Model of a checkpoint file.
+
+    ``params`` must hold exactly the parameters ``param_shapes`` gives for
+    the stored config, each as {"shape": [...], "data": [...]} with that
+    shape and prod(shape) finite numbers.
+    """
+    data = read_json(path, CKPT_FORMAT)
     try:
         config = coerce_section(ModelConfig, data.get("config", {}), "config")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    expected = init_params(config, seed=0)
-    stored = data.get("params", {})
+    expected = param_shapes(config)
+    stored = data.get("params")
+    if not isinstance(stored, dict):
+        raise ValueError(f'{path}: "params" must be an object')
     missing = sorted(set(expected) - set(stored))
     if missing:
         raise ValueError(f"{path}: checkpoint missing parameters {missing}")
@@ -265,15 +305,36 @@ def read_checkpoint(path) -> ScanpathModel:
     if extra:
         raise ValueError(f"{path}: unexpected parameters {extra}")
     params = {}
-    for name, ref in expected.items():
+    for name, shape in expected.items():
+        where = f"{path}: parameter {name}"
         entry = stored[name]
-        values = np.asarray(entry["data"], dtype=float)
-        shape = tuple(entry["shape"])
-        if shape != ref.data.shape:
-            raise ValueError(
-                f"{path}: parameter {name} has shape {shape}, "
-                f"expected {ref.data.shape}")
-        params[name] = Tensor(values.reshape(shape), trainable=True)
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object")
+        _require_keys(where, entry, ("data", "shape"))
+        dims = entry["shape"]
+        if not isinstance(dims, list) or \
+                not all(_is_integer(n) and n >= 0 for n in dims):
+            raise ValueError(f"{where}: shape must be a list of non-negative "
+                             f"integers, got {dims!r}")
+        if tuple(dims) != shape:
+            raise ValueError(f"{where} has shape {tuple(dims)}, "
+                             f"expected {shape}")
+        values = entry["data"]
+        size = math.prod(shape)
+        bad = ValueError(f"{where}: data must be a list of {size} finite "
+                         "numbers")
+        # NumPy would read true as 1.0 and "1.5" as 1.5; the type scan
+        # refuses them
+        if not isinstance(values, list) or len(values) != size or \
+                not set(map(type, values)) <= {int, float}:
+            raise bad
+        try:
+            data = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise bad from None
+        if not np.isfinite(data).all():
+            raise bad
+        params[name] = Tensor(data.reshape(shape), trainable=True)
     return ScanpathModel(config, params=params)
 
 
@@ -305,13 +366,7 @@ def read_corpus(data_dir) -> Corpus:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: no corpus manifest found")
-    manifest = json.loads(manifest_path.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: expected a JSON object")
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(
-            f"{manifest_path}: expected format {MANIFEST_FORMAT!r}, "
-            f"got {manifest.get('format')!r}")
+    manifest = read_json(manifest_path, MANIFEST_FORMAT)
     try:
         config = coerce_section(CorpusConfig, manifest.get("config", {}),
                                 "corpus")
@@ -344,7 +399,7 @@ def read_corpus(data_dir) -> Corpus:
                          f"{list(SPLITS)} to a list of integer image ids")
     scenes = read_scenes(root / files["scenes"],
                          (config.channels, config.height, config.width))
-    profiles = read_observers(root / files["observers"])
+    profiles = read_observers(root / files["observers"], config.channels)
     scanpaths = {split: read_scanpaths(root / gaze[split])
                  for split in SPLITS}
     split_ids = {split: list(ids) for split, ids in splits.items()}

@@ -6,8 +6,8 @@ log fixation duration. Observer identity can enter three ways:
 
 * ``embedding`` mode: a learned code u = W_u @ one_hot modulates the
   guidance map and the feature fusion vectors (FI) and the semantic-map
-  weights (FP). It enters nowhere else, so with FI and FP both off the code
-  reaches no output and the "OE" ablation row trains the same model as
+  weights (FP). It enters nowhere else, so with FI and FP both off the
+  model holds no code and the "OE" ablation row is the same model as
   "none".
 * ``one_hot_concat`` mode: the raw one-hot identity is appended to the
   decoder input and the embedding pathways are left out.
@@ -15,10 +15,11 @@ log fixation duration. Observer identity can enter three ways:
 
 Feature integration (FI) and fixation prioritization (FP) are separately
 toggleable; each disabled path is replaced by a small learned projection so
-ablation rows stay trainable. FP builds its semantic maps from the scene's
-feature channels and inhibits the cells already fixated. All forward math
-runs on the in-house tensor engine, so the same code path serves training
-(under a tape) and inference. Grid cells follow ``scanpath.grid_cell``.
+ablation rows stay trainable, and a model holds only the parameters its
+pathways read. FP builds its semantic maps from the scene's feature
+channels and inhibits the cells already fixated. All forward math runs on
+the in-house tensor engine, so the same code path serves training (under a
+tape) and inference. Grid cells follow ``scanpath.grid_cell``.
 """
 
 from __future__ import annotations
@@ -103,7 +104,9 @@ class ModelConfig:
 
     @property
     def uses_embedding(self) -> bool:
-        return self.enable_oe and self.observer_mode == "embedding"
+        """Whether a pathway reads the observer code W_u @ one_hot."""
+        return (self.enable_oe and self.observer_mode == "embedding"
+                and (self.enable_fi or self.enable_fp))
 
     @property
     def uses_one_hot(self) -> bool:
@@ -130,8 +133,46 @@ def inhibition_kernel(height: int, width: int) -> np.ndarray:
     return np.exp(-d2 / (2.0 * IOR_SIGMA_CELLS ** 2))
 
 
+# Every parameter name. A parameter's index keys its random stream, so a new
+# name goes at the end and the others keep their initial values.
+PARAM_NAMES = ("W_u", "W_eu", "W_mu", "w_eu", "m0_logits", "W_hs", "b_hs",
+               "W_us", "W_hc", "b_hc", "W_uc", "W_fi", "b_fi", "W_ih", "W_hh",
+               "b_lstm", "W_a", "b_a", "W_b", "W_um", "w_b", "W_fp", "b_fp",
+               "W_dur", "b_dur", "W_q", "b_q", "b_ior")
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter the config's pathways read, in PARAM_NAMES
+    order. A pathway that is off holds none of its parameters."""
+    c = config.channels
+    d = config.observer_dim
+    h = config.hidden
+    hw = config.cells
+    ell = config.semantic_channels
+    shapes = {"m0_logits": (hw,), "W_ih": (4 * h, config.decoder_in_dim),
+              "W_hh": (4 * h, h), "b_lstm": (4 * h,), "W_dur": (2, h),
+              "b_dur": (2,)}
+    code = (d, config.n_observers) if config.uses_embedding else None
+    if config.enable_fi:
+        shapes.update(W_eu=(h, c), w_eu=(h,), W_hs=(hw, hw), b_hs=(hw,),
+                      W_hc=(h, 2 * c), b_hc=(h,))
+        if code:
+            shapes.update(W_u=code, W_mu=(h, d), W_us=(hw, d), W_uc=(h, d))
+    else:
+        shapes.update(W_fi=(c, h), b_fi=(h,))
+    if config.enable_fp:
+        shapes.update(W_a=(ell * hw, h), b_a=(ell * hw,), W_b=(h, c),
+                      w_b=(h,), W_q=(ell * c, h), b_q=(ell * c,), b_ior=(1,))
+        if code:
+            shapes.update(W_u=code, W_um=(h, d))
+    else:
+        shapes.update(W_fp=(hw, h), b_fp=(hw,))
+    return {name: shapes[name] for name in PARAM_NAMES if name in shapes}
+
+
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Fresh trainable parameter set.
+    """Fresh trainable parameters, one per ``param_shapes`` entry, each
+    drawn from its own stream (see PARAM_NAMES).
 
     Weight matrices use scale 1/sqrt(fan_in), and the attention bank W_a is
     widened by sqrt(semantic_channels) to keep the mixed priority logits at
@@ -143,56 +184,24 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     Biases start at zero except the LSTM forget gate (1.0) and the duration
     mean (log 300 ms).
     """
-    rng = np.random.default_rng([int(seed), 7])
-    c = config.channels
-    d = config.observer_dim
-    h = config.hidden
-    hw = config.cells
-    ell = config.semantic_channels
-
-    def mat(shape, fan_in):
-        data = rng.normal(0.0, 1.0 / np.sqrt(fan_in), shape)
-        return Tensor(data, trainable=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), trainable=True)
-
-    params = {
-        "W_u": Tensor(rng.normal(0.0, EMBEDDING_INIT_SCALE,
-                                 (d, config.n_observers)), trainable=True),
-        "W_eu": mat((h, c), c),
-        "W_mu": mat((h, d), d),
-        "w_eu": mat((h,), h),
-        "m0_logits": zeros(hw),
-        "W_hs": mat((hw, hw), hw),
-        "b_hs": zeros(hw),
-        "W_us": mat((hw, d), d),
-        "W_hc": mat((h, 2 * c), 2 * c),
-        "b_hc": zeros(h),
-        "W_uc": mat((h, d), d),
-        "W_fi": mat((c, h), c),
-        "b_fi": zeros(h),
-        "W_ih": mat((4 * h, config.decoder_in_dim), config.decoder_in_dim),
-        "W_hh": mat((4 * h, h), h),
-        "b_lstm": zeros(4 * h),
+    scales = {
+        "W_u": EMBEDDING_INIT_SCALE,
         # the priority head mixes the ell attention maps convexly, which
         # shrinks logit variance by ell under a near-uniform mixture; the
         # sqrt(ell) factor restores parity with the single-map head W_fp
-        "W_a": Tensor(rng.normal(0.0, np.sqrt(ell / h), (ell * hw, h)),
-                      trainable=True),
-        "b_a": zeros(ell * hw),
-        "W_b": mat((h, c), c),
-        "W_um": mat((h, d), d),
-        "w_b": mat((h,), h),
-        "W_fp": mat((hw, h), h),
-        "b_fp": zeros(hw),
-        "W_dur": mat((2, h), h),
-        "b_dur": Tensor(np.array([np.log(300.0), 0.0]), trainable=True),
+        "W_a": np.sqrt(config.semantic_channels / config.hidden),
+        # W_fi is applied as x @ W_fi, so its fan-in is its first axis, C
+        "W_fi": 1.0 / np.sqrt(config.channels),
     }
-    params["b_lstm"].data[h:2 * h] = 1.0
-    params["W_q"] = mat((ell * c, h), h)
-    params["b_q"] = zeros(ell * c)
-    params["b_ior"] = zeros(1)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        rng = np.random.default_rng([int(seed), 7, PARAM_NAMES.index(name)])
+        scale = scales.get(name, 1.0 / np.sqrt(shape[-1]))
+        zero = name.startswith("b_") or name == "m0_logits"
+        data = np.zeros(shape) if zero else rng.normal(0.0, scale, shape)
+        params[name] = Tensor(data, trainable=True)
+    params["b_lstm"].data[config.hidden:2 * config.hidden] = 1.0
+    params["b_dur"].data[0] = np.log(300.0)
     return params
 
 
@@ -223,18 +232,11 @@ class ScanpathModel:
         return vec
 
     def encode_observer(self, observer_id: int) -> Tensor:
-        """Observer code u = W_u @ one_hot; zero vector when OE is off."""
+        """Observer code u = W_u @ one_hot; zeros when no pathway reads it."""
         one_hot = self.one_hot(observer_id)
         if not self.config.uses_embedding:
             return Tensor(np.zeros(self.config.observer_dim))
         return self.params["W_u"] @ Tensor(one_hot)
-
-    def _code(self, observer_id: int) -> Tensor | None:
-        """Embedding for internal use; None when the pathway is off."""
-        if not self.config.uses_embedding:
-            self.one_hot(observer_id)
-            return None
-        return self.encode_observer(observer_id)
 
     # -- forward pieces --------------------------------------------------
     #
@@ -382,8 +384,10 @@ class ScanpathModel:
     # -- rollouts --------------------------------------------------------
 
     def _context(self, E: np.ndarray, observer_id: int):
-        """Per-rollout constants: (E_flat, u, m_u)."""
-        u = self._code(observer_id)
+        """Per-rollout constants (E_flat, u, m_u); u is None if unread."""
+        u = self.encode_observer(observer_id)
+        if not self.config.uses_embedding:
+            u = None
         E_flat = self.features(E)
         m_u = (self.observer_guidance(E_flat, u)
                if self.config.enable_fi else None)
@@ -492,8 +496,7 @@ def ablation_config(base: ModelConfig, variant: str) -> ModelConfig:
     """Config for one row of the incremental ablation table.
 
     The observer code is read only by FI and FP, so the "OE" row (both off)
-    trains the same model as "none"; its embedding is carried for the
-    incremental table, not used.
+    is the same model as "none".
     """
     table = {
         "none": dict(enable_oe=False, enable_fi=False, enable_fp=False),

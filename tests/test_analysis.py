@@ -311,6 +311,18 @@ class TestObserverFeatures:
         for feat in feats:
             assert feat.v.shape == (3 * cfg.hidden + hw,)
 
+    def test_single_pathway_features(self):
+        # FI alone holds W_mu, W_us and W_uc; FP alone holds W_um
+        fi_only = ScanpathModel(feature_config(enable_fp=False), seed=0)
+        cfg = fi_only.config
+        feats = extract_observer_features(fi_only)
+        assert feats[0].v.shape == (2 * cfg.hidden + cfg.cells,)
+        fp_only = ScanpathModel(feature_config(enable_fi=False), seed=0)
+        u = fp_only.encode_observer(1).data
+        feats = extract_observer_features(fp_only, observers=[1])
+        np.testing.assert_array_equal(feats[0].v,
+                                      fp_only.params["W_um"].data @ u)
+
     def test_hand_projections(self):
         cfg = feature_config()
         model = ScanpathModel(cfg, seed=0)
@@ -354,6 +366,12 @@ class TestObserverFeatures:
                            enable_fp=False), seed=0)
         with pytest.raises(ValueError, match="embedding"):
             extract_observer_features(one_hot)
+        # the "OE" row: the code is switched on but no pathway reads it
+        oe_only = ScanpathModel(feature_config(enable_fi=False,
+                                               enable_fp=False), seed=0)
+        assert "W_u" not in oe_only.params
+        with pytest.raises(ValueError, match="embedding"):
+            extract_observer_features(oe_only)
 
 
 class TestClassifier:

@@ -163,6 +163,62 @@ class TestValidationErrors:
         assert f"{data / 'manifest.json'}: " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("target", ["config", "manifest", "observers",
+                                        "checkpoint"])
+    def test_json_syntax_error_names_file_exit_2(self, workspace, tmp_path,
+                                                 capsys, target):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        paths = {"config": tmp_path / "config.json",
+                 "manifest": data / "manifest.json",
+                 "observers": data / "observers.json",
+                 "checkpoint": tmp_path / "checkpoint.json"}
+        shutil.copy(SMOKE, paths["config"])
+        shutil.copy(workspace["ckpt"], paths["checkpoint"])
+        paths[target].write_text('{\n  "format": x\n}\n')
+        code = main(["analyze", "--config", str(paths["config"]),
+                     "--seed", "0", "--data", str(data),
+                     "--checkpoint", str(paths["checkpoint"]),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{paths[target]}:2: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, edit, message", [
+        pytest.param("checkpoint",
+                     lambda doc: doc["params"]["W_u"].pop("shape"),
+                     "parameter W_u: missing keys ['shape']",
+                     id="ckpt-no-shape"),
+        pytest.param("checkpoint",
+                     lambda doc: doc["params"]["W_u"]["data"].__setitem__(
+                         0, "x"),
+                     "parameter W_u: data must be", id="ckpt-string-data"),
+        pytest.param("observers",
+                     lambda doc: doc["observers"][1].__setitem__("temp", "x"),
+                     "observers[1].temp must be a finite number",
+                     id="observer-string-temp"),
+        pytest.param("observers",
+                     lambda doc: doc["observers"][1].__setitem__(
+                         "channel_pref", [0.5]),
+                     "observers[1].channel_pref must be",
+                     id="observer-short-pref"),
+    ])
+    def test_malformed_entry_exit_2(self, workspace, tmp_path, capsys,
+                                    target, edit, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        ckpt = tmp_path / "checkpoint.json"
+        shutil.copy(workspace["ckpt"], ckpt)
+        path = ckpt if target == "checkpoint" else data / "observers.json"
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+        code = main(["analyze", "--config", SMOKE, "--seed", "0",
+                     "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):

@@ -1,9 +1,13 @@
 """File format round-trip and validation tests."""
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazelab.formats import (
     read_checkpoint,
@@ -19,7 +23,12 @@ from gazelab.formats import (
     write_scanpaths,
     write_scenes,
 )
-from gazelab.model import ModelConfig, ScanpathModel
+from gazelab.model import (
+    ABLATION_VARIANTS,
+    ModelConfig,
+    ScanpathModel,
+    ablation_config,
+)
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import CorpusConfig, build_corpus
 
@@ -186,6 +195,41 @@ SCENE_EDITS = [
 ]
 
 
+def _observer(key, value):
+    return lambda doc: doc["observers"][1].__setitem__(key, value)
+
+
+# (edit, message) per malformed observers-file entry; the message follows
+# "<path>: "
+OBSERVER_EDITS = [
+    pytest.param(_observer("temp", "x"),
+                 r"observers\[1\]\.temp must be a finite number",
+                 id="temp-string"),
+    pytest.param(_observer("log_dur_sd", None),
+                 r"observers\[1\]\.log_dur_sd must be a finite number",
+                 id="sd-null"),
+    pytest.param(_observer("channel_pref", [0.5]),
+                 r"observers\[1\]\.channel_pref must be a list of 6 finite",
+                 id="pref-one-entry"),
+    pytest.param(_observer("channel_pref", [0.5] * 5 + ["x"]),
+                 r"observers\[1\]\.channel_pref must be", id="pref-string"),
+    pytest.param(_observer("id", 1.5), r"observers\[1\]\.id must be an "
+                 "integer", id="id-float"),
+    pytest.param(_observer("group", 1), r"observers\[1\]\.group must be a "
+                 "string", id="group-number"),
+    pytest.param(_observer("temp", 0.0),
+                 r"observers\[1\]: profile 1: temp must be > 0",
+                 id="temp-zero"),
+    pytest.param(lambda doc: doc["observers"][1].pop("log_dur_sd"),
+                 r"observers\[1\]: missing keys \['log_dur_sd'\]",
+                 id="missing-key"),
+    pytest.param(lambda doc: doc["observers"].__setitem__(1, [1]),
+                 r"observers\[1\] must be an object", id="entry-list"),
+    pytest.param(lambda doc: doc.__setitem__("observers", {}),
+                 '"observers" must be a list', id="observers-object"),
+]
+
+
 class TestSceneAndObserverFiles:
     def test_scene_round_trip(self, tmp_path, tiny_corpus):
         path = tmp_path / "scenes.jsonl"
@@ -206,6 +250,25 @@ class TestSceneAndObserverFiles:
             np.testing.assert_array_equal(got.channel_pref, want.channel_pref)
             assert got.group == want.group
             assert got.temp == want.temp
+
+    @pytest.mark.parametrize("edit, message", OBSERVER_EDITS)
+    def test_malformed_observer_names_entry(self, tmp_path, tiny_corpus,
+                                            edit, message):
+        path = tmp_path / "observers.json"
+        write_observers(tiny_corpus.profiles, path)
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: ") + message):
+            read_observers(path, channels=6)
+
+    def test_observer_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "observers.json"
+        path.write_text("[1]\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:1: expected a JSON object")):
+            read_observers(path)
 
     def test_scene_bad_header(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
@@ -248,6 +311,49 @@ class TestSceneAndObserverFiles:
                                              r"\(3, 8, 8\), expected "
                                              r"\(6, 8, 8\)"):
             read_corpus(tmp_path / "data")
+
+
+def _param(name, key, value):
+    return lambda doc: doc["params"][name].__setitem__(key, value)
+
+
+def _param_value(name, index, value):
+    return lambda doc: doc["params"][name]["data"].__setitem__(index, value)
+
+
+# (edit, message) per malformed checkpoint entry; the message follows
+# "<path>: "
+CHECKPOINT_EDITS = [
+    pytest.param(lambda doc: doc["params"]["W_u"].pop("shape"),
+                 r"parameter W_u: missing keys \['shape'\]",
+                 id="shape-missing"),
+    pytest.param(_param_value("W_u", 0, "x"),
+                 "parameter W_u: data must be a list of 9 finite numbers",
+                 id="data-string"),
+    pytest.param(_param_value("W_u", 0, None),
+                 "parameter W_u: data must be", id="data-null"),
+    pytest.param(_param_value("W_u", 0, True),
+                 "parameter W_u: data must be", id="data-true"),
+    pytest.param(_param_value("W_u", 0, 10 ** 400),
+                 "parameter W_u: data must be", id="data-huge-int"),
+    pytest.param(_param_value("W_u", 0, float("nan")),
+                 "parameter W_u: data must be a list of 9 finite numbers",
+                 id="data-nan"),
+    pytest.param(lambda doc: doc["params"]["b_dur"]["data"].pop(),
+                 "parameter b_dur: data must be a list of 2 finite numbers",
+                 id="data-short"),
+    pytest.param(_param("b_dur", "data", [[1.0, 2.0]]),
+                 "parameter b_dur: data must be a list of 2", id="data-2d"),
+    pytest.param(_param("b_dur", "shape", "2"),
+                 "parameter b_dur: shape must be a list of non-negative "
+                 "integers", id="shape-string"),
+    pytest.param(_param("b_dur", "shape", [-2]),
+                 "parameter b_dur: shape must be a list", id="shape-negative"),
+    pytest.param(lambda doc: doc["params"].__setitem__("b_dur", [0.0, 0.0]),
+                 "parameter b_dur must be an object", id="entry-list"),
+    pytest.param(lambda doc: doc.__setitem__("params", []),
+                 '"params" must be an object', id="params-list"),
+]
 
 
 class TestCheckpoint:
@@ -301,7 +407,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"format": "isp-gaze-v1", "config": {},'
                         ' "params": {}}')
-        with pytest.raises(ValueError, match="isp-ckpt-v2"):
+        with pytest.raises(ValueError, match="isp-ckpt-v3"):
             read_checkpoint(path)
 
     def test_config_value_kind_checked(self, tmp_path):
@@ -315,17 +421,46 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     def test_previous_version_rejected_by_tag(self, tmp_path):
-        # v1 checkpoints predate the W_q, b_q and b_ior parameters
+        # v2 checkpoints hold every parameter, including those of the
+        # pathways a variant switches off
         model = ScanpathModel(self.config(), seed=0)
         path = tmp_path / "ckpt.json"
         write_checkpoint(model, path)
         payload = json.loads(path.read_text())
-        payload["format"] = "isp-ckpt-v1"
-        for name in ("W_q", "b_q", "b_ior"):
-            del payload["params"][name]
+        payload["format"] = "isp-ckpt-v2"
+        for name, shape in (("W_fi", [3, 6]), ("b_fi", [6]),
+                            ("W_fp", [16, 6]), ("b_fp", [16])):
+            payload["params"][name] = {"shape": shape,
+                                       "data": [0.0] * int(np.prod(shape))}
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="expected format 'isp-ckpt-v2'"):
+        with pytest.raises(ValueError, match="expected format 'isp-ckpt-v3'"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", CHECKPOINT_EDITS)
+    def test_malformed_entry_names_parameter(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(ScanpathModel(self.config(), seed=0), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: ") + message):
+            read_checkpoint(path)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[]\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:1: expected a JSON object")):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_write_read_write_byte_identical(self, tmp_path, variant):
+        model = ScanpathModel(ablation_config(self.config(), variant), seed=4)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_checkpoint(model, first)
+        write_checkpoint(read_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = ScanpathModel(self.config(), seed=9)
@@ -457,3 +592,68 @@ class TestPgm:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(json_paths(child, prefix + (key,)))
+    return paths
+
+
+CORRUPT_VALUES = [None, True, 0, -1, 2, 2.5, 1e308, 10 ** 30, float("nan"),
+                  float("inf"), "x", "", [], [1], [None], {}, {"a": 1},
+                  "<delete>"]
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupted")
+
+
+class TestCorruptedDocuments:
+    """One corrupted value reads back or raises a ValueError with the path,
+    never any other exception."""
+
+    def check(self, path, document, reader, where, value):
+        node = copy.deepcopy(document)
+        parent = node
+        for key in where[:-1]:
+            parent = parent[key]
+        if value == "<delete>":
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+        path.write_text(json.dumps(node))
+        try:
+            reader(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, scratch_dir, data):
+        path = scratch_dir / "ckpt.json"
+        config = ModelConfig(n_observers=3, height=2, width=2, channels=2,
+                             observer_dim=2, hidden=3, semantic_channels=2,
+                             max_steps=3)
+        write_checkpoint(ScanpathModel(config, seed=0), path)
+        document = json.loads(path.read_text())
+        where = data.draw(st.sampled_from(json_paths(document)))
+        self.check(path, document, read_checkpoint, where,
+                   data.draw(st.sampled_from(CORRUPT_VALUES)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_observers(self, scratch_dir, tiny_corpus, data):
+        path = scratch_dir / "observers.json"
+        write_observers(tiny_corpus.profiles[:2], path)
+        document = json.loads(path.read_text())
+        where = data.draw(st.sampled_from(json_paths(document)))
+        self.check(path, document,
+                   lambda p: read_observers(p, channels=6), where,
+                   data.draw(st.sampled_from(CORRUPT_VALUES)))

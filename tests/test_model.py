@@ -12,6 +12,7 @@ from gazelab.model import (
     cell_center,
     grid_cell,
     init_params,
+    param_shapes,
 )
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.tensor import Tape, Tensor, grad_check
@@ -680,8 +681,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_parameter_reachability(self, variant):
+        # a variant holds exactly the parameters that reach its loss
         cfg = ablation_config(tiny_config(), variant)
         model = ScanpathModel(cfg, seed=7)
+        assert set(model.params) == self.EXPECTED_REACHABLE[variant]
+        assert set(param_shapes(cfg)) == self.EXPECTED_REACHABLE[variant]
         E = random_E(cfg, seed=7)
         gt = path_at_cells([0, 3, 2], cfg, observer_id=2)
         with Tape() as tape:
@@ -690,3 +694,40 @@ class TestInvariants:
         names = {name for name, p in model.params.items()
                  if p in grads}
         assert names == self.EXPECTED_REACHABLE[variant]
+
+    def test_initial_values_do_not_depend_on_other_parameters(self):
+        # one_hot's wider W_ih, or the pathways a variant leaves out, must
+        # not move the draws of the parameters the variants share
+        drawn = {v: init_params(ablation_config(tiny_config(), v), seed=3)
+                 for v in ABLATION_VARIANTS}
+        for a in ABLATION_VARIANTS:
+            for b in ABLATION_VARIANTS:
+                for name in drawn[a].keys() & drawn[b].keys():
+                    x, y = drawn[a][name].data, drawn[b][name].data
+                    if x.shape == y.shape:
+                        np.testing.assert_array_equal(x, y, err_msg=name)
+
+    def test_initial_scales_follow_fan_in(self):
+        cfg = ModelConfig()
+        c, d, h = cfg.channels, cfg.observer_dim, cfg.hidden
+        hw, ell = cfg.cells, cfg.semantic_channels
+        expected = {
+            "W_u": 0.01, "W_eu": c ** -0.5, "W_mu": d ** -0.5,
+            "w_eu": h ** -0.5, "W_hs": hw ** -0.5, "W_us": d ** -0.5,
+            "W_hc": (2 * c) ** -0.5, "W_uc": d ** -0.5, "W_fi": c ** -0.5,
+            "W_ih": h ** -0.5, "W_hh": h ** -0.5, "W_a": (ell / h) ** 0.5,
+            "W_b": c ** -0.5, "W_um": d ** -0.5, "w_b": h ** -0.5,
+            "W_fp": h ** -0.5, "W_dur": h ** -0.5, "W_q": h ** -0.5,
+        }
+        params = {**init_params(ablation_config(cfg, "none"), seed=1),
+                  **init_params(cfg, seed=1)}
+        for name, std in expected.items():
+            assert params[name].data.std() == pytest.approx(std, rel=0.25), \
+                name
+        for name in set(params) - set(expected) - {"b_lstm", "b_dur"}:
+            assert not params[name].data.any(), name
+        np.testing.assert_array_equal(params["b_dur"].data,
+                                      [np.log(300.0), 0.0])
+        b_lstm = params["b_lstm"].data
+        np.testing.assert_array_equal(b_lstm[h:2 * h], 1.0)
+        assert not b_lstm[:h].any() and not b_lstm[2 * h:].any()
