@@ -171,6 +171,10 @@ def _load_config(args) -> RunConfig:
     data = {}
     if args.config:
         data = read_json(args.config)
+        try:  # the file on its own, so its errors name it
+            RunConfig.from_dict(data)
+        except ValueError as err:
+            raise ValueError(f"{args.config}: {err}") from None
     apply_overrides(data, args.set)
     return RunConfig.from_dict(data)
 
@@ -263,8 +267,11 @@ def _cmd_eval_value(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
     preds = read_scanpaths(args.pred)
-    result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric,
-                        threads=resolve_threads(args.threads))
+    try:
+        result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric,
+                            threads=resolve_threads(args.threads))
+    except ValueError as err:
+        raise ValueError(f"{args.pred}: {err}") from None
     rows = [ReportRow(args.variant, args.split, name, result.means[name],
                       result.stderr[name]) for name in ("sm", "mm", "sed")]
     report = MetricReport(rows, provenance_block(cfg, {}))

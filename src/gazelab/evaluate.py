@@ -11,10 +11,11 @@ Two regimes compare predictions with ground truth:
 The saliency path pools fixations per image into Gaussian-smoothed density
 maps and scores them with CC, AUC, NSS, sAUC, KLD, and SIM.
 
-ScanMatch scores every pair of a call in one batched Needleman-Wunsch
-sweep (``metrics.scanmatch_pairs``). ``threads`` > 1 maps only MultiMatch,
-string-edit distance and the per-row rank sort across a thread pool, with a
-deterministic, order-preserving reduce.
+ScanMatch and string-edit distance score every pair of a call in one
+batched Needleman-Wunsch sweep each (``metrics.scanmatch_pairs`` and
+``metrics.sed_pairs``). ``threads`` > 1 maps only MultiMatch and the
+per-row rank sort across a thread pool, with a deterministic,
+order-preserving reduce.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scanmatch stays importable here beside the other per-pair metrics
+# scanmatch and string_edit_distance stay importable here beside multimatch
 from .metrics import (  # noqa: F401
     MetricConfig,
     multimatch,
     scanmatch,
     scanmatch_pairs,
+    sed_pairs,
     string_edit_distance,
 )
 from .scanpath import grid_cell
@@ -56,10 +58,14 @@ def _pmap(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _index_by_pair(paths) -> dict:
+def _index_by_pair(preds) -> dict:
     out = {}
-    for sp in paths:
-        out[(sp.image_id, sp.observer_id)] = sp
+    for sp in preds:
+        key = (sp.image_id, sp.observer_id)
+        if key in out:
+            raise ValueError(f"duplicate prediction for image {sp.image_id}, "
+                             f"observer {sp.observer_id}")
+        out[key] = sp
     return out
 
 
@@ -89,19 +95,16 @@ class ValueResult:
 
 def _value_rows(pairs, config: MetricConfig, threads: int) -> list:
     """SM, MultiMatch mean and SED of each (prediction, ground truth) pair."""
-    sms = scanmatch_pairs(pairs, config)
-
-    def others(pair):
-        return (multimatch(*pair, config).mean,
-                float(string_edit_distance(*pair, config)))
-
-    return [{"sm": float(sm), "mm": mm, "sed": sed}
-            for sm, (mm, sed) in zip(sms, _pmap(others, pairs, threads))]
+    sms, seds = scanmatch_pairs(pairs, config), sed_pairs(pairs, config)
+    mms = _pmap(lambda pair: multimatch(*pair, config).mean, pairs, threads)
+    return [{"sm": float(sm), "mm": mm, "sed": float(sed)}
+            for sm, mm, sed in zip(sms, mms, seds)]
 
 
 def value_eval(preds, gt, config: MetricConfig | None = None,
                threads: int = 1) -> ValueResult:
-    """Score each prediction against its own observer's ground truth."""
+    """Score each prediction against its own observer's ground truth; two
+    predictions for one (image, observer) raise ``ValueError``."""
     config = config or MetricConfig()
     by_pair = _index_by_pair(preds)
     ordered = sorted(gt, key=lambda sp: (sp.image_id, sp.observer_id))
@@ -147,7 +150,8 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
     Ground truths on the prediction's image are sorted by ScanMatch to the
     prediction, descending, ties broken by observer id ascending; the
     matching observer's position is the rank. Images lacking ground truth
-    from every observer are excluded and logged.
+    from every observer are excluded and logged. Two predictions for one
+    (image, observer) raise ``ValueError``.
     """
     config = config or MetricConfig()
     observers = sorted({sp.observer_id for sp in gt})
@@ -161,9 +165,8 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
                         "observers; excluded", image_id)
             continue
         usable[image_id] = per_obs
-    pred_rows = sorted(
-        (sp for sp in preds if sp.image_id in usable),
-        key=lambda sp: (sp.image_id, sp.observer_id))
+    pred_rows = [sp for key, sp in sorted(_index_by_pair(preds).items())
+                 if key[0] in usable]
 
     scores = scanmatch_pairs(
         [(pred, usable[pred.image_id][obs])

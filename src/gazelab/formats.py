@@ -159,9 +159,11 @@ def _numeric_array(path, lineno: int, key: str, value, kinds: str):
     """``value`` as an array whose dtype kind is one of ``kinds``."""
     try:
         arr = np.asarray(value)
+        # NumPy reads true as 1; the scan of the entries' types refuses it
+        has_bool = bool in set(map(type, np.array(value, dtype=object).flat))
     except (ValueError, OverflowError):
         arr = None  # ragged nesting
-    if arr is None or arr.dtype.kind not in kinds:
+    if arr is None or arr.dtype.kind not in kinds or has_bool:
         what = "integers" if kinds == "iu" else "numbers"
         raise ValueError(f"{path}:{lineno}: {key} must be a nested list of "
                          f"{what} of equal lengths")

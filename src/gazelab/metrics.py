@@ -15,11 +15,12 @@ Coordinates are normalized to [0,1] x [0,1]; distances are measured on a
 screen with the configured aspect ratio. For MultiMatch the screen is scaled
 so its diagonal has length sqrt(2), which puts every dimension in [0,1].
 
-ScanMatch has one Needleman-Wunsch implementation, ``nw_scores``: a NumPy
-kernel that aligns a whole batch of token-string pairs in one sweep over
-the anti-diagonals of their tables, keeping two diagonals per pair.
-``scanmatch_pairs`` scores many scanpath pairs with one call to it;
-``scanmatch`` and ``nw_score`` are batches of one. All functions are pure.
+ScanMatch and string-edit distance share one Needleman-Wunsch kernel,
+``nw_scores``, that aligns a whole batch of token-string pairs in one sweep
+over the anti-diagonals of their tables, keeping two diagonals per pair.
+``scanmatch_pairs`` and ``sed_pairs`` score many scanpath pairs with one
+call to it; ``scanmatch``, ``string_edit_distance`` and ``nw_score`` are
+batches of one. All functions are pure.
 """
 
 from __future__ import annotations
@@ -54,22 +55,6 @@ class MetricConfig:
             raise ValueError(f"sm_tbin must be >= 0, got {self.sm_tbin}")
 
 
-@dataclass
-class GriddedScanpath:
-    """Token string produced by spatial binning, with its source scanpath."""
-
-    tokens: list[int]
-    grid: tuple[int, int]
-    source: Scanpath
-
-    def __post_init__(self):
-        limit = self.grid[0] * self.grid[1]
-        if not self.tokens:
-            raise ValueError("gridded scanpath has no tokens")
-        if any(t < 0 or t >= limit for t in self.tokens):
-            raise ValueError(f"token outside grid {self.grid}")
-
-
 def _require_nonempty(*scanpaths: Scanpath) -> None:
     for sp in scanpaths:
         if len(sp) == 0:
@@ -78,8 +63,8 @@ def _require_nonempty(*scanpaths: Scanpath) -> None:
             )
 
 
-def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> GriddedScanpath:
-    """Bin fixations onto a Gx x Gy grid, column-major token ids.
+def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> list[int]:
+    """Token string of fixations binned onto a Gx x Gy grid, column-major ids.
 
     Cells follow ``grid_cell`` with Gy rows and Gx columns; the token id is
     ``col * Gy + row``. With ``tbin > 0`` each fixation token is repeated
@@ -95,7 +80,7 @@ def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> GriddedS
         token = col * gy + row
         reps = int(np.ceil(f.dur_ms / tbin)) if tbin > 0 else 1
         tokens.extend([token] * max(reps, 1))
-    return GriddedScanpath(tokens=tokens, grid=grid, source=sp)
+    return tokens
 
 
 def _bin_centers(grid: tuple[int, int], aspect: tuple[float, float]) -> np.ndarray:
@@ -178,21 +163,24 @@ def nw_score(a: list[int], b: list[int], sub: np.ndarray, gap: float) -> float:
     return float(nw_scores([a], [b], sub, gap)[0])
 
 
-def scanmatch_pairs(pairs, cfg: MetricConfig | None = None) -> np.ndarray:
-    """ScanMatch similarity of each ``(a, b)`` scanpath pair, in [0, 1].
-
-    Each distinct scanpath is quantized once and the substitution matrix
-    is built once; all alignments run in one ``nw_scores`` call.
-    """
-    cfg = cfg or MetricConfig()
-    pairs = list(pairs)
+def _token_strings(pairs, grid: tuple[int, int], tbin: float):
+    """Token strings of each pair's scanpaths, each distinct one quantized once."""
     tokens: dict[int, list[int]] = {}
     for pair in pairs:
         for sp in pair:
             if id(sp) not in tokens:
-                tokens[id(sp)] = quantize(sp, cfg.sm_grid, cfg.sm_tbin).tokens
-    ta = [tokens[id(a)] for a, _ in pairs]
-    tb = [tokens[id(b)] for _, b in pairs]
+                tokens[id(sp)] = quantize(sp, grid, tbin)
+    return [tokens[id(a)] for a, _ in pairs], [tokens[id(b)] for _, b in pairs]
+
+
+def scanmatch_pairs(pairs, cfg: MetricConfig | None = None) -> np.ndarray:
+    """ScanMatch similarity of each ``(a, b)`` scanpath pair, in [0, 1].
+
+    The substitution matrix is built once and all alignments run in one
+    ``nw_scores`` call.
+    """
+    cfg = cfg or MetricConfig()
+    ta, tb = _token_strings(list(pairs), cfg.sm_grid, cfg.sm_tbin)
     sub = substitution_matrix(cfg.sm_grid, cfg.aspect)
     scores = nw_scores(ta, tb, sub, cfg.sm_gap)
     longer = np.array([max(len(x), len(y)) for x, y in zip(ta, tb)], dtype=float)
@@ -209,27 +197,25 @@ def scanmatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> floa
     return float(scanmatch_pairs([(a, b)], cfg)[0])
 
 
-def levenshtein(a: list[int], b: list[int]) -> int:
-    """Unit-cost edit distance."""
-    n, m = len(a), len(b)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            cur[j] = min(prev[j - 1] + cost, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[m]
+def edit_distances(a_list, b_list, n_tokens: int) -> np.ndarray:
+    """Unit-cost edit distance of each token-string pair, tokens below
+    ``n_tokens``: the negated Needleman-Wunsch score with substitution
+    score -1 off the diagonal and gap score -1."""
+    sub = -(1.0 - np.eye(n_tokens))
+    return (-nw_scores(a_list, b_list, sub, -1.0)).astype(int)
+
+
+def sed_pairs(pairs, cfg: MetricConfig | None = None) -> np.ndarray:
+    """String-edit distance of each ``(a, b)`` scanpath pair, in one
+    ``nw_scores`` call."""
+    cfg = cfg or MetricConfig()
+    ta, tb = _token_strings(list(pairs), cfg.sed_grid, 0.0)
+    return edit_distances(ta, tb, cfg.sed_grid[0] * cfg.sed_grid[1])
 
 
 def string_edit_distance(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> int:
     """Levenshtein distance between coarse token strings (one token per fixation)."""
-    cfg = cfg or MetricConfig()
-    _require_nonempty(a, b)
-    qa = quantize(a, cfg.sed_grid, 0.0)
-    qb = quantize(b, cfg.sed_grid, 0.0)
-    return levenshtein(qa.tokens, qb.tokens)
+    return int(sed_pairs([(a, b)], cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -328,44 +314,29 @@ def multimatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> Mul
     pa, pb = a.xy() * scale, b.xy() * scale
     da, db = a.durations(), b.durations()
 
-    if len(a) < 2 or len(b) < 2:
-        cost = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-        pairs = align_minimum_cost(cost)
-        position = float(np.mean([1.0 - cost[i, j] / np.sqrt(2.0) for i, j in pairs]))
-        duration = float(
-            np.mean([1.0 - abs(da[i] - db[j]) / max(da[i], db[j]) for i, j in pairs])
-        )
-        return MultiMatchResult(None, None, None, position, duration)
+    saccades = len(a) > 1 and len(b) > 1
+    u, v = (np.diff(pa, axis=0), np.diff(pb, axis=0)) if saccades else (pa, pb)
+    cost = np.sqrt(((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+    i, j = np.array(align_minimum_cost(cost)).T
+    duration = 1.0 - np.abs(da[i] - db[j]) / np.maximum(da[i], db[j])
+    if not saccades:
+        position = 1.0 - cost[i, j] / np.sqrt(2.0)
+        return MultiMatchResult(None, None, None, float(np.mean(position)),
+                                float(np.mean(duration)))
 
-    va, vb = np.diff(pa, axis=0), np.diff(pb, axis=0)
-    diff = va[:, None, :] - vb[None, :, :]
-    cost = np.sqrt((diff**2).sum(axis=2))
-    pairs = align_minimum_cost(cost)
-
-    shape_vals, length_vals, dir_vals, pos_vals, dur_vals = [], [], [], [], []
-    for i, j in pairs:
-        shape_vals.append(1.0 - cost[i, j] / (2.0 * np.sqrt(2.0)))
-        amp_a, amp_b = np.hypot(*va[i]), np.hypot(*vb[j])
-        length_vals.append(1.0 - abs(amp_a - amp_b) / np.sqrt(2.0))
-        dir_vals.append(1.0 - _angle_between(va[i], vb[j]) / np.pi)
-        pos_vals.append(1.0 - np.hypot(*(pa[i] - pb[j])) / np.sqrt(2.0))
-        dur_vals.append(1.0 - abs(da[i] - db[j]) / max(da[i], db[j]))
-    return MultiMatchResult(
-        float(np.mean(shape_vals)),
-        float(np.mean(length_vals)),
-        float(np.mean(dir_vals)),
-        float(np.mean(pos_vals)),
-        float(np.mean(dur_vals)),
-    )
+    # the float operations of scoring one aligned index at a time, so every
+    # value is bit-identical to that loop (loop_multimatch in the tests)
+    shape = 1.0 - cost[i, j] / (2.0 * np.sqrt(2.0))
+    amp_a, amp_b = np.hypot(u[i, 0], u[i, 1]), np.hypot(v[j, 0], v[j, 1])
+    length = 1.0 - np.abs(amp_a - amp_b) / np.sqrt(2.0)
+    # absolute angle difference in [0, pi]; a zero-length saccade has angle 0
+    turn = np.abs(np.arctan2(u[i, 1], u[i, 0]) - np.arctan2(v[j, 1], v[j, 0]))
+    direction = 1.0 - np.minimum(turn, 2.0 * np.pi - turn) / np.pi
+    position = 1.0 - np.hypot(pa[i, 0] - pb[j, 0], pa[i, 1] - pb[j, 1]) / np.sqrt(2.0)
+    return MultiMatchResult(*(float(np.mean(dim)) for dim in
+                              (shape, length, direction, position, duration)))
 
 
 def _canonical_key(sp: Scanpath):
     return (len(sp), tuple((f.x, f.y, f.dur_ms) for f in sp.fixations))
 
-
-def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Absolute angle difference in [0, pi]; zero-length saccades count as angle 0."""
-    tu = np.arctan2(u[1], u[0])
-    tv = np.arctan2(v[1], v[0])
-    d = abs(tu - tv)
-    return float(min(d, 2.0 * np.pi - d))

@@ -271,11 +271,25 @@ def plain_scanmatch(a, b, cfg) -> float:
     """ScanMatch of one pair through ``plain_nw``."""
     from gazelab.metrics import quantize, substitution_matrix
 
-    ta = quantize(a, cfg.sm_grid, cfg.sm_tbin).tokens
-    tb = quantize(b, cfg.sm_grid, cfg.sm_tbin).tokens
+    ta = quantize(a, cfg.sm_grid, cfg.sm_tbin)
+    tb = quantize(b, cfg.sm_grid, cfg.sm_tbin)
     sub_matrix = substitution_matrix(cfg.sm_grid, cfg.aspect)
     score = plain_nw(ta, tb, sub_matrix, cfg.sm_gap)
     return min(max(score / max(len(ta), len(tb)), 0.0), 1.0)
+
+
+def plain_levenshtein(a, b) -> int:
+    """Unit-cost edit distance, row by row."""
+    n, m = len(a), len(b)
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            cost = 0 if ai == b[j - 1] else 1
+            cur[j] = min(prev[j - 1] + cost, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[m]
 
 
 def naive_levenshtein(a, b) -> int:
@@ -290,6 +304,54 @@ def naive_levenshtein(a, b) -> int:
         naive_levenshtein(a, b[1:]) + 1,
         naive_levenshtein(a[1:], b[1:]) + cost,
     )
+
+
+def loop_multimatch(a, b, cfg=None):
+    """MultiMatch scored one aligned index at a time on NumPy scalars.
+
+    Shares the package's alignment, screen scale and canonical pair order,
+    so it checks only the per-dimension arithmetic and its averaging.
+    """
+    from gazelab.metrics import (
+        MetricConfig,
+        MultiMatchResult,
+        _canonical_key,
+        _screen_scale,
+        align_minimum_cost,
+    )
+
+    def angle_between(u, v):
+        tu = np.arctan2(u[1], u[0])
+        tv = np.arctan2(v[1], v[0])
+        d = abs(tu - tv)
+        return float(min(d, 2.0 * np.pi - d))
+
+    cfg = cfg or MetricConfig()
+    if _canonical_key(b) < _canonical_key(a):
+        a, b = b, a
+    scale = _screen_scale(cfg.aspect)
+    pa, pb = a.xy() * scale, b.xy() * scale
+    da, db = a.durations(), b.durations()
+    if len(a) < 2 or len(b) < 2:
+        cost = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
+        pairs = align_minimum_cost(cost)
+        position = float(np.mean([1.0 - cost[i, j] / np.sqrt(2.0)
+                                  for i, j in pairs]))
+        duration = float(np.mean([1.0 - abs(da[i] - db[j]) / max(da[i], db[j])
+                                  for i, j in pairs]))
+        return MultiMatchResult(None, None, None, position, duration)
+    va, vb = np.diff(pa, axis=0), np.diff(pb, axis=0)
+    cost = np.sqrt(((va[:, None, :] - vb[None, :, :]) ** 2).sum(axis=2))
+    shape, length, direction, position, duration = [], [], [], [], []
+    for i, j in align_minimum_cost(cost):
+        shape.append(1.0 - cost[i, j] / (2.0 * np.sqrt(2.0)))
+        amp_a, amp_b = np.hypot(*va[i]), np.hypot(*vb[j])
+        length.append(1.0 - abs(amp_a - amp_b) / np.sqrt(2.0))
+        direction.append(1.0 - angle_between(va[i], vb[j]) / np.pi)
+        position.append(1.0 - np.hypot(*(pa[i] - pb[j])) / np.sqrt(2.0))
+        duration.append(1.0 - abs(da[i] - db[j]) / max(da[i], db[j]))
+    return MultiMatchResult(*(float(np.mean(dim)) for dim in
+                              (shape, length, direction, position, duration)))
 
 
 def enumerate_monotone_pairings(m: int, n: int) -> list:

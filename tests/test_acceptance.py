@@ -30,7 +30,7 @@ from gazelab.evaluate import (
 )
 from gazelab.metrics import (
     align_minimum_cost,
-    levenshtein,
+    edit_distances,
     multimatch,
     nw_score,
     nw_scores,
@@ -182,13 +182,17 @@ def test_03_metric_oracle_equivalence():
     # up to length 4, plus seeded random pairs up to length 6
     strings = [tuple(s) for n in range(5)
                for s in itertools.product(range(2), repeat=n)]
-    sed_ok = all(levenshtein(list(a), list(b)) == naive_levenshtein(a, b)
-                 for a in strings for b in strings)
+    firsts = [list(a) for a in strings for b in strings]
+    seconds = [list(b) for a in strings for b in strings]
+    sed_ok = edit_distances(firsts, seconds, 2).tolist() == [
+        naive_levenshtein(a, b) for a in strings for b in strings]
     rng = np.random.default_rng(303)
+    firsts, seconds = [], []
     for _ in range(200):
-        a = [int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))]
-        b = [int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))]
-        sed_ok = sed_ok and levenshtein(a, b) == naive_levenshtein(a, b)
+        firsts.append([int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))])
+        seconds.append([int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))])
+    sed_ok = sed_ok and edit_distances(firsts, seconds, 25).tolist() == [
+        naive_levenshtein(a, b) for a, b in zip(firsts, seconds)]
     ok = ok and sed_ok
 
     # saccade alignment vs exhaustive monotone search on 3-fixation pairs

@@ -72,6 +72,24 @@ class TestValidationErrors:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_config_file_error_names_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"model": {"hiden": 3}}\n')
+        code = main(["gen-data", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert (f"{path}: unknown keys in config section 'model': "
+                "['hiden']") in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_override_error_does_not_name_config_file(self, capsys):
+        code = main(["gen-data", "--config", SMOKE, "--seed", "0",
+                     "--set", "model.hiden=3", "--out", "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: unknown keys in config section 'model'" in err
+        assert SMOKE not in err
+
     def test_corpus_config_mismatch_exit_2(self, workspace, capsys):
         code = main(["eval-rank", "--config", SMOKE,
                      "--set", "corpus.n_scenes=9",
@@ -94,6 +112,18 @@ class TestValidationErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert ":3:" in err and "non-positive duration" in err
+
+    def test_duplicate_prediction_exit_2(self, workspace, tmp_path, capsys):
+        from gazelab.formats import write_scanpaths
+        sp = Scanpath(0, 0, [Fixation(0.5, 0.5, 120.0)])
+        path = tmp_path / "dup.jsonl"
+        write_scanpaths([sp, sp], path)
+        code = main(["eval-value", "--config", SMOKE,
+                     "--data", workspace["data"], "--pred", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"{path}: duplicate prediction for image 0, observer 0"
+                in capsys.readouterr().err)
 
     def test_infinite_duration_exit_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

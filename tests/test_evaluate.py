@@ -77,6 +77,12 @@ class TestValueEval:
         with pytest.raises(ValueError, match="image 1, observer 0"):
             value_eval(preds, gt)
 
+    def test_duplicate_prediction_names_pair(self):
+        gt = random_set(2, n_images=2, n_observers=2)
+        with pytest.raises(ValueError, match="duplicate prediction for "
+                                             "image 1, observer 0"):
+            value_eval(gt + [gt[2]], gt)
+
     def test_threaded_matches_serial(self):
         gt = random_set(3)
         preds = random_set(4)
@@ -126,6 +132,19 @@ class TestRankEval:
             result = rank_eval(preds, gt)
         assert "image 1" in caplog.text
         assert all(image_id == 0 for image_id, _ in result.ranks)
+
+    def test_duplicate_prediction_names_pair(self):
+        gt = random_set(12, n_images=2, n_observers=2)
+        preds = random_set(13, n_images=2, n_observers=2)
+        with pytest.raises(ValueError, match="duplicate prediction for "
+                                             "image 0, observer 1"):
+            rank_eval(preds + [preds[1]], gt)
+
+    def test_observer_without_ground_truth_rejected(self):
+        gt = random_set(14, n_images=2, n_observers=2)
+        with pytest.raises(ValueError, match="prediction observer 5 has no "
+                                             "ground truth on image 1"):
+            rank_eval(gt + [retarget(gt[2], 5)], gt)
 
     def test_rank_bounds_and_recall_monotonicity(self):
         gt = random_set(10, n_images=4, n_observers=5)

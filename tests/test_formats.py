@@ -178,12 +178,16 @@ SCENE_EDITS = [
                  id="roi-code-negative"),
     pytest.param(_set_entry("roi_mask", (1, 2), 1.5), "roi_mask must be",
                  id="roi-float"),
+    pytest.param(_set_entry("roi_mask", (1, 2), True), "roi_mask must be",
+                 id="roi-true"),
     pytest.param(lambda r: r.__setitem__("roi_mask", r["roi_mask"][:-1]),
                  "roi_mask has shape", id="roi-short"),
     pytest.param(_set_entry("E", (0, 1, 2), "0.5"), "E must be",
                  id="E-string"),
     pytest.param(_set_entry("E", (0, 1, 2), None), "E must be",
                  id="E-null"),
+    pytest.param(_set_entry("E", (0, 1, 2), True), "E must be",
+                 id="E-true"),
     pytest.param(_set_entry("E", (0, 1, 2), float("nan")), "E must be",
                  id="E-nan"),
     pytest.param(_set_entry("E", (0, 1), [0.5]), "E must be",

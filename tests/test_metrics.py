@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from gazelab.metrics import (
     MetricConfig,
     align_minimum_cost,
-    levenshtein,
+    edit_distances,
     multimatch,
     nw_score,
     nw_scores,
     quantize,
     scanmatch,
     scanmatch_pairs,
+    sed_pairs,
     string_edit_distance,
     substitution_matrix,
 )
@@ -23,7 +24,9 @@ from gazelab.scanpath import Fixation, Scanpath
 from support import (
     brute_force_nw,
     enumerate_monotone_pairings,
+    loop_multimatch,
     naive_levenshtein,
+    plain_levenshtein,
     plain_nw,
     plain_scanmatch,
 )
@@ -45,14 +48,13 @@ def path_from(points, dur=100.0):
 class TestQuantize:
     def test_corner_clamping(self):
         sp = path_from([(0.0, 0.0), (1.0, 1.0)])
-        q = quantize(sp, (8, 6), 0.0)
-        assert q.tokens == [0, 8 * 6 - 1]
+        assert quantize(sp, (8, 6), 0.0) == [0, 8 * 6 - 1]
 
     def test_duration_expansion_ceil(self):
         sp = Scanpath(0, 0, [Fixation(0.5, 0.5, 120.0)])
-        q = quantize(sp, (8, 6), 50.0)
-        assert len(q.tokens) == 3
-        assert len(set(q.tokens)) == 1
+        tokens = quantize(sp, (8, 6), 50.0)
+        assert len(tokens) == 3
+        assert len(set(tokens)) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_fixation_loop_oracle(self, seed):
@@ -66,7 +68,7 @@ class TestQuantize:
             row = min(int(f.y * gy), gy - 1)
             reps = int(np.ceil(f.dur_ms / tbin))
             expected.extend([col * gy + row] * reps)
-        assert quantize(sp, (gx, gy), tbin).tokens == expected
+        assert quantize(sp, (gx, gy), tbin) == expected
 
     @pytest.mark.parametrize("dur", [float("inf"), float("nan"), 0.0])
     def test_bad_duration_rejected(self, dur):
@@ -180,6 +182,25 @@ class TestBatchedNeedlemanWunsch:
         assert scanmatch(paths[0], paths[1], cfg) == got[1]
 
 
+# fixations on a 3x3 grid with three durations, full of alignment ties and
+# zero-length saccades, or anywhere on the screen
+coarse_fixations = st.tuples(
+    st.sampled_from([1 / 6, 0.5, 5 / 6]),
+    st.sampled_from([1 / 6, 0.5, 5 / 6]),
+    st.sampled_from([100.0, 200.0, 300.0]),
+)
+fine_fixations = st.tuples(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(1.0, 1000.0),
+)
+scanpaths = st.one_of(
+    st.lists(coarse_fixations, min_size=1, max_size=12),
+    st.lists(fine_fixations, min_size=1, max_size=12),
+    st.lists(st.one_of(coarse_fixations, fine_fixations), min_size=1, max_size=2),
+)
+
+
 class TestMultiMatch:
     @pytest.mark.parametrize("seed", range(10))
     def test_identity_all_dimensions_one(self, seed):
@@ -232,6 +253,13 @@ class TestMultiMatch:
         assert result.position is not None and result.duration is not None
         assert result.mean == pytest.approx((result.position + result.duration) / 2.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=scanpaths, b=scanpaths)
+    @example(a=[(0.5, 0.5, 100.0)], b=[(0.5, 0.5, 100.0), (0.5, 0.5, 100.0)])
+    def test_equals_per_index_loop_exactly(self, a, b):
+        a, b = (Scanpath(0, 0, [Fixation(*f) for f in sp]) for sp in (a, b))
+        assert multimatch(a, b).as_dict() == loop_multimatch(a, b).as_dict()
+
 
 class TestStringEditDistance:
     def test_identity_zero(self):
@@ -250,7 +278,7 @@ class TestStringEditDistance:
         rng = np.random.default_rng(800 + seed)
         a = [int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))]
         b = [int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))]
-        assert levenshtein(a, b) == naive_levenshtein(a, b)
+        assert edit_distances([a], [b], 25).tolist() == [naive_levenshtein(a, b)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry(self, seed):
@@ -260,8 +288,35 @@ class TestStringEditDistance:
 
     def test_triangle_inequality_property(self):
         rng = np.random.default_rng(12345)
-        for _ in range(1000):
-            a, b, c = (
-                [int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))] for _ in range(3)
-            )
-            assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+        triples = [
+            [[int(t) for t in rng.integers(0, 25, size=rng.integers(1, 7))] for _ in range(3)]
+            for _ in range(1000)
+        ]
+        a, b, c = zip(*triples)
+        ac, ab, bc = (edit_distances(x, y, 25) for x, y in ((a, c), (a, b), (b, c)))
+        assert (ac <= ab + bc).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.lists(st.integers(0, 8), min_size=1, max_size=14),
+                                    st.lists(st.integers(0, 8), min_size=1, max_size=14)),
+                          min_size=1, max_size=8))
+    @example(pairs=[([0], [0]), ([1, 2, 3], [3, 2, 1])])
+    def test_batch_equals_row_by_row_oracle(self, pairs):
+        got = edit_distances([a for a, _ in pairs], [b for _, b in pairs], 9)
+        assert got.tolist() == [plain_levenshtein(a, b) for a, b in pairs]
+
+    def test_empty_strings(self):
+        assert edit_distances([[], [1, 2], []], [[3], [], []], 4).tolist() == [1, 2, 0]
+
+    def test_sed_pairs_equal_row_by_row_oracle(self):
+        rng = np.random.default_rng(41)
+        cfg = MetricConfig(sed_grid=(3, 2))
+        paths = [random_scanpath(rng) for _ in range(5)]
+        pairs = [(a, b) for a in paths for b in paths]
+        got = sed_pairs(pairs, cfg)
+        assert got.tolist() == [
+            plain_levenshtein(quantize(a, (3, 2)), quantize(b, (3, 2)))
+            for a, b in pairs
+        ]
+        one = string_edit_distance(paths[0], paths[1], cfg)
+        assert type(one) is int and one == got[1]

@@ -27,7 +27,7 @@ def test_binning_agrees_on_cell_edges(k):
     fix = Fixation(x, y, 100.0)
 
     assert divmod(grid_cell(x, y, HEIGHT, WIDTH), WIDTH) == (row, col)
-    token = quantize(Scanpath(0, 0, [fix]), (WIDTH, HEIGHT)).tokens[0]
+    token = quantize(Scanpath(0, 0, [fix]), (WIDTH, HEIGHT))[0]
     assert token == col * HEIGHT + row
     smap = build_saliency([fix], sigma=0.1, resolution=(HEIGHT, WIDTH),
                           kind="raw")
