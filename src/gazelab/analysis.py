@@ -19,7 +19,7 @@ import numpy as np
 
 from .optim import Adam
 from .synthetic import CATEGORIES
-from .tensor import Tape, Tensor, matmul, sigmoid, softplus, tanh, transpose, tsum
+from .tensor import Tape, Tensor, matmul, softplus, tanh, transpose, tsum
 
 log = logging.getLogger(__name__)
 
@@ -344,7 +344,8 @@ def classify_group_loocv(features, labels, hidden: int = 16,
             opt.step(tape.gradients(loss))
         h = tanh(matmul(params["W1"], Tensor(Xz[fold])) + params["b1"])
         z = matmul(transpose(params["W2"]), h) + params["b2"]
-        prob = float(sigmoid(z).data[0])
+        # the logistic function in the tanh form the engine's gates use
+        prob = float((0.5 * (1.0 + np.tanh(0.5 * z.data)))[0])
         predicted = classes[int(prob >= 0.5)]
         predictions.append(predicted)
         probabilities.append(prob)

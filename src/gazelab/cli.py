@@ -33,7 +33,6 @@ from .evaluate import (
     build_saliency,
     predict_split,
     rank_eval,
-    resolve_threads,
     saliency_report,
     value_eval,
 )
@@ -118,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="test",
                    choices=("train", "val", "test"))
     p.add_argument("--variant", default="model", help="report row label")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = command("eval-rank", _cmd_eval_rank, False,
                 "observer retrieval ranking from a checkpoint")
@@ -127,7 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--split", default="test",
                    choices=("train", "val", "test"))
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = command("eval-saliency", _cmd_eval_saliency, True,
                 "saliency scores of pooled predictions")
@@ -143,7 +142,7 @@ def build_parser() -> _Parser:
                 "train and score all six model variants")
     p.add_argument("--data", help="corpus directory")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = command("analyze", _cmd_analyze, True,
                 "semantic region statistics and correlations")
@@ -269,7 +268,7 @@ def _cmd_eval_value(args) -> int:
     preds = read_scanpaths(args.pred)
     try:
         result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric,
-                            threads=resolve_threads(args.threads))
+                            threads=args.threads)
     except ValueError as err:
         raise ValueError(f"{args.pred}: {err}") from None
     rows = [ReportRow(args.variant, args.split, name, result.means[name],
@@ -287,7 +286,7 @@ def _cmd_eval_rank(args) -> int:
     model = read_checkpoint(_checkpoint_path(args, cfg))
     preds = predict_split(model, corpus, args.split)
     result = rank_eval(preds, corpus.scanpaths[args.split], cfg.metric,
-                       threads=resolve_threads(args.threads))
+                       threads=args.threads)
     rows = [ReportRow("model", args.split, "mrr", result.mrr)]
     for k, value in sorted(result.recall_at.items()):
         rows.append(ReportRow("model", args.split, f"r_at_{k}", value))
@@ -329,7 +328,7 @@ def _cmd_ablate(args) -> int:
     train_cfg = replace(cfg.train, seed=args.seed)
     rows_raw, _ = run_ablation_suite(
         corpus, train_cfg, cfg.model, cfg.metric,
-        threads=resolve_threads(args.threads))
+        threads=args.threads)
     rows = []
     for entry in rows_raw:
         for name in ("sm", "mm", "sed", "mrr", "r_at_1", "r_at_5"):

@@ -266,9 +266,16 @@ def read_report_csv(path) -> list[ReportRow]:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         rows = []
         for record in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(record) != len(CSV_COLUMNS):
+                raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} "
+                                 f"fields, got {len(record)}")
             variant, split, metric, value, stderr = record
-            rows.append(ReportRow(variant=variant, split=split, metric=metric,
-                                  value=float(value),
-                                  stderr=None if stderr == "" else
-                                  float(stderr)))
+            try:
+                rows.append(ReportRow(variant=variant, split=split,
+                                      metric=metric, value=float(value),
+                                      stderr=None if stderr == "" else
+                                      float(stderr)))
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
     return rows

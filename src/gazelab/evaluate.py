@@ -9,21 +9,21 @@ Two regimes compare predictions with ground truth:
   its image by ScanMatch; the matching observer's rank yields MRR and R@K.
 
 The saliency path pools fixations per image into Gaussian-smoothed density
-maps and scores them with CC, AUC, NSS, sAUC, KLD, and SIM.
+maps, each summing to one, and scores them with CC, AUC, NSS, sAUC, KLD,
+and SIM.
 
 ScanMatch and string-edit distance score every pair of a call in one
 batched Needleman-Wunsch sweep each (``metrics.scanmatch_pairs`` and
 ``metrics.sed_pairs``). ``threads`` > 1 maps only MultiMatch and the
 per-row rank sort across a thread pool, with a deterministic,
-order-preserving reduce.
+order-preserving reduce; the default, 1, runs them serially.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +41,6 @@ from .scanpath import grid_cell
 log = logging.getLogger(__name__)
 
 VALUE_METRICS = ("sm", "mm", "sed")
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else the ISP_THREADS environment, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ISP_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
 
 
 def _pmap(fn, items, threads: int):
@@ -231,12 +223,9 @@ def human_consistency(gt, config: MetricConfig | None = None,
 
 @dataclass
 class SaliencyMap:
-    grid: np.ndarray
-    kind: str = "density"
+    """A density map: nonnegative, summing to one."""
 
-    def __post_init__(self):
-        if self.kind not in ("density", "raw"):
-            raise ValueError("kind must be 'density' or 'raw'")
+    grid: np.ndarray
 
 
 def _bin_fixations(fixations, height: int, width: int) -> np.ndarray:
@@ -247,13 +236,12 @@ def _bin_fixations(fixations, height: int, width: int) -> np.ndarray:
 
 
 def build_saliency(fixations, sigma: float | None = None,
-                   resolution=(64, 64), kind: str = "density") -> SaliencyMap:
-    """Gaussian-smoothed fixation map at the given (height, width).
+                   resolution=(64, 64)) -> SaliencyMap:
+    """Gaussian-smoothed fixation density at the given (height, width).
 
-    Fixations are binned to cells and convolved with a separable Gaussian
-    truncated at three sigma; ``density`` maps are normalized to sum 1,
-    ``raw`` maps keep the smoothed counts. Sigma defaults to width / 16
-    cells.
+    Fixations are binned to cells, convolved with a separable Gaussian
+    truncated at three sigma and normalized to sum 1. Sigma defaults to
+    width / 16 cells.
     """
     fixations = list(fixations)
     if not fixations:
@@ -276,9 +264,7 @@ def build_saliency(fixations, sigma: float | None = None,
 
     smooth = np.apply_along_axis(centered, 1, counts)
     smooth = np.apply_along_axis(centered, 0, smooth)
-    if kind == "density":
-        smooth = smooth / smooth.sum()
-    return SaliencyMap(grid=smooth, kind=kind)
+    return SaliencyMap(grid=smooth / smooth.sum())
 
 
 @dataclass
@@ -373,11 +359,8 @@ def saliency_metrics(pred: SaliencyMap, gt_fixations, gt_map: SaliencyMap,
     else:
         sauc = float("nan")
 
-    p_density = p / p.sum() if pred.kind == "raw" else p
-    g_density = g / g.sum() if gt_map.kind == "raw" else g
-    kld = float(np.sum(g_density *
-                       np.log((g_density + KLD_EPS) / (p_density + KLD_EPS))))
-    sim = float(np.sum(np.minimum(p_density, g_density)))
+    kld = float(np.sum(g * np.log((g + KLD_EPS) / (p + KLD_EPS))))
+    sim = float(np.sum(np.minimum(p, g)))
     return SaliencyScores(cc=cc, auc=auc, nss=nss, sauc=sauc, kld=kld,
                           sim=sim, degenerate=degenerate)
 

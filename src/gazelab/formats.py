@@ -32,7 +32,7 @@ from .tensor import Tensor
 
 GAZE_FORMAT = "isp-gaze-v1"
 SCENE_FORMAT = "isp-scene-v2"
-CKPT_FORMAT = "isp-ckpt-v3"
+CKPT_FORMAT = "isp-ckpt-v4"
 OBSERVERS_FORMAT = "isp-observers-v1"
 MANIFEST_FORMAT = "isp-corpus-v1"
 
@@ -399,15 +399,59 @@ def read_corpus(data_dir) -> Corpus:
                 for ids in splits.values()):
         raise ValueError(f'{manifest_path}: "splits" must map each of '
                          f"{list(SPLITS)} to a list of integer image ids")
-    scenes = read_scenes(root / files["scenes"],
+    scenes_path = root / files["scenes"]
+    scenes = read_scenes(scenes_path,
                          (config.channels, config.height, config.width))
-    profiles = read_observers(root / files["observers"], config.channels)
-    scanpaths = {split: read_scanpaths(root / gaze[split])
+    scene_ids = set()
+    for lineno, scene in enumerate(scenes, start=2):
+        if scene.id in scene_ids:
+            raise ValueError(f"{scenes_path}:{lineno}: duplicate scene id "
+                             f"{scene.id}")
+        scene_ids.add(scene.id)
+    for split in SPLITS:
+        if not splits[split]:
+            raise ValueError(f'{manifest_path}: split "{split}" lists no '
+                             "images")
+        unknown = sorted(set(splits[split]) - scene_ids)
+        if unknown:
+            raise ValueError(f'{manifest_path}: split "{split}" lists image '
+                             f"ids {unknown} that have no scene in "
+                             f"{scenes_path}")
+    observers_path = root / files["observers"]
+    profiles = read_observers(observers_path, config.channels)
+    ids = [profile.id for profile in profiles]
+    if sorted(ids) != list(range(config.n_observers)):
+        raise ValueError(f"{observers_path}: observer ids must be exactly "
+                         f"0..{config.n_observers - 1}, one each, got {ids}")
+    scanpaths = {split: _read_split(root / gaze[split], split,
+                                    set(splits[split]), set(ids))
                  for split in SPLITS}
     split_ids = {split: list(ids) for split, ids in splits.items()}
     return Corpus(config=config, seed=seed, scenes=scenes,
                   profiles=profiles, split_ids=split_ids,
                   scanpaths=scanpaths)
+
+
+def _read_split(path, split: str, image_ids: set, observer_ids: set) -> list:
+    """The gaze records of one split: each on an image of the split, by a
+    known observer, one per (image, observer) pair, and at least one."""
+    scanpaths = read_scanpaths(path)
+    if not scanpaths:
+        raise ValueError(f"{path}: no gaze records for split {split!r}")
+    seen = set()
+    for lineno, sp in enumerate(scanpaths, start=2):
+        if sp.image_id not in image_ids:
+            raise ValueError(f"{path}:{lineno}: image_id {sp.image_id} is "
+                             f"not an image of split {split!r}")
+        if sp.observer_id not in observer_ids:
+            raise ValueError(f"{path}:{lineno}: observer_id "
+                             f"{sp.observer_id} is not in the observers file")
+        key = (sp.image_id, sp.observer_id)
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: second record for image "
+                             f"{sp.image_id}, observer {sp.observer_id}")
+        seen.add(key)
+    return scanpaths
 
 
 def write_pgm(grid, path) -> None:
@@ -431,7 +475,11 @@ def read_pgm(path) -> np.ndarray:
     parts = raw.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
         raise ValueError(f"{path}: not an 8-bit binary PGM")
-    w, h = (int(v) for v in parts[1].split())
+    size = parts[1].split()
+    if len(size) != 2 or not all(v.isdigit() for v in size):
+        raise ValueError(f"{path}: bad size line {parts[1]!r}, expected "
+                         "width and height as two nonnegative integers")
+    w, h = int(size[0]), int(size[1])
     pixels = np.frombuffer(parts[3][:w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise ValueError(f"{path}: truncated pixel data")

@@ -2,16 +2,17 @@
 
 A recurrent decoder watches a C-channel feature grid E and emits, per step,
 a spatial probability map over grid cells plus Gaussian parameters for the
-log fixation duration. Observer identity can enter three ways:
+log fixation duration. Three switches decide the model: ``observer_mode``,
+``enable_fi`` and ``enable_fp``, eight settings for eight distinct models.
+Observer identity enters in one of two ways:
 
 * ``embedding`` mode: a learned code u = W_u @ one_hot modulates the
   guidance map and the feature fusion vectors (FI) and the semantic-map
   weights (FP). It enters nowhere else, so with FI and FP both off the
-  model holds no code and the "OE" ablation row is the same model as
-  "none".
+  model holds no code: that is the observer-agnostic model, and the "none"
+  and "OE" ablation rows share its config.
 * ``one_hot_concat`` mode: the raw one-hot identity is appended to the
   decoder input and the embedding pathways are left out.
-* OE disabled: a single observer-agnostic decoder.
 
 Feature integration (FI) and fixation prioritization (FP) are separately
 toggleable; each disabled path is replaced by a small learned projection so
@@ -35,7 +36,6 @@ from .tensor import (
     lstm,
     mean,
     narrow,
-    pick,
     relu,
     reshape,
     softmax,
@@ -69,7 +69,6 @@ class ModelConfig:
     hidden: int = 64
     semantic_channels: int = 4
     max_steps: int = 8
-    enable_oe: bool = True
     enable_fi: bool = True
     enable_fp: bool = True
     observer_mode: str = "embedding"
@@ -89,9 +88,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.observer_mode not in OBSERVER_MODES:
             raise ValueError(f"observer_mode must be one of {OBSERVER_MODES}")
-        if (self.enable_fi or self.enable_fp) and not self.enable_oe:
-            raise ValueError("feature integration and prioritization require "
-                             "observer encoding")
 
     @property
     def cells(self) -> int:
@@ -105,12 +101,12 @@ class ModelConfig:
     @property
     def uses_embedding(self) -> bool:
         """Whether a pathway reads the observer code W_u @ one_hot."""
-        return (self.enable_oe and self.observer_mode == "embedding"
+        return (self.observer_mode == "embedding"
                 and (self.enable_fi or self.enable_fp))
 
     @property
     def uses_one_hot(self) -> bool:
-        return self.enable_oe and self.observer_mode == "one_hot_concat"
+        return self.observer_mode == "one_hot_concat"
 
 
 @dataclass
@@ -443,8 +439,9 @@ class ScanpathModel:
         logits, mu, var = self.teacher_forced(E, observer_id, gt)
         maps = softmax(logits, axis=1)
         cells = self.config.cells
-        return [(reshape(narrow(maps, 0, t, 1), (cells,)), pick(mu, t),
-                 pick(var, t)) for t in range(len(gt))]
+        return [(reshape(narrow(maps, 0, t, 1), (cells,)),
+                 reshape(narrow(mu, 0, t, 1), ()),
+                 reshape(narrow(var, 0, t, 1), ())) for t in range(len(gt))]
 
     def sample_scanpath(self, E: np.ndarray, observer_id: int,
                         n_steps: int | None = None, mode: str = "argmax",
@@ -496,16 +493,16 @@ def ablation_config(base: ModelConfig, variant: str) -> ModelConfig:
     """Config for one row of the incremental ablation table.
 
     The observer code is read only by FI and FP, so the "OE" row (both off)
-    is the same model as "none".
+    shares its config with "none".
     """
+    agnostic = dict(enable_fi=False, enable_fp=False)
     table = {
-        "none": dict(enable_oe=False, enable_fi=False, enable_fp=False),
-        "OE": dict(enable_oe=True, enable_fi=False, enable_fp=False),
-        "OE+FI": dict(enable_oe=True, enable_fi=True, enable_fp=False),
-        "OE+FP": dict(enable_oe=True, enable_fi=False, enable_fp=True),
-        "OE+FI+FP": dict(enable_oe=True, enable_fi=True, enable_fp=True),
-        "one_hot": dict(enable_oe=True, enable_fi=False, enable_fp=False,
-                        observer_mode="one_hot_concat"),
+        "none": agnostic,
+        "OE": agnostic,
+        "OE+FI": dict(enable_fi=True, enable_fp=False),
+        "OE+FP": dict(enable_fi=False, enable_fp=True),
+        "OE+FI+FP": dict(enable_fi=True, enable_fp=True),
+        "one_hot": dict(agnostic, observer_mode="one_hot_concat"),
     }
     if variant not in table:
         raise ValueError(f"unknown variant {variant!r}; "

@@ -8,12 +8,13 @@ stimulus.
 
 Baselines built here: the observer-agnostic model (all pathways off), the
 per-observer fine-tuned copies of that model, and the one-hot conditioned
-decoder, alongside the incremental ablation table.
+decoder, alongside the incremental ablation table. ``train`` is the one
+optimization loop; fine-tuning runs it on each observer's own scanpaths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,13 +170,15 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
 def fine_tune_per_observer(base: ScanpathModel, corpus, config: TrainConfig):
     """One copy of the base model adapted to each observer's training data.
 
-    The base is meant to be an observer-agnostic model; each copy trains
-    only on its observer's scanpaths for ft_epochs at ft_lr.
+    The base is meant to be an observer-agnostic model; each copy is
+    trained by ``train`` on its observer's scanpaths alone, one scanpath a
+    batch, for ft_epochs at ft_lr.
     """
     train_set = corpus.scanpaths["train"]
-    observers = sorted(p.id for p in corpus.profiles)
+    ft_config = replace(config, lr=config.ft_lr, epochs=config.ft_epochs,
+                        batch_size=1)
     tuned = {}
-    for observer_id in observers:
+    for observer_id in sorted(p.id for p in corpus.profiles):
         own = [sp for sp in train_set if sp.observer_id == observer_id]
         if not own:
             raise ValueError(
@@ -183,24 +186,7 @@ def fine_tune_per_observer(base: ScanpathModel, corpus, config: TrainConfig):
         params = {name: Tensor(p.data.copy(), trainable=True)
                   for name, p in base.params.items()}
         copy = ScanpathModel(base.config, params=params)
-        opt = Adam(copy.params, lr=config.ft_lr,
-                   weight_decay=config.weight_decay)
-        for epoch in range(config.ft_epochs):
-            rng = np.random.default_rng(
-                [config.seed, 13, observer_id, epoch])
-            order = rng.permutation(len(own))
-            for index in order:
-                gt = own[index]
-                scene = corpus.scene_by_id(gt.image_id)
-                with Tape() as tape:
-                    total, _, _ = rollout_loss(
-                        copy, scene.E, observer_id, gt,
-                        config.duration_loss_weight)
-                if not np.isfinite(total.data):
-                    raise RuntimeError(
-                        f"non-finite loss fine-tuning observer "
-                        f"{observer_id} epoch {epoch} image {gt.image_id}")
-                opt.step(tape.gradients(total))
+        train(copy, replace(corpus, scanpaths={"train": own}), ft_config)
         tuned[observer_id] = copy
     return tuned
 

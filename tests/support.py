@@ -20,11 +20,8 @@ from gazelab.tensor import (
     mean,
     mul,
     narrow,
-    neg,
-    pick,
     relu,
     reshape,
-    sigmoid,
     softmax,
     softmax_nll,
     softplus,
@@ -116,11 +113,6 @@ def primitive_grad_cases(seed: int) -> dict:
     rd = reader((m, n))
     cases["div"] = (lambda x=x, y=y, rd=rd: rd(div(x, y)), {"x": x, "y": y})
 
-    seed_case("neg")
-    (k,) = dims(1)
-    x, rd = t((k,)), reader((k,))
-    cases["neg"] = (lambda x=x, rd=rd: rd(neg(x)), {"x": x})
-
     seed_case("matmul")
     m, n, p = dims(3)
     a, b, rd = t((m, n)), t((n, p)), reader((m, p))
@@ -149,12 +141,6 @@ def primitive_grad_cases(seed: int) -> dict:
     x, rd = t((m, n)), reader((n, m))
     cases["reshape"] = (lambda x=x, rd=rd, m=m, n=n: rd(reshape(x, (n, m))), {"x": x})
 
-    seed_case("pick")
-    m, n = dims()
-    x = t((m, n))
-    idx = (int(rng.integers(0, m)), int(rng.integers(0, n)))
-    cases["pick"] = (lambda x=x, idx=idx: mul(pick(x, idx), 3.0), {"x": x})
-
     seed_case("mean")
     shape = dims(3)
     axis = int(rng.integers(0, 3))
@@ -173,7 +159,7 @@ def primitive_grad_cases(seed: int) -> dict:
     x, rd = t((m, n)), reader((m, n))
     cases["softmax"] = (lambda x=x, rd=rd: rd(softmax(x, axis=-1)), {"x": x})
 
-    for name, op in (("tanh", tanh), ("sigmoid", sigmoid), ("softplus", softplus)):
+    for name, op in (("tanh", tanh), ("softplus", softplus)):
         seed_case(name)
         m, n = dims()
         x, rd = t((m, n)), reader((m, n))

@@ -357,8 +357,10 @@ class TestObserverFeatures:
             np.testing.assert_array_equal(fa.v, fb.v)
 
     def test_disabled_embedding_rejected(self):
-        off = ScanpathModel(feature_config(enable_oe=False, enable_fi=False,
-                                           enable_fp=False), seed=0)
+        # the "none" and "OE" rows: no pathway reads the code
+        off = ScanpathModel(feature_config(enable_fi=False, enable_fp=False),
+                            seed=0)
+        assert "W_u" not in off.params
         with pytest.raises(ValueError, match="embedding"):
             extract_observer_features(off)
         one_hot = ScanpathModel(
@@ -366,12 +368,6 @@ class TestObserverFeatures:
                            enable_fp=False), seed=0)
         with pytest.raises(ValueError, match="embedding"):
             extract_observer_features(one_hot)
-        # the "OE" row: the code is switched on but no pathway reads it
-        oe_only = ScanpathModel(feature_config(enable_fi=False,
-                                               enable_fp=False), seed=0)
-        assert "W_u" not in oe_only.params
-        with pytest.raises(ValueError, match="embedding"):
-            extract_observer_features(oe_only)
 
 
 class TestClassifier:

@@ -1,11 +1,15 @@
 """End-to-end CLI tests driven through main() in process."""
 
+import contextlib
+import io
 import json
 import shutil
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazelab.cli import main
 from gazelab.config import read_report_csv
@@ -28,6 +32,92 @@ def workspace(tmp_path_factory):
                  "--data", str(data), "--out", str(out)]) == 0
     return {"root": root, "data": str(data),
             "ckpt": str(out / "checkpoint.json")}
+
+
+def edit_record(path, lineno, edit):
+    """Apply ``edit`` to the JSON record on line ``lineno`` of a JSONL file."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def edit_document(path, edit):
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
+# Each case breaks one cross-reference of a copied corpus directory ``d``
+# and returns the command that reads it and the text its error must hold.
+
+def _image_of_other_split(d):
+    splits = json.loads((d / "manifest.json").read_text())["splits"]
+    image_id = splits["test"][0]
+    edit_record(d / "gaze_train.jsonl", 2,
+                lambda r: r.update(image_id=image_id))
+    return "train", (f"{d / 'gaze_train.jsonl'}:2: image_id {image_id} is "
+                     "not an image of split 'train'")
+
+
+def _image_without_scene(d):
+    edit_record(d / "gaze_train.jsonl", 2, lambda r: r.update(image_id=999))
+    return "train", f"{d / 'gaze_train.jsonl'}:2: image_id 999 is not"
+
+
+def _observer_out_of_range(d):
+    edit_record(d / "gaze_train.jsonl", 2, lambda r: r.update(observer_id=7))
+    return "train", (f"{d / 'gaze_train.jsonl'}:2: observer_id 7 is not in "
+                     "the observers file")
+
+
+def _short_observers_file(d):
+    edit_document(d / "observers.json", lambda doc: doc["observers"].pop())
+    return "train", (f"{d / 'observers.json'}: observer ids must be exactly "
+                     "0..3, one each, got [0, 1, 2]")
+
+
+def _observer_id_gap(d):
+    edit_document(d / "observers.json",
+                  lambda doc: doc["observers"][3].update(id=5))
+    return "train", (f"{d / 'observers.json'}: observer ids must be exactly "
+                     "0..3, one each, got [0, 1, 2, 5]")
+
+
+def _duplicate_scene_id(d):
+    first = json.loads((d / "scenes.jsonl").read_text().splitlines()[1])
+    edit_record(d / "scenes.jsonl", 3, lambda r: r.update(id=first["id"]))
+    return "train", (f"{d / 'scenes.jsonl'}:3: duplicate scene id "
+                     f"{first['id']}")
+
+
+def _duplicate_gaze_record(d):
+    path = d / "gaze_train.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    record = json.loads(lines[1])
+    return "train", (f"{path}:{len(lines) + 1}: second record for image "
+                     f"{record['image_id']}, observer {record['observer_id']}")
+
+
+def _split_image_without_scene(d):
+    edit_document(d / "manifest.json",
+                  lambda doc: doc["splits"]["test"].append(999))
+    return "predict", (f'{d / "manifest.json"}: split "test" lists image ids '
+                       "[999] that have no scene")
+
+
+def _empty_split_in_manifest(d):
+    edit_document(d / "manifest.json",
+                  lambda doc: doc["splits"].update(test=[]))
+    return "predict", f'{d / "manifest.json"}: split "test" lists no images'
+
+
+def _empty_gaze_file(d):
+    path = d / "gaze_test.jsonl"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return "predict", f"{path}: no gaze records for split 'test'"
 
 
 class TestUsage:
@@ -247,6 +337,105 @@ class TestValidationErrors:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        _image_of_other_split, _image_without_scene, _observer_out_of_range,
+        _short_observers_file, _observer_id_gap, _duplicate_scene_id,
+        _duplicate_gaze_record, _split_image_without_scene,
+        _empty_split_in_manifest, _empty_gaze_file,
+    ], ids=lambda case: case.__name__.strip("_").replace("_", "-"))
+    def test_broken_cross_reference_exit_2(self, workspace, tmp_path, capsys,
+                                           case):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        command, expected = case(data)
+        argv = [command, "--config", SMOKE, "--seed", "0",
+                "--set", "train.epochs=1", "--data", str(data),
+                "--out", str(tmp_path / "out")]
+        if command == "predict":
+            argv += ["--checkpoint", workspace["ckpt"]]
+        assert main(argv) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_previous_checkpoint_version_exit_2(self, workspace, tmp_path,
+                                                capsys):
+        ckpt = tmp_path / "checkpoint.json"
+        shutil.copy(workspace["ckpt"], ckpt)
+
+        def to_v3(doc):
+            doc["format"] = "isp-ckpt-v3"
+            doc["config"]["enable_oe"] = True
+
+        edit_document(ckpt, to_v3)
+        code = main(["predict", "--config", SMOKE, "--seed", "0",
+                     "--data", workspace["data"], "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"{ckpt}: expected format 'isp-ckpt-v4', got 'isp-ckpt-v3'"
+                in capsys.readouterr().err)
+
+
+# a value of each JSON kind; bool is a kind of its own, and a float is not
+# an id
+JSON_KINDS = [None, True, 3, 2.5, "x", [1], {"a": 1}]
+CORPUS_FILES = ("manifest.json", "scenes.jsonl", "gaze_train.jsonl",
+                "gaze_val.jsonl", "gaze_test.jsonl")
+
+
+@pytest.fixture(scope="module")
+def corrupt_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+class TestCorruptedCorpus:
+    """One field of a manifest entry, a scene record or a gaze record set to
+    a value of another JSON kind, or an id to one out of range: ``train``
+    exits 2 naming a file of the corpus, never with a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_train_exits_2_naming_a_file(self, workspace, corrupt_root,
+                                         data):
+        root = corrupt_root / "data"
+        shutil.rmtree(root, ignore_errors=True)
+        shutil.copytree(workspace["data"], root)
+        name = data.draw(st.sampled_from(CORPUS_FILES))
+        path = root / name
+        lines = path.read_text().splitlines()
+        if name == "manifest.json":
+            lineno = None
+            record = json.loads(path.read_text())
+            wheres = [(key,) for key in sorted(record)]
+            wheres += [("splits", split, i)
+                       for split, ids in sorted(record["splits"].items())
+                       for i in range(len(ids))]
+        else:
+            lineno = data.draw(st.integers(2, len(lines)))
+            record = json.loads(lines[lineno - 1])
+            wheres = [(key,) for key in sorted(record)]
+        where = data.draw(st.sampled_from(wheres))
+        parent = record
+        for key in where[:-1]:
+            parent = parent[key]
+        current = parent[where[-1]]
+        values = [v for v in JSON_KINDS if type(v) is not type(current)]
+        if where[-1] in ("id", "image_id", "observer_id") or \
+                where[0] == "splits" and len(where) == 3:
+            # every id of the smoke corpus lies in [0, 8)
+            values += [-1, 8, 10 ** 6]
+        parent[where[-1]] = data.draw(st.sampled_from(values))
+        if lineno is None:
+            path.write_text(json.dumps(record))
+        else:
+            lines[lineno - 1] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--config", SMOKE, "--seed", "0",
+                         "--set", "train.epochs=0", "--data", str(root),
+                         "--out", str(corrupt_root / "out")])
+        assert code == 2
+        assert str(root) in err.getvalue()
 
 
 class TestGenData:

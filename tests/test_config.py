@@ -1,6 +1,7 @@
 """Run-config round-trip, override, hashing, and report emission tests."""
 
 import json
+import re
 
 import pytest
 
@@ -178,6 +179,19 @@ class TestReport:
         bad = tmp_path / "report.csv"
         bad.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
+            read_report_csv(bad)
+
+    @pytest.mark.parametrize("row, message", [
+        ("full,test,sm,0.4", "expected 5 fields, got 4"),
+        ("full,test,sm,high,", "could not convert"),
+        ("full,test,banana,0.4,", "vocabulary"),
+    ], ids=["field-count", "bad-float", "unknown-metric"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        bad = tmp_path / "report.csv"
+        bad.write_text("variant,split,metric,value,stderr\n"
+                       f"none,test,mrr,0.33,\n{row}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(bad))}:3: "
+                                             f".*{message}"):
             read_report_csv(bad)
 
     def test_provenance_block_fields(self):

@@ -411,7 +411,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"format": "isp-gaze-v1", "config": {},'
                         ' "params": {}}')
-        with pytest.raises(ValueError, match="isp-ckpt-v3"):
+        with pytest.raises(ValueError, match="isp-ckpt-v4"):
             read_checkpoint(path)
 
     def test_config_value_kind_checked(self, tmp_path):
@@ -425,20 +425,24 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     def test_previous_version_rejected_by_tag(self, tmp_path):
-        # v2 checkpoints hold every parameter, including those of the
-        # pathways a variant switches off
+        # v3 configs hold the enable_oe switch; v2 checkpoints also hold
+        # every parameter, including those of the pathways a variant
+        # switches off
         model = ScanpathModel(self.config(), seed=0)
         path = tmp_path / "ckpt.json"
         write_checkpoint(model, path)
         payload = json.loads(path.read_text())
-        payload["format"] = "isp-ckpt-v2"
-        for name, shape in (("W_fi", [3, 6]), ("b_fi", [6]),
-                            ("W_fp", [16, 6]), ("b_fp", [16])):
-            payload["params"][name] = {"shape": shape,
-                                       "data": [0.0] * int(np.prod(shape))}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="expected format 'isp-ckpt-v3'"):
-            read_checkpoint(path)
+        payload["config"]["enable_oe"] = True
+        for version in ("isp-ckpt-v3", "isp-ckpt-v2"):
+            payload["format"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError,
+                               match="expected format 'isp-ckpt-v4'"):
+                read_checkpoint(path)
+            for name, shape in (("W_fi", [3, 6]), ("b_fi", [6]),
+                                ("W_fp", [16, 6]), ("b_fp", [16])):
+                payload["params"][name] = {
+                    "shape": shape, "data": [0.0] * int(np.prod(shape))}
 
     @pytest.mark.parametrize("edit, message", CHECKPOINT_EDITS)
     def test_malformed_entry_names_parameter(self, tmp_path, edit, message):
@@ -589,6 +593,12 @@ class TestPgm:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):
             write_pgm(np.zeros((2, 2, 2)), tmp_path / "x.pgm")
+
+    def test_bad_size_line_names_file(self, tmp_path):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(b"P5\n5 x\n255\n" + bytes(25))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad size")):
+            read_pgm(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "map.pgm"

@@ -53,12 +53,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden"):
             tiny_config(hidden=0)
 
-    def test_fi_requires_oe(self):
-        with pytest.raises(ValueError, match="require"):
-            tiny_config(enable_oe=False, enable_fi=True)
-        with pytest.raises(ValueError, match="require"):
-            tiny_config(enable_oe=False, enable_fp=True)
-
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="observer_mode"):
             tiny_config(observer_mode="giant_lookup_table")
@@ -67,9 +61,10 @@ class TestConfig:
         base = tiny_config()
         assert len(ABLATION_VARIANTS) == 6
         full = ablation_config(base, "OE+FI+FP")
-        assert full.enable_oe and full.enable_fi and full.enable_fp
+        assert full.enable_fi and full.enable_fp
         none = ablation_config(base, "none")
-        assert not (none.enable_oe or none.enable_fi or none.enable_fp)
+        assert not (none.enable_fi or none.enable_fp)
+        assert ablation_config(base, "OE") == none
         one_hot = ablation_config(base, "one_hot")
         assert one_hot.observer_mode == "one_hot_concat"
         assert not one_hot.enable_fi and not one_hot.enable_fp
@@ -117,7 +112,7 @@ class TestObserverEncoding:
             model.encode_observer(-1)
 
     def test_disabled_returns_zero_vector(self):
-        cfg = tiny_config(enable_oe=False, enable_fi=False, enable_fp=False)
+        cfg = tiny_config(enable_fi=False, enable_fp=False)
         model = ScanpathModel(cfg)
         np.testing.assert_array_equal(model.encode_observer(1).data,
                                       np.zeros(cfg.observer_dim))

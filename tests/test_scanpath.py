@@ -29,8 +29,7 @@ def test_binning_agrees_on_cell_edges(k):
     assert divmod(grid_cell(x, y, HEIGHT, WIDTH), WIDTH) == (row, col)
     token = quantize(Scanpath(0, 0, [fix]), (WIDTH, HEIGHT))[0]
     assert token == col * HEIGHT + row
-    smap = build_saliency([fix], sigma=0.1, resolution=(HEIGHT, WIDTH),
-                          kind="raw")
+    smap = build_saliency([fix], sigma=0.1, resolution=(HEIGHT, WIDTH))
     assert np.unravel_index(smap.grid.argmax(), smap.grid.shape) == (row, col)
     assert marked_scene(row, col).category_at(x, y) == "social"
 

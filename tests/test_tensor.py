@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gazelab.analysis as analysis
+import gazelab.train as train_mod
+from gazelab.model import ModelConfig, ScanpathModel
 from gazelab.optim import Adam
+from gazelab.synthetic import build_corpus, smoke_config
 from gazelab.tensor import (
     DIFFERENTIABLE_PRIMITIVES,
     DomainError,
@@ -228,6 +232,29 @@ class TestGradCheck:
 
     def test_case_table_covers_registry(self):
         assert set(primitive_grad_cases(0)) == set(DIFFERENTIABLE_PRIMITIVES)
+
+    def test_registry_is_what_runs_record(self, monkeypatch):
+        # the ops a full-model training epoch and a LOOCV classifier epoch
+        # record on the tapes their own loops open
+        tapes = []
+
+        class RecordingTape(Tape):
+            def __enter__(self):
+                tapes.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(train_mod, "Tape", RecordingTape)
+        monkeypatch.setattr(analysis, "Tape", RecordingTape)
+        corpus = build_corpus(smoke_config(), 0)
+        config = ModelConfig(n_observers=4, height=8, width=8, channels=6,
+                             observer_dim=3, hidden=4, semantic_channels=2,
+                             max_steps=4)
+        train_mod.train(ScanpathModel(config, seed=0), corpus,
+                        train_mod.TrainConfig(epochs=1))
+        analysis.classify_group_loocv(np.eye(4), ["a", "a", "b", "b"],
+                                      epochs=1)
+        recorded = {node.op for tape in tapes for node in tape.nodes}
+        assert recorded - {"leaf"} == set(DIFFERENTIABLE_PRIMITIVES)
 
     def test_constant_function_reports_zero(self):
         x = Tensor(np.ones(4), trainable=True)
