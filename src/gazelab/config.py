@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,15 +27,26 @@ from .synthetic import CorpusConfig
 from .train import TrainConfig
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a JSON integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    # the bound rejects inf, nan and integers too large for a float
+    return (is_integer(value) or isinstance(value, float)) and \
+        abs(value) <= sys.float_info.max
+
+
 def _fits(default, value) -> bool:
     """Whether ``value`` has the JSON kind of a field whose default is
-    ``default``. A bool is not an integer; a float field takes either."""
+    ``default``. A float field takes an integer or a float, if finite."""
     if isinstance(default, bool):
         return isinstance(value, bool)
     if isinstance(default, int):
-        return isinstance(value, int) and not isinstance(value, bool)
+        return is_integer(value)
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return is_finite_number(value)
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and \
             len(value) == len(default) and \
@@ -49,7 +61,7 @@ def _kind(default) -> str:
     if isinstance(default, int):
         return "an integer"
     if isinstance(default, float):
-        return "a number"
+        return "a finite number"
     if isinstance(default, tuple):
         return f"a list like {json.dumps(list(default))}"
     return "a string" if default is not None else "a string or null"

@@ -12,12 +12,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .config import coerce_section
+from .config import coerce_section, is_finite_number, is_integer
 from .model import ModelConfig, ScanpathModel, param_shapes
 from .scanpath import Fixation, Scanpath
 from .synthetic import (
@@ -34,7 +35,7 @@ GAZE_FORMAT = "isp-gaze-v1"
 SCENE_FORMAT = "isp-scene-v2"
 CKPT_FORMAT = "isp-ckpt-v4"
 OBSERVERS_FORMAT = "isp-observers-v1"
-MANIFEST_FORMAT = "isp-corpus-v1"
+MANIFEST_FORMAT = "isp-corpus-v2"
 
 SPLITS = ("train", "val", "test")
 
@@ -73,16 +74,6 @@ def _check_header(path, lines, expected: str) -> None:
             f"got {header.get('format')!r}")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # the bound rejects inf, nan and integers too large for a float
-    return (_is_integer(value) or isinstance(value, float)) and \
-        abs(value) <= sys.float_info.max
-
-
 def _require_keys(where: str, record: dict, keys: tuple) -> None:
     missing = sorted(set(keys) - set(record))
     if missing:
@@ -119,7 +110,7 @@ def read_scanpaths(path) -> list:
         fixations = []
         for entry in record["fixations"]:
             if not isinstance(entry, list) or len(entry) != 3 or \
-                    not all(_is_finite_number(v) for v in entry):
+                    not all(is_finite_number(v) for v in entry):
                 raise ValueError(
                     f"{path}:{lineno}: fixation must be [x, y, dur_ms] "
                     f"of finite numbers, got {entry!r}")
@@ -133,7 +124,7 @@ def read_scanpaths(path) -> list:
                     f"{path}:{lineno}: non-positive duration {dur}")
             fixations.append(Fixation(x, y, dur))
         for key in ("image_id", "observer_id"):
-            if not _is_integer(record[key]):
+            if not is_integer(record[key]):
                 raise ValueError(
                     f"{path}:{lineno}: {key} must be a JSON integer, "
                     f"got {record[key]!r}")
@@ -170,11 +161,37 @@ def _numeric_array(path, lineno: int, key: str, value, kinds: str):
     return arr
 
 
+_BLOB_KEYS = tuple(f.name for f in dataclasses.fields(Blob))
+
+
+def _read_blobs(where: str, blobs, channels: int) -> list:
+    """The blobs of one scene record at ``where``, whose E has ``channels``
+    channels."""
+    if not isinstance(blobs, list):
+        raise ValueError(f"{where}: blobs must be a list, got {blobs!r}")
+    for i, blob in enumerate(blobs):
+        at = f"{where}: blobs[{i}]"
+        if not isinstance(blob, dict):
+            raise ValueError(f"{at} must be an object, got {blob!r}")
+        _require_keys(at, blob, _BLOB_KEYS)
+        for key, bound in (("channel", channels),
+                           ("category", len(CATEGORIES))):
+            if not is_integer(blob[key]) or not 0 <= blob[key] < bound:
+                raise ValueError(f"{at}.{key} must be an integer in "
+                                 f"[0, {bound}), got {blob[key]!r}")
+        for key in _BLOB_KEYS[2:]:
+            if not is_finite_number(blob[key]):
+                raise ValueError(f"{at}.{key} must be a finite number, "
+                                 f"got {blob[key]!r}")
+    return [Blob(**blob) for blob in blobs]
+
+
 def read_scenes(path, shape: tuple | None = None) -> list:
     """Scenes of a scene file; ``shape`` is the (C, H, W) every E must have.
 
-    E must be a finite 3-D array and roi_mask an (H, W) integer array of
-    ``CATEGORIES`` codes.
+    E must be a finite 3-D array, roi_mask an (H, W) integer array of
+    ``CATEGORIES`` codes, and each blob an object of the six ``Blob``
+    fields whose channel indexes E.
     """
     lines = Path(path).read_text().splitlines()
     _check_header(path, lines, SCENE_FORMAT)
@@ -183,7 +200,7 @@ def read_scenes(path, shape: tuple | None = None) -> list:
         record = _parse_json(path, line, lineno)
         _require_keys(f"{path}:{lineno}", record,
                       ("id", "E", "roi_mask", "blobs"))
-        if not _is_integer(record["id"]):
+        if not is_integer(record["id"]):
             raise ValueError(f"{path}:{lineno}: id must be a JSON integer, "
                              f"got {record['id']!r}")
         E = _numeric_array(path, lineno, "E", record["E"], "iuf")
@@ -201,16 +218,12 @@ def read_scenes(path, shape: tuple | None = None) -> list:
         if roi.min() < 0 or roi.max() >= len(CATEGORIES):
             raise ValueError(f"{path}:{lineno}: roi_mask codes must lie in "
                              f"[0, {len(CATEGORIES) - 1}]")
-        try:
-            blobs = [Blob(**blob) for blob in record["blobs"]]
-        except TypeError as err:
-            raise ValueError(f"{path}:{lineno}: bad blob entry: {err}") \
-                from None
         scenes.append(SyntheticScene(
             id=record["id"],
             E=E.astype(float),
             roi_mask=roi.astype(np.int64),
-            blobs=blobs,
+            blobs=_read_blobs(f"{path}:{lineno}", record["blobs"],
+                              E.shape[0]),
         ))
     return scenes
 
@@ -248,7 +261,7 @@ def read_observers(path, channels: int | None = None) -> list:
         if not isinstance(record, dict):
             raise ValueError(f"{where} must be an object")
         _require_keys(where, record, _PROFILE_KEYS)
-        if not _is_integer(record["id"]):
+        if not is_integer(record["id"]):
             raise ValueError(f"{where}.id must be an integer, "
                              f"got {record['id']!r}")
         if not isinstance(record["group"], str):
@@ -256,12 +269,12 @@ def read_observers(path, channels: int | None = None) -> list:
                              f"got {record['group']!r}")
         pref = record["channel_pref"]
         if not isinstance(pref, list) or \
-                not all(_is_finite_number(v) for v in pref) or \
+                not all(is_finite_number(v) for v in pref) or \
                 (channels is not None and len(pref) != channels):
             raise ValueError(f"{where}.channel_pref must be a list of "
                              f"{channels or 'C'} finite numbers, got {pref!r}")
         for key in _PROFILE_KEYS[3:]:  # the scalar traits
-            if not _is_finite_number(record[key]):
+            if not is_finite_number(record[key]):
                 raise ValueError(f"{where}.{key} must be a finite number, "
                                  f"got {record[key]!r}")
         try:
@@ -315,7 +328,7 @@ def read_checkpoint(path) -> ScanpathModel:
         _require_keys(where, entry, ("data", "shape"))
         dims = entry["shape"]
         if not isinstance(dims, list) or \
-                not all(_is_integer(n) and n >= 0 for n in dims):
+                not all(is_integer(n) and n >= 0 for n in dims):
             raise ValueError(f"{where}: shape must be a list of non-negative "
                              f"integers, got {dims!r}")
         if tuple(dims) != shape:
@@ -379,7 +392,7 @@ def read_corpus(data_dir) -> Corpus:
         raise ValueError(f"{manifest_path}: missing keys {missing}")
     seed, files = manifest["seed"], manifest["files"]
     splits = manifest["splits"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_integer(seed):
         raise ValueError(f'{manifest_path}: "seed" must be an integer, '
                          f"got {seed!r}")
     gaze = files.get("gaze") if isinstance(files, dict) else None
@@ -394,9 +407,8 @@ def read_corpus(data_dir) -> Corpus:
         raise ValueError(f'{manifest_path}: "files" lacks a file name for '
                          f"{unnamed}")
     if not isinstance(splits, dict) or sorted(splits) != sorted(SPLITS) or \
-            not all(isinstance(ids, list) and all(
-                isinstance(i, int) and not isinstance(i, bool) for i in ids)
-                for ids in splits.values()):
+            not all(isinstance(ids, list) and all(map(is_integer, ids))
+                    for ids in splits.values()):
         raise ValueError(f'{manifest_path}: "splits" must map each of '
                          f"{list(SPLITS)} to a list of integer image ids")
     scenes_path = root / files["scenes"]
@@ -417,6 +429,15 @@ def read_corpus(data_dir) -> Corpus:
             raise ValueError(f'{manifest_path}: split "{split}" lists image '
                              f"ids {unknown} that have no scene in "
                              f"{scenes_path}")
+        twice = sorted(i for i, n in Counter(splits[split]).items() if n > 1)
+        if twice:
+            raise ValueError(f'{manifest_path}: split "{split}" lists image '
+                             f"ids {twice} more than once")
+    for first, second in combinations(SPLITS, 2):
+        shared = sorted(set(splits[first]) & set(splits[second]))
+        if shared:
+            raise ValueError(f'{manifest_path}: splits "{first}" and '
+                             f'"{second}" share image ids {shared}')
     observers_path = root / files["observers"]
     profiles = read_observers(observers_path, config.channels)
     ids = [profile.id for profile in profiles]

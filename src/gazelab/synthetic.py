@@ -9,14 +9,16 @@ individual differences in the data are known by construction and
 recoverable: group A down-weights social channels, fixates briefly, and
 hugs the center; group B is the mirror image.
 
-Everything is a pure function of (config, seed). Scene i and the scanpath
+Everything is a pure function of (config, seed). The config sets only the
+corpus extents; the blob shapes, the group trait bases and jitters and the
+duration ranges are the module constants below. Scene i and the scanpath
 of (scene, observer) each derive their own child seed, so generation is
 order-independent and trivially parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,9 +28,37 @@ CATEGORIES = ("background", "nonsocial", "social")
 BACKGROUND, NONSOCIAL, SOCIAL = 0, 1, 2
 
 
+# scene and trait distributions of every corpus
+BLOB_COUNT = (2, 5)
+BLOB_SIGMA = (0.05, 0.08)
+BLOB_AMP = (0.7, 1.2)
+# semantic blobs keep this distance from the screen center, so center
+# bias and semantic preference stay separately identifiable
+BLOB_CENTER_GAP = 0.15
+BACKGROUND_LEVEL = 0.25
+CENTER_SIGMA = 0.32
+IOR_SIGMA = 0.10
+# group trait distributions: (group A, group B) bases
+SOCIAL_PREF = (0.15, 1.05)
+NONSOCIAL_PREF = (0.95, 0.60)
+BACKGROUND_PREF = 0.15
+PREF_JITTER = 0.25
+CENTER_BIAS = (1.10, 0.35)
+CENTER_BIAS_JITTER = 0.15
+IOR_STRENGTH = 1.0
+IOR_STRENGTH_JITTER = 0.25
+TEMP = 0.16
+TEMP_JITTER = 0.05
+DUR_RANGE = ((150.0, 280.0), (320.0, 640.0))
+LOG_DUR_SD = 0.25
+
+
 @dataclass
 class CorpusConfig:
-    """Generator knobs; defaults define the standard benchmark corpus."""
+    """Corpus extents; defaults define the standard benchmark corpus.
+
+    Observers 0..n_group_a-1 form group A, the rest group B.
+    """
 
     n_scenes: int = 60
     n_observers: int = 8
@@ -39,29 +69,6 @@ class CorpusConfig:
     n_social_channels: int = 4
     n_nonsocial_channels: int = 4
     scanpath_len: int = 6
-    blob_count: tuple[int, int] = (2, 5)
-    blob_sigma: tuple[float, float] = (0.05, 0.08)
-    blob_amp: tuple[float, float] = (0.7, 1.2)
-    # semantic blobs keep this distance from the screen center, so center
-    # bias and semantic preference stay separately identifiable
-    blob_center_gap: float = 0.15
-    background_level: float = 0.25
-    center_sigma: float = 0.32
-    ior_sigma: float = 0.10
-    # group trait distributions: (group A, group B) bases
-    social_pref: tuple[float, float] = (0.15, 1.05)
-    nonsocial_pref: tuple[float, float] = (0.95, 0.60)
-    background_pref: float = 0.15
-    pref_jitter: float = 0.25
-    center_bias: tuple[float, float] = (1.10, 0.35)
-    center_bias_jitter: float = 0.15
-    ior_strength: float = 1.0
-    ior_strength_jitter: float = 0.25
-    temp: float = 0.16
-    temp_jitter: float = 0.05
-    dur_range_a: tuple[float, float] = (150.0, 280.0)
-    dur_range_b: tuple[float, float] = (320.0, 640.0)
-    log_dur_sd: float = 0.25
 
     def __post_init__(self):
         if self.n_social_channels + self.n_nonsocial_channels >= self.channels:
@@ -69,13 +76,10 @@ class CorpusConfig:
                 f"need at least one background channel: {self.channels} total, "
                 f"{self.n_social_channels}+{self.n_nonsocial_channels} semantic"
             )
-        if self.n_group_a >= self.n_observers:
-            raise ValueError("group split leaves group B empty")
-        edge = 3.5 * self.blob_sigma[1] + 0.02
-        if self.blob_center_gap > 0.5 - edge - 0.02:
+        if not 0 < self.n_group_a < self.n_observers:
             raise ValueError(
-                f"blob_center_gap {self.blob_center_gap} leaves no room for "
-                f"blobs of sigma {self.blob_sigma[1]} inside the edge margin"
+                f"group split {self.n_group_a} of {self.n_observers} observers "
+                "must leave both groups nonempty"
             )
 
 
@@ -166,9 +170,9 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
     h, w, c = config.height, config.width, config.channels
     E = np.zeros((c, h, w))
     for ch in range(config.n_social_channels + config.n_nonsocial_channels, c):
-        E[ch] = _smooth_field(rng, h, w, config.background_level)
+        E[ch] = _smooth_field(rng, h, w, BACKGROUND_LEVEL)
 
-    n_blobs = int(rng.integers(config.blob_count[0], config.blob_count[1] + 1))
+    n_blobs = int(rng.integers(BLOB_COUNT[0], BLOB_COUNT[1] + 1))
     blobs: list[Blob] = []
     for b in range(n_blobs):
         # first two blobs pin one social and one nonsocial region per scene
@@ -184,14 +188,14 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
             channel = config.n_social_channels + int(
                 rng.integers(0, config.n_nonsocial_channels)
             )
-        sigma = float(rng.uniform(*config.blob_sigma))
+        sigma = float(rng.uniform(*BLOB_SIGMA))
         margin = 3.5 * sigma + 0.02  # keep analytic mass on the canvas
         while True:
             cx = float(rng.uniform(margin, 1.0 - margin))
             cy = float(rng.uniform(margin, 1.0 - margin))
-            if (cx - 0.5) ** 2 + (cy - 0.5) ** 2 >= config.blob_center_gap**2:
+            if (cx - 0.5) ** 2 + (cy - 0.5) ** 2 >= BLOB_CENTER_GAP**2:
                 break
-        amp = float(rng.uniform(*config.blob_amp))
+        amp = float(rng.uniform(*BLOB_AMP))
         E[channel] += _gaussian_bump(h, w, cx, cy, sigma, amp)
         blobs.append(Blob(channel, category, cx, cy, sigma, amp))
 
@@ -211,41 +215,30 @@ def generate_scenes(n: int, config: CorpusConfig, seed) -> list[SyntheticScene]:
     return [generate_scene(config, seed, i) for i in range(n)]
 
 
-def generate_profiles(
-    n_observers: int,
-    group_split: tuple[int, int] | int,
-    seed,
-    config: CorpusConfig | None = None,
-) -> list[ObserverProfile]:
+def generate_profiles(config: CorpusConfig, seed) -> list[ObserverProfile]:
     """Observer trait vectors in two groups.
 
-    Group A (ids 0..nA-1) down-weights social channels, raises center bias,
+    Group A (ids 0..n_group_a-1) down-weights social channels, raises center bias,
     and fixates briefly; group B mirrors it. Per-observer jitter plus an
     evenly spread duration scale make every profile unique, so scanpaths
     carry an individual signature as well as a group one.
     """
-    config = config or CorpusConfig()
-    if n_observers < 2:
-        raise ValueError("need at least two observers")
-    n_a = group_split if isinstance(group_split, int) else group_split[0]
-    if not 0 < n_a < n_observers:
-        raise ValueError(f"group split {group_split} must leave both groups nonempty")
     rng = np.random.default_rng([_as_seed(seed), 1])
-    c = config.channels
+    c, n_a, n_observers = config.channels, config.n_group_a, config.n_observers
     n_soc, n_non = config.n_social_channels, config.n_nonsocial_channels
     profiles = []
     for obs in range(n_observers):
         group = "A" if obs < n_a else "B"
         gi = 0 if group == "A" else 1
         pref = np.empty(c)
-        pref[:n_soc] = config.social_pref[gi] + rng.normal(0.0, config.pref_jitter, n_soc)
-        pref[n_soc : n_soc + n_non] = config.nonsocial_pref[gi] + rng.normal(
-            0.0, config.pref_jitter, n_non
+        pref[:n_soc] = SOCIAL_PREF[gi] + rng.normal(0.0, PREF_JITTER, n_soc)
+        pref[n_soc : n_soc + n_non] = NONSOCIAL_PREF[gi] + rng.normal(
+            0.0, PREF_JITTER, n_non
         )
-        pref[n_soc + n_non :] = config.background_pref + rng.normal(
-            0.0, 0.2 * config.pref_jitter, c - n_soc - n_non
+        pref[n_soc + n_non :] = BACKGROUND_PREF + rng.normal(
+            0.0, 0.2 * PREF_JITTER, c - n_soc - n_non
         )
-        lo, hi = config.dur_range_a if group == "A" else config.dur_range_b
+        lo, hi = DUR_RANGE[gi]
         rank = obs if group == "A" else obs - n_a
         size = n_a if group == "A" else n_observers - n_a
         frac = rank / max(size - 1, 1)
@@ -256,34 +249,29 @@ def generate_profiles(
                 group=group,
                 channel_pref=pref,
                 center_bias=max(
-                    0.0,
-                    config.center_bias[gi] + rng.normal(0.0, config.center_bias_jitter),
+                    0.0, CENTER_BIAS[gi] + rng.normal(0.0, CENTER_BIAS_JITTER)
                 ),
                 ior_strength=max(
-                    0.0, config.ior_strength + rng.normal(0.0, config.ior_strength_jitter)
+                    0.0, IOR_STRENGTH + rng.normal(0.0, IOR_STRENGTH_JITTER)
                 ),
-                temp=max(0.05, config.temp + rng.normal(0.0, config.temp_jitter)),
+                temp=max(0.05, TEMP + rng.normal(0.0, TEMP_JITTER)),
                 log_dur_mean=float(log_dur),
-                log_dur_sd=config.log_dur_sd,
+                log_dur_sd=LOG_DUR_SD,
             )
         )
     return profiles
 
 
 def priority_map(
-    profile: ObserverProfile,
-    scene: SyntheticScene,
-    ior: np.ndarray | None = None,
-    config: CorpusConfig | None = None,
+    profile: ObserverProfile, scene: SyntheticScene, ior: np.ndarray | None = None
 ) -> np.ndarray:
     """Spatial softmax of preference-weighted features with bias terms.
 
     P = softmax((sum_c pref_c E_c + center_bias CB - ior_strength IOR) / temp).
     """
-    config = config or CorpusConfig()
     h, w = scene.grid
     drive = np.tensordot(profile.channel_pref, scene.E, axes=1)
-    drive = drive + profile.center_bias * center_bias_map(h, w, config.center_sigma)
+    drive = drive + profile.center_bias * center_bias_map(h, w, CENTER_SIGMA)
     if ior is not None:
         drive = drive - profile.ior_strength * ior
     logits = drive / profile.temp
@@ -295,11 +283,7 @@ def priority_map(
 
 
 def sample_gt_scanpath(
-    profile: ObserverProfile,
-    scene: SyntheticScene,
-    T: int,
-    seed,
-    config: CorpusConfig | None = None,
+    profile: ObserverProfile, scene: SyntheticScene, T: int, seed
 ) -> Scanpath:
     """Draw T fixations from the profile's evolving priority map.
 
@@ -309,19 +293,18 @@ def sample_gt_scanpath(
     """
     if T < 1:
         raise ValueError("scanpath length must be >= 1")
-    config = config or CorpusConfig()
     rng = np.random.default_rng(seed)
     h, w = scene.grid
     ior = np.zeros((h, w))
     fixations = []
     for _ in range(T):
-        p = priority_map(profile, scene, ior, config)
+        p = priority_map(profile, scene, ior)
         idx = int(rng.choice(h * w, p=p.reshape(-1)))
         x, y = cell_center(idx, h, w)
         dur = float(np.exp(rng.normal(profile.log_dur_mean, profile.log_dur_sd)))
         dur = float(np.clip(dur, 50.0, 5000.0))
         fixations.append(Fixation(x, y, dur))
-        ior = ior + _gaussian_bump(h, w, x, y, config.ior_sigma)
+        ior = ior + _gaussian_bump(h, w, x, y, IOR_SIGMA)
     return Scanpath(scene.id, profile.id, fixations)
 
 
@@ -364,12 +347,7 @@ def build_corpus(config: CorpusConfig, seed: int) -> Corpus:
     keyed per (seed, scene, observer), independent of generation order.
     """
     scenes = generate_scenes(config.n_scenes, config, seed)
-    profiles = generate_profiles(
-        config.n_observers,
-        (config.n_group_a, config.n_observers - config.n_group_a),
-        seed,
-        config,
-    )
+    profiles = generate_profiles(config, seed)
     rng = np.random.default_rng([_as_seed(seed), 2])
     order = list(rng.permutation(config.n_scenes))
     n_train, n_val, _ = split_counts(config.n_scenes)
@@ -390,7 +368,6 @@ def build_corpus(config: CorpusConfig, seed: int) -> Corpus:
                         by_id[scene_id],
                         config.scanpath_len,
                         [_as_seed(seed), 3, scene_id, profile.id],
-                        config,
                     )
                 )
         scanpaths[split] = rows
@@ -406,8 +383,7 @@ def build_corpus(config: CorpusConfig, seed: int) -> Corpus:
 
 def smoke_config() -> CorpusConfig:
     """Tiny corpus for fast pipeline runs and CLI smoke tests."""
-    return replace(
-        CorpusConfig(),
+    return CorpusConfig(
         n_scenes=10,
         n_observers=4,
         n_group_a=2,

@@ -14,7 +14,7 @@ optimization loop; fine-tuning runs it on each observer's own scanpaths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -208,6 +208,8 @@ def run_ablation_suite(corpus, train_config: TrainConfig,
 
     Returns (rows, models): one row per variant with mean value metrics and
     ranking aggregates, plus the trained models keyed by variant name.
+    Variants that share a config ("none" and "OE") share one trained model
+    and its scores.
     """
     from .evaluate import predict_split, rank_eval, value_eval
 
@@ -215,22 +217,25 @@ def run_ablation_suite(corpus, train_config: TrainConfig,
         model_config = ModelConfig()
     rows = []
     models = {}
+    done = {}  # config -> (model, scores)
     gt = corpus.scanpaths["test"]
     for variant in ABLATION_VARIANTS:
-        model = train_variant(variant, corpus, model_config, train_config,
-                              init_seed=train_config.seed)
-        preds = predict_split(model, corpus, "test", n_steps=n_steps,
-                              seed=train_config.seed)
-        value = value_eval(preds, gt, metric_config, threads=threads)
-        ranking = rank_eval(preds, gt, metric_config, threads=threads)
-        rows.append({
-            "variant": variant,
-            "sm": value.means["sm"],
-            "mm": value.means["mm"],
-            "sed": value.means["sed"],
-            "mrr": ranking.mrr,
-            "r_at_1": ranking.recall_at[1],
-            "r_at_5": ranking.recall_at[5],
-        })
-        models[variant] = model
+        key = astuple(ablation_config(model_config, variant))
+        if key not in done:
+            model = train_variant(variant, corpus, model_config, train_config,
+                                  init_seed=train_config.seed)
+            preds = predict_split(model, corpus, "test", n_steps=n_steps,
+                                  seed=train_config.seed)
+            value = value_eval(preds, gt, metric_config, threads=threads)
+            ranking = rank_eval(preds, gt, metric_config, threads=threads)
+            done[key] = model, {
+                "sm": value.means["sm"],
+                "mm": value.means["mm"],
+                "sed": value.means["sed"],
+                "mrr": ranking.mrr,
+                "r_at_1": ranking.recall_at[1],
+                "r_at_5": ranking.recall_at[5],
+            }
+        models[variant], scores = done[key]
+        rows.append({"variant": variant, **scores})
     return rows, models

@@ -10,7 +10,7 @@ import itertools
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import pytest
@@ -38,7 +38,12 @@ from gazelab.metrics import (
     string_edit_distance,
     substitution_matrix,
 )
-from gazelab.model import ABLATION_VARIANTS, ModelConfig, ScanpathModel
+from gazelab.model import (
+    ABLATION_VARIANTS,
+    ModelConfig,
+    ScanpathModel,
+    ablation_config,
+)
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import CorpusConfig, build_corpus
 from gazelab.tensor import grad_check, reshape, softmax
@@ -259,12 +264,20 @@ class Suite:
 
 @pytest.fixture(scope="session")
 def suite():
-    """All six variants trained on the default corpus with one seed."""
+    """All six variants trained on the default corpus with one seed; the
+    variants that share a config ("none" and "OE") are trained once."""
     corpus = build_corpus(CorpusConfig(), seed=0)
     state = Suite(corpus)
     gt = corpus.scanpaths["test"]
     train_cfg = TrainConfig()
+    first = {}  # config -> the variant trained for it
     for variant in ABLATION_VARIANTS:
+        key = astuple(ablation_config(ModelConfig(), variant))
+        if key in first:
+            for part in (state.seconds, state.rows, state.models, state.preds):
+                part[variant] = part[first[key]]
+            continue
+        first[key] = variant
         t0 = time.monotonic()
         model = train_variant(variant, corpus, ModelConfig(), train_cfg,
                               init_seed=train_cfg.seed)

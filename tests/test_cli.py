@@ -114,6 +114,24 @@ def _empty_split_in_manifest(d):
     return "predict", f'{d / "manifest.json"}: split "test" lists no images'
 
 
+def _image_listed_twice(d):
+    splits = json.loads((d / "manifest.json").read_text())["splits"]
+    image_id = splits["test"][0]
+    edit_document(d / "manifest.json",
+                  lambda doc: doc["splits"]["test"].append(image_id))
+    return "predict", (f'{d / "manifest.json"}: split "test" lists image ids '
+                       f"[{image_id}] more than once")
+
+
+def _image_in_two_splits(d):
+    splits = json.loads((d / "manifest.json").read_text())["splits"]
+    image_id = splits["train"][0]
+    edit_document(d / "manifest.json",
+                  lambda doc: doc["splits"]["val"].append(image_id))
+    return "predict", (f'{d / "manifest.json"}: splits "train" and "val" '
+                       f"share image ids [{image_id}]")
+
+
 def _empty_gaze_file(d):
     path = d / "gaze_test.jsonl"
     path.write_text(path.read_text().splitlines()[0] + "\n")
@@ -238,7 +256,9 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("override", [
         "model.enable_fi=False", "corpus.scanpath_len=2.5",
-        'corpus.n_scenes="x"'])
+        'corpus.n_scenes="x"', "train.lr=NaN", "train.lr=Infinity",
+        "metric.sm_tbin=NaN", "metric.sm_gap=-Infinity",
+        "metric.aspect=[NaN, 3.0]"])
     def test_wrong_config_value_kind_exit_2(self, tmp_path, capsys,
                                             override):
         code = main(["gen-data", "--seed", "0", "--set", override,
@@ -342,7 +362,8 @@ class TestValidationErrors:
         _image_of_other_split, _image_without_scene, _observer_out_of_range,
         _short_observers_file, _observer_id_gap, _duplicate_scene_id,
         _duplicate_gaze_record, _split_image_without_scene,
-        _empty_split_in_manifest, _empty_gaze_file,
+        _empty_split_in_manifest, _empty_gaze_file, _image_listed_twice,
+        _image_in_two_splits,
     ], ids=lambda case: case.__name__.strip("_").replace("_", "-"))
     def test_broken_cross_reference_exit_2(self, workspace, tmp_path, capsys,
                                            case):
@@ -373,6 +394,23 @@ class TestValidationErrors:
         assert code == 2
         assert (f"{ckpt}: expected format 'isp-ckpt-v4', got 'isp-ckpt-v3'"
                 in capsys.readouterr().err)
+
+    def test_previous_manifest_version_exit_2(self, workspace, tmp_path,
+                                              capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+
+        def to_v1(doc):
+            # v1 manifests also held the generator's trait settings
+            doc["format"] = "isp-corpus-v1"
+            doc["config"].update(temp=0.16, log_dur_sd=0.25)
+
+        edit_document(data / "manifest.json", to_v1)
+        code = main(["train", "--config", SMOKE, "--seed", "0",
+                     "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"{data / 'manifest.json'}: expected format 'isp-corpus-v2', "
+                "got 'isp-corpus-v1'") in capsys.readouterr().err
 
 
 # a value of each JSON kind; bool is a kind of its own, and a float is not

@@ -1,5 +1,6 @@
 """Run-config round-trip, override, hashing, and report emission tests."""
 
+import dataclasses
 import json
 import re
 
@@ -17,6 +18,7 @@ from gazelab.config import (
     read_report_csv,
     version_string,
 )
+from gazelab.synthetic import CorpusConfig
 
 
 class TestRunConfig:
@@ -29,14 +31,15 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({
             "model": {"hidden": 32, "observer_dim": 8},
             "train": {"epochs": 3, "lr": 0.0005},
-            "metric": {"sm_grid": [4, 4], "sm_tbin": 25.0},
-            "corpus": {"dur_range_a": [100.0, 200.0]},
+            "metric": {"sm_grid": [4, 4], "sm_tbin": 25.0,
+                       "aspect": [16.0, 9.0]},
+            "corpus": {"n_scenes": 12},
             "paths": {"out_dir": "runs/x"},
         })
         again = RunConfig.from_json(cfg.to_json())
         assert again == cfg
         assert again.metric.sm_grid == (4, 4)
-        assert again.corpus.dur_range_a == (100.0, 200.0)
+        assert again.metric.aspect == (16.0, 9.0)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown config sections"):
@@ -45,6 +48,22 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys.*'model'"):
             RunConfig.from_dict({"model": {"hiden": 32}})
+
+    def test_generator_constant_is_not_a_corpus_key(self):
+        with pytest.raises(ValueError,
+                           match=r"unknown keys in config section 'corpus': "
+                                 r"\['temp'\]"):
+            RunConfig.from_dict({"corpus": {"temp": 0.2}})
+
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(CorpusConfig)] == [
+            "n_scenes", "n_observers", "n_group_a", "height", "width",
+            "channels", "n_social_channels", "n_nonsocial_channels",
+            "scanpath_len"]
+        counts = {name: len(dataclasses.fields(section))
+                  for name, section in RunConfig._SECTIONS}
+        assert counts == {"model": 11, "train": 8, "metric": 5, "corpus": 9,
+                          "paths": 3}
 
     def test_model_corpus_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n_observers"):
@@ -64,15 +83,17 @@ class TestValueKinds:
         ("model", "observer_mode", 1),
         ("corpus", "scanpath_len", 2.5),
         ("corpus", "n_scenes", "x"),
-        ("corpus", "blob_count", [2]),
-        ("corpus", "blob_count", [2, 5.0]),
-        ("corpus", "blob_sigma", "0.05"),
+        ("metric", "sm_grid", [2]),
+        ("metric", "sm_grid", [2, 5.0]),
+        ("metric", "aspect", "0.05"),
         ("metric", "aspect", [4.0, None]),
         ("train", "lr", "0.001"),
         ("train", "lr", False),
         ("paths", "out_dir", 5),
         ("paths", "data_dir", None),
         ("paths", "checkpoint", 7),
+        ("train", "lr", float("nan")),
+        ("metric", "aspect", [float("inf"), 3.0]),
     ])
     def test_wrong_kind_names_section_and_key(self, section, key, value):
         with pytest.raises(ValueError, match=rf"{section}\.{key} must be"):

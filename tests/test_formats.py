@@ -196,6 +196,36 @@ SCENE_EDITS = [
                  id="E-2d"),
     pytest.param(lambda r: r.__setitem__("id", "1"), "id must be",
                  id="id-string"),
+    pytest.param(lambda r: r.__setitem__("blobs", {}), "blobs must be a list",
+                 id="blobs-object"),
+    pytest.param(lambda r: r["blobs"].__setitem__(0, [1]),
+                 r"blobs\[0\] must be an object", id="blob-list"),
+    pytest.param(lambda r: r["blobs"][0].pop("amp"),
+                 r"blobs\[0\]: missing keys \['amp'\]", id="blob-no-amp"),
+    pytest.param(_set_entry("blobs", (0, "m0"), 1.0),
+                 r"blobs\[0\]: unexpected keys \['m0'\]",
+                 id="blob-extra-key"),
+    pytest.param(_set_entry("blobs", (0, "channel"), "x"),
+                 r"blobs\[0\]\.channel must be an integer in \[0, 6\)",
+                 id="blob-channel-string"),
+    pytest.param(_set_entry("blobs", (0, "channel"), 6),
+                 r"blobs\[0\]\.channel must be an integer in \[0, 6\)",
+                 id="blob-channel-6"),
+    pytest.param(_set_entry("blobs", (0, "channel"), True),
+                 r"blobs\[0\]\.channel must be an integer",
+                 id="blob-channel-true"),
+    pytest.param(_set_entry("blobs", (0, "category"), 3),
+                 r"blobs\[0\]\.category must be an integer in \[0, 3\)",
+                 id="blob-category-3"),
+    pytest.param(_set_entry("blobs", (0, "sigma"), True),
+                 r"blobs\[0\]\.sigma must be a finite number",
+                 id="blob-sigma-true"),
+    pytest.param(_set_entry("blobs", (0, "cx"), None),
+                 r"blobs\[0\]\.cx must be a finite number",
+                 id="blob-cx-null"),
+    pytest.param(_set_entry("blobs", (0, "amp"), float("inf")),
+                 r"blobs\[0\]\.amp must be a finite number",
+                 id="blob-amp-inf"),
 ]
 
 
@@ -306,10 +336,15 @@ class TestSceneAndObserverFiles:
 
     def test_scene_shape_checked_against_manifest(self, tmp_path,
                                                   tiny_corpus):
-        # 3 of the 6 configured channels: a valid scene file on its own
+        # 3 of the 6 configured channels and the blobs on them: a valid
+        # scene file on its own
+        def keep_three_channels(record):
+            record["E"] = record["E"][:3]
+            record["blobs"] = [b for b in record["blobs"] if b["channel"] < 3]
+
         write_corpus(tiny_corpus, tmp_path / "data")
         path = tmp_path / "data" / "scenes.jsonl"
-        edit_scene(path, lambda r: r.__setitem__("E", r["E"][:3]))
+        edit_scene(path, keep_three_channels)
         assert read_scenes(path)[1].E.shape == (3, 8, 8)
         with pytest.raises(ValueError, match=r"scenes\.jsonl:3: E has shape "
                                              r"\(3, 8, 8\), expected "

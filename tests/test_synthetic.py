@@ -66,14 +66,14 @@ class TestScenes:
 class TestProfiles:
     def test_social_preference_margin(self):
         cfg = CorpusConfig()
-        profiles = generate_profiles(8, (4, 4), 0, cfg)
+        profiles = generate_profiles(cfg, 0)
         a = np.mean([p.social_preference(cfg) for p in profiles if p.group == "A"])
         b = np.mean([p.social_preference(cfg) for p in profiles if p.group == "B"])
         assert b - a >= 0.3
 
     def test_pairwise_distinct(self):
         cfg = CorpusConfig()
-        profiles = generate_profiles(8, (4, 4), 1, cfg)
+        profiles = generate_profiles(cfg, 1)
         for i in range(len(profiles)):
             for j in range(i + 1, len(profiles)):
                 gap = np.max(
@@ -82,9 +82,9 @@ class TestProfiles:
                 assert gap > 0.0
 
     def test_deterministic(self):
-        cfg = CorpusConfig()
-        a = generate_profiles(6, (3, 3), 9, cfg)
-        b = generate_profiles(6, (3, 3), 9, cfg)
+        cfg = CorpusConfig(n_observers=6, n_group_a=3)
+        a = generate_profiles(cfg, 9)
+        b = generate_profiles(cfg, 9)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.channel_pref, pb.channel_pref)
             assert (pa.center_bias, pa.temp, pa.log_dur_mean) == (
@@ -95,7 +95,7 @@ class TestProfiles:
 
     def test_group_a_higher_center_bias_and_shorter_durations(self):
         cfg = CorpusConfig()
-        profiles = generate_profiles(8, (4, 4), 2, cfg)
+        profiles = generate_profiles(cfg, 2)
         cb_a = np.mean([p.center_bias for p in profiles if p.group == "A"])
         cb_b = np.mean([p.center_bias for p in profiles if p.group == "B"])
         dur_a = np.mean([p.log_dur_mean for p in profiles if p.group == "A"])
@@ -108,9 +108,9 @@ class TestSampling:
     def test_huge_ior_forbids_consecutive_repeats(self):
         cfg = small_config()
         scene = generate_scene(cfg, 4, 0)
-        profile = generate_profiles(2, (1, 1), 4, cfg)[0]
+        profile = generate_profiles(cfg, 4)[0]
         profile.ior_strength = 1e6
-        sp = sample_gt_scanpath(profile, scene, 12, 0, cfg)
+        sp = sample_gt_scanpath(profile, scene, 12, 0)
         cells = [(int(f.x * cfg.width), int(f.y * cfg.height)) for f in sp.fixations]
         for prev, cur in zip(cells, cells[1:]):
             assert prev != cur
@@ -118,12 +118,12 @@ class TestSampling:
     def test_tiny_temp_is_greedy(self):
         cfg = small_config()
         scene = generate_scene(cfg, 4, 1)
-        profile = generate_profiles(2, (1, 1), 4, cfg)[0]
+        profile = generate_profiles(cfg, 4)[0]
         profile.temp = 1e-6
         profile.ior_strength = 0.0
-        p = priority_map(profile, scene, None, cfg)
+        p = priority_map(profile, scene)
         row, col = np.unravel_index(np.argmax(p), p.shape)
-        sp = sample_gt_scanpath(profile, scene, 5, 3, cfg)
+        sp = sample_gt_scanpath(profile, scene, 5, 3)
         for f in sp.fixations:
             assert int(f.x * cfg.width) == col and int(f.y * cfg.height) == row
 
@@ -131,15 +131,15 @@ class TestSampling:
         # Monte Carlo over 1e5 seeds vs the exact step-one map, 3 sigma bounds
         cfg = small_config()
         scene = generate_scene(cfg, 8, 0)
-        profile = generate_profiles(2, (1, 1), 8, cfg)[0]
+        profile = generate_profiles(cfg, 8)[0]
         # moderate temp keeps every cell's expected count in the normal-
         # approximation regime; the check targets the sampler, not a tuning
         profile.temp = 0.3
-        p = priority_map(profile, scene, None, cfg).reshape(-1)
+        p = priority_map(profile, scene).reshape(-1)
         n = 100_000
         counts = np.zeros(p.size)
         for s in range(n):
-            sp = sample_gt_scanpath(profile, scene, 1, s, cfg)
+            sp = sample_gt_scanpath(profile, scene, 1, s)
             f = sp.fixations[0]
             row = min(int(f.y * cfg.height), cfg.height - 1)
             col = min(int(f.x * cfg.width), cfg.width - 1)
@@ -151,17 +151,17 @@ class TestSampling:
     def test_durations_clamped_and_positive(self):
         cfg = small_config()
         scene = generate_scene(cfg, 1, 0)
-        profile = generate_profiles(2, (1, 1), 1, cfg)[0]
-        sp = sample_gt_scanpath(profile, scene, 20, 5, cfg)
+        profile = generate_profiles(cfg, 1)[0]
+        sp = sample_gt_scanpath(profile, scene, 20, 5)
         durs = sp.durations()
         assert np.all(durs >= 50.0) and np.all(durs <= 5000.0)
 
     def test_deterministic_per_seed(self):
         cfg = small_config()
         scene = generate_scene(cfg, 2, 0)
-        profile = generate_profiles(2, (1, 1), 2, cfg)[1]
-        a = sample_gt_scanpath(profile, scene, 6, 42, cfg)
-        b = sample_gt_scanpath(profile, scene, 6, 42, cfg)
+        profile = generate_profiles(cfg, 2)[1]
+        a = sample_gt_scanpath(profile, scene, 6, 42)
+        b = sample_gt_scanpath(profile, scene, 6, 42)
         assert a.fixations == b.fixations
 
 
@@ -200,14 +200,14 @@ class TestSignal:
     def test_identifiability_same_profile_closer(self):
         # the ranking experiments need the generator itself to separate observers
         cfg = CorpusConfig()
-        profiles = generate_profiles(8, (4, 4), 7, cfg)
+        profiles = generate_profiles(cfg, 7)
         scene = generate_scene(cfg, 999, 0)
         same, cross = [], []
         for s in range(50):
             drawn = {
                 p.id: (
-                    sample_gt_scanpath(p, scene, 6, [s, 1, p.id], cfg),
-                    sample_gt_scanpath(p, scene, 6, [s, 2, p.id], cfg),
+                    sample_gt_scanpath(p, scene, 6, [s, 1, p.id]),
+                    sample_gt_scanpath(p, scene, 6, [s, 2, p.id]),
                 )
                 for p in profiles
             }
@@ -221,11 +221,11 @@ class TestSignal:
     def test_roi_coverage_over_twenty_scenes(self):
         cfg = CorpusConfig()
         scenes = generate_scenes(20, cfg, 7)
-        profiles = generate_profiles(8, (4, 4), 7, cfg)
+        profiles = generate_profiles(cfg, 7)
         counts = {"background": 0, "nonsocial": 0, "social": 0}
         for scene in scenes:
             for p in profiles:
-                sp = sample_gt_scanpath(p, scene, 6, [7, 3, scene.id, p.id], cfg)
+                sp = sample_gt_scanpath(p, scene, 6, [7, 3, scene.id, p.id])
                 for f in sp.fixations:
                     counts[scene.category_at(f.x, f.y)] += 1
         total = sum(counts.values())
