@@ -262,12 +262,11 @@ def extract_observer_features(model, observers=None) -> list[ObserverFeature]:
             "code (embedding mode with FI or FP)")
     if observers is None:
         observers = range(model.config.n_observers)
-    features = []
-    for obs in observers:
-        u = model.encode_observer(int(obs)).data
-        v = np.concatenate([W @ u for W in weights])
-        features.append(ObserverFeature(observer_id=int(obs), v=v))
-    return features
+    observers = [int(obs) for obs in observers]
+    codes = model.encode_observers(observers).data
+    return [ObserverFeature(observer_id=obs,
+                            v=np.concatenate([W @ u for W in weights]))
+            for obs, u in zip(observers, codes)]
 
 
 @dataclass

@@ -177,6 +177,8 @@ def apply_overrides(data: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except (ValueError, RecursionError) as exc:  # digit limit, nesting
+            raise ValueError(f"override {key}: {exc}") from None
         node[parts[-1]] = value
     return data
 

@@ -12,6 +12,9 @@ The saliency path pools fixations per image into Gaussian-smoothed density
 maps, each summing to one, and scores them with CC, AUC, NSS, sAUC, KLD,
 and SIM.
 
+Prediction makes one free-running rollout per image for all of its
+observers (``ScanpathModel.sample_scanpaths``).
+
 ScanMatch and string-edit distance score every pair of a call in one
 batched Needleman-Wunsch sweep each (``metrics.scanmatch_pairs`` and
 ``metrics.sed_pairs``). ``threads`` > 1 maps only MultiMatch and the
@@ -63,18 +66,22 @@ def _index_by_pair(preds) -> dict:
 
 def predict_split(model, corpus, split: str, n_steps: int | None = None,
                   mode: str = "argmax", seed: int = 0):
-    """One predicted scanpath per (image, observer) of the split."""
+    """One predicted scanpath per (image, observer) of the split.
+
+    Each image's observers share one free-running rollout. Each observer
+    draws from its own stream ``[seed, 21, image_id, observer_id]``, so a
+    prediction does not depend on which other observers are predicted.
+    """
     observers = sorted({sp.observer_id for sp in corpus.scanpaths[split]})
     if n_steps is None:
         n_steps = len(corpus.scanpaths[split][0])
     preds = []
     for image_id in corpus.split_ids[split]:
-        scene = corpus.scene_by_id(image_id)
-        for observer_id in observers:
-            preds.append(model.sample_scanpath(
-                scene.E, observer_id, n_steps=n_steps, mode=mode,
-                seed=[int(seed), 21, int(image_id), int(observer_id)],
-                image_id=image_id))
+        seeds = [[int(seed), 21, int(image_id), int(observer_id)]
+                 for observer_id in observers]
+        preds += model.sample_scanpaths(
+            corpus.scene_by_id(image_id).E, observers, seeds,
+            n_steps=n_steps, mode=mode, image_id=image_id)
     return preds
 
 

@@ -48,6 +48,8 @@ def _parse_json(path, text: str, lineno: int = 1) -> dict:
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}:{lineno + err.lineno - 1}: invalid JSON: "
                          f"{err.msg} (column {err.colno})") from None
+    except (ValueError, RecursionError) as err:  # digit limit, nesting
+        raise ValueError(f"{path}:{lineno}: invalid JSON: {err}") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}:{lineno}: expected a JSON object")
     return record

@@ -20,7 +20,10 @@ ablation rows stay trainable, and a model holds only the parameters its
 pathways read. FP builds its semantic maps from the scene's feature
 channels and inhibits the cells already fixated. All forward math runs on
 the in-house tensor engine, so the same code path serves training (under a
-tape) and inference. Grid cells follow ``scanpath.grid_cell``.
+tape) and inference. It has a batch axis of B observers on one image: a
+training batch is recorded in one pass, and all observers of an image are
+predicted in one free-running rollout. Grid cells follow
+``scanpath.grid_cell``.
 """
 
 from __future__ import annotations
@@ -111,8 +114,8 @@ class ModelConfig:
 
 @dataclass
 class DecoderState:
-    """LSTM carry [hidden, cell] (length 2h) plus the step counter guarding
-    against overruns."""
+    """LSTM carries (B, 2h), row b = [hidden, cell] of observer b, plus the
+    step counter guarding against overruns."""
 
     carry: Tensor
     t: int = 0
@@ -201,6 +204,17 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
+def _each_step(term: Tensor, rows: int) -> Tensor:
+    """(rows, k) t-major rows of a per-observer term.
+
+    ``term`` is (B, k), one row per observer, or (1, k), shared by every
+    observer. Row t * B + b of the result is row b of a (B, k) term, and
+    every row is the one row of a (1, k) term.
+    """
+    spread = Tensor(np.ones((rows // term.shape[0], 1, 1))) * term
+    return reshape(spread, (rows, term.shape[1]))
+
+
 class ScanpathModel:
     """Parameter set bound to a configuration.
 
@@ -227,19 +241,28 @@ class ScanpathModel:
         vec[int(observer_id)] = 1.0
         return vec
 
-    def encode_observer(self, observer_id: int) -> Tensor:
-        """Observer code u = W_u @ one_hot; zeros when no pathway reads it."""
-        one_hot = self.one_hot(observer_id)
+    def one_hots(self, observer_ids) -> np.ndarray:
+        """(B, n_observers) one-hot rows of the given observers."""
+        return np.stack([self.one_hot(i) for i in observer_ids])
+
+    def encode_observers(self, observer_ids) -> Tensor:
+        """(B, d) observer codes, row b = W_u @ one_hot(observer_ids[b]);
+        zeros when no pathway reads them."""
+        one_hots = self.one_hots(observer_ids)
         if not self.config.uses_embedding:
-            return Tensor(np.zeros(self.config.observer_dim))
-        return self.params["W_u"] @ Tensor(one_hot)
+            return Tensor(np.zeros((len(one_hots), self.config.observer_dim)))
+        return Tensor(one_hots) @ transpose(self.params["W_u"])
 
     # -- forward pieces --------------------------------------------------
     #
-    # Each pathway takes a leading step axis of T rows. Under teacher
-    # forcing every input that does not depend on the hidden state is known
-    # before the first step, so one call covers the whole scanpath; the
-    # free-running rollout calls the same code with T = 1.
+    # Each pathway works on the t-major rows of B observers on one image:
+    # row t * B + b holds step t of observer b. Terms that depend on the
+    # observer but not on the step (the code u, its projections, the
+    # guidance map) are computed once as (B, .) and spread over the steps.
+    # Under teacher forcing every input that does not depend on the hidden
+    # state is known before the first step, so one call covers every step
+    # of every observer; the free-running rollout calls the same code with
+    # T = 1.
 
     def features(self, E: np.ndarray) -> Tensor:
         """Constant (HW, C) view of a (C, H, W) feature stack."""
@@ -251,22 +274,30 @@ class ScanpathModel:
         return Tensor(np.ascontiguousarray(E.reshape(cfg.channels, -1).T))
 
     def observer_guidance(self, E_flat: Tensor, u: Tensor | None) -> Tensor:
-        """Length-HW probability map of observer-salient locations.
+        """(B, HW) probability maps of observer-salient locations, one per
+        row of the codes u (B, d); one shared (1, HW) map when u is None.
 
-        It does not depend on the step, so a rollout computes it once.
+        They do not depend on the step, so a rollout computes them once.
         """
-        scores = E_flat @ transpose(self.params["W_eu"])
+        p = self.params
+        cells = self.config.cells
+        scores = E_flat @ transpose(p["W_eu"])
+        batch = 1
         if u is not None:
-            scores = scores + self.params["W_mu"] @ u
-        return softmax(tanh(scores) @ self.params["w_eu"])
+            batch = u.shape[0]
+            scores = scores + reshape(u @ transpose(p["W_mu"]), (batch, 1, -1))
+        pre = reshape(tanh(scores), (batch * cells, -1))
+        return softmax(reshape(pre @ p["w_eu"], (batch, cells)), axis=1)
 
     def integrate_features(self, E_flat: Tensor, maps: Tensor,
                            m_u: Tensor | None, u: Tensor | None) -> Tensor:
-        """(T, h) decoder input: row t is the fused map R_t pooled over space.
+        """(T * B, h) decoder input: row t * B + b is the fused map R_t of
+        observer b pooled over space.
 
-        ``maps`` (T, HW) holds the map fed back into each step and ``m_u``
-        the guidance map. The fixated stacks are X_t = E * m_t and
-        X_u = E * m_u (each row of E scaled by the map).
+        ``maps`` (T * B, HW) holds the map fed back into each step, ``m_u``
+        the guidance maps (B, HW), or one shared (1, HW), and ``u`` the
+        codes (B, d). The fixated stacks are X_t = E * m_t and X_u = E * m_u
+        (each row of E scaled by the map).
 
         FI on: R_t = outer(u_s, u_c), where u_s comes from the channel mean
         of [X_t, X_u], u_c from their spatial mean, and each is shifted by
@@ -278,75 +309,81 @@ class ScanpathModel:
         """
         cfg = self.config
         p = self.params
-        steps = maps.shape[0]
+        rows = maps.shape[0]
         glimpse = (maps @ E_flat) * (1.0 / cfg.cells)
         if not cfg.enable_fi:
             return glimpse @ p["W_fi"] + p["b_fi"]
         rowsum = Tensor(E_flat.data.sum(axis=1) * (0.5 / cfg.channels))
-        spatial = (maps + m_u) * rowsum
+        spatial = (maps + _each_step(m_u, rows)) * rowsum
         u_s = relu(spatial @ transpose(p["W_hs"]) + p["b_hs"])
-        guided = Tensor(np.ones((steps, 1))) * (m_u @ E_flat)
+        guided = _each_step(m_u @ E_flat, rows)
         pooled = concat([glimpse, guided * (1.0 / cfg.cells)], axis=1)
         u_c = relu(pooled @ transpose(p["W_hc"]) + p["b_hc"])
         if u is not None:
-            u_s = u_s + p["W_us"] @ u
-            u_c = u_c + p["W_uc"] @ u
-        return reshape(mean(u_s, axis=1), (steps, 1)) * u_c
+            u_s = u_s + _each_step(u @ transpose(p["W_us"]), rows)
+            u_c = u_c + _each_step(u @ transpose(p["W_uc"]), rows)
+        return reshape(mean(u_s, axis=1), (rows, 1)) * u_c
 
-    def initial_state(self) -> DecoderState:
-        return DecoderState(Tensor(np.zeros(2 * self.config.hidden)), 0)
+    def initial_state(self, batch: int) -> DecoderState:
+        """Zero carries for ``batch`` observers at step 0."""
+        return DecoderState(Tensor(np.zeros((batch, 2 * self.config.hidden))))
 
     def decoder_step(self, X: Tensor, state: DecoderState,
-                     observer_id: int) -> tuple[DecoderState, Tensor]:
-        """LSTM over the T rows of X from ``state``.
+                     observer_ids) -> tuple[DecoderState, Tensor]:
+        """LSTM over the T * B rows of X from ``state``, one sequence per
+        observer.
 
-        Returns the state after the last row and the (T, h) hidden states.
-        All T input projections are one matmul; the recurrence is one
-        ``lstm`` node.
+        Returns the state after the last step and the (T * B, h) hidden
+        states. All input projections are one matmul; the recurrence is one
+        ``lstm`` node over their (T, B, 4h) reshape.
         """
         cfg = self.config
-        steps = X.shape[0]
+        h = cfg.hidden
+        batch = state.carry.shape[0]
+        steps = X.shape[0] // batch
         if state.t + steps > cfg.max_steps:
             raise ValueError(
                 f"decoder step {state.t + steps - 1} would exceed max_steps "
                 f"{cfg.max_steps}")
         p = self.params
         if cfg.uses_one_hot:
-            identity = np.tile(self.one_hot(observer_id), (steps, 1))
+            identity = np.tile(self.one_hots(observer_ids), (steps, 1))
             X = concat([X, Tensor(identity)], axis=1)
         Z = X @ transpose(p["W_ih"]) + p["b_lstm"]
-        seq = lstm(Z, p["W_hh"], state.carry)
-        h = cfg.hidden
-        carry = reshape(narrow(seq, 0, steps - 1, 1), (2 * h,))
-        return DecoderState(carry, state.t + steps), narrow(seq, 1, 0, h)
+        seq = lstm(reshape(Z, (steps, batch, 4 * h)), p["W_hh"], state.carry)
+        carry = reshape(narrow(seq, 0, steps - 1, 1), (batch, 2 * h))
+        H = reshape(narrow(seq, 2, 0, h), (steps * batch, h))
+        return DecoderState(carry, state.t + steps), H
 
     def prioritize_fixation(self, E_flat: Tensor, H: Tensor,
                             u: Tensor | None,
                             visited: np.ndarray | None = None
                             ) -> tuple[Tensor, Tensor, Tensor]:
-        """(T, HW) next-fixation logits with the map weights and descriptors.
+        """(T * B, HW) next-fixation logits with the map weights and
+        descriptors, for hidden states H (T * B, h) and codes u (B, d).
 
-        FP on: semantic map l of step t is the spatial map A_t[l] read from
-        the hidden state h_t by W_a, plus this scene's feature channels
-        weighted by a hidden-state query, S[l] = A_t[l] + E q_l with
-        q = W_q @ h_t + b_q, so the maps follow the image. Per-map
+        FP on: semantic map l of a row is the spatial map A[l] read from
+        its hidden state h by W_a, plus this scene's feature channels
+        weighted by a hidden-state query, S[l] = A[l] + E q_l with
+        q = W_q @ h + b_q, so the maps follow the image. Per-map
         descriptors V[l] = mean over space of E gated by S[l], softmax
         weights beta over maps, and the logits are the beta-weighted sum of
-        the maps. ``visited`` (T, HW) counts the fixations made before each
-        step per cell; spread by inhibition_kernel and scaled by the learned
-        strength softplus(b_ior), it is subtracted from the logits
-        (inhibition of return). Returns the logits, beta (T, L) and V
-        (T * L, C). FP off: a hidden-state projection, with beta a point
-        mass (T, 1) and V zeros (T, C).
+        the maps. ``visited`` (T * B, HW) counts the fixations made before
+        each row's step per cell; spread by inhibition_kernel and scaled by
+        the learned strength softplus(b_ior), it is subtracted from the
+        logits (inhibition of return). Returns the logits, beta (T * B, L)
+        and V (T * B * L, C). FP off: a hidden-state projection, with beta
+        a point mass (T * B, 1) and V zeros (T * B, C).
         """
         cfg = self.config
         p = self.params
-        steps = H.shape[0]
+        rows = H.shape[0]
+        maps = cfg.semantic_channels
         if not cfg.enable_fp:
             logits = H @ transpose(p["W_fp"]) + p["b_fp"]
-            return (logits, Tensor(np.ones((steps, 1))),
-                    Tensor(np.zeros((steps, cfg.channels))))
-        n = steps * cfg.semantic_channels
+            return (logits, Tensor(np.ones((rows, 1))),
+                    Tensor(np.zeros((rows, cfg.channels))))
+        n = rows * maps
         A = reshape(H @ transpose(p["W_a"]) + p["b_a"], (n, cfg.cells))
         queries = reshape(H @ transpose(p["W_q"]) + p["b_q"],
                           (n, cfg.channels))
@@ -354,24 +391,26 @@ class ScanpathModel:
         V = (S @ E_flat) * (1.0 / cfg.cells)
         scores = V @ transpose(p["W_b"])
         if u is not None:
-            scores = scores + p["W_um"] @ u
-        beta = softmax(reshape(tanh(scores) @ p["w_b"],
-                               (steps, cfg.semantic_channels)), axis=1)
+            batch = u.shape[0]
+            per_map = reshape(scores, (rows // batch, batch, maps, -1))
+            code = reshape(u @ transpose(p["W_um"]), (batch, 1, -1))
+            scores = reshape(per_map + code, (n, -1))
+        beta = softmax(reshape(tanh(scores) @ p["w_b"], (rows, maps)),
+                       axis=1)
         weighted = reshape(beta, (n, 1)) * S
-        logits = tsum(reshape(weighted, (steps, cfg.semantic_channels,
-                                         cfg.cells)), axis=1)
+        logits = tsum(reshape(weighted, (rows, maps, cfg.cells)), axis=1)
         if visited is not None:
             logits = logits - softplus(p["b_ior"]) * Tensor(
                 visited @ self.inhibition)
         return logits, beta, V
 
     def duration_head(self, H: Tensor) -> tuple[Tensor, Tensor]:
-        """Gaussian parameters (mu, var), each length T, of the log
-        duration in ms."""
-        steps = H.shape[0]
+        """Gaussian parameters (mu, var), one entry per row of H, of the
+        log duration in ms."""
+        rows = H.shape[0]
         v = H @ transpose(self.params["W_dur"]) + self.params["b_dur"]
-        mu = reshape(narrow(v, 1, 0, 1), (steps,))
-        var = softplus(reshape(narrow(v, 1, 1, 1), (steps,))) + VAR_FLOOR
+        mu = reshape(narrow(v, 1, 0, 1), (rows,))
+        var = softplus(reshape(narrow(v, 1, 1, 1), (rows,))) + VAR_FLOOR
         return mu, var
 
     def initial_map(self) -> Tensor:
@@ -379,58 +418,75 @@ class ScanpathModel:
 
     # -- rollouts --------------------------------------------------------
 
-    def _context(self, E: np.ndarray, observer_id: int):
-        """Per-rollout constants (E_flat, u, m_u); u is None if unread."""
-        u = self.encode_observer(observer_id)
+    def _context(self, E: np.ndarray, observer_ids):
+        """Per-rollout constants (E_flat, observer_ids, u, m_u) of B
+        observers on one image; u is None if unread, m_u None without FI."""
+        u = self.encode_observers(observer_ids)
         if not self.config.uses_embedding:
             u = None
         E_flat = self.features(E)
         m_u = (self.observer_guidance(E_flat, u)
                if self.config.enable_fi else None)
-        return E_flat, u, m_u
+        return E_flat, list(observer_ids), u, m_u
 
     def _steps(self, context, maps: Tensor, visited: np.ndarray,
-               state: DecoderState, observer_id: int):
-        """The step core shared by both rollouts, over the T rows of maps.
+               state: DecoderState):
+        """The step core shared by both rollouts, over the T * B t-major
+        rows of maps.
 
-        Returns (state, logits (T, HW), mu (T,), var (T,)).
+        Returns (state, logits (T * B, HW), mu (T * B,), var (T * B,)).
         """
-        E_flat, u, m_u = context
+        E_flat, observer_ids, u, m_u = context
         X = self.integrate_features(E_flat, maps, m_u, u)
-        state, H = self.decoder_step(X, state, observer_id)
+        state, H = self.decoder_step(X, state, observer_ids)
         logits, _, _ = self.prioritize_fixation(E_flat, H, u, visited)
         mu, var = self.duration_head(H)
         return state, logits, mu, var
 
-    def teacher_forced(self, E: np.ndarray, observer_id: int,
-                       gt: Scanpath) -> tuple[Tensor, Tensor, Tensor]:
-        """Stacked (logits (T, HW), mu (T,), var (T,)) with ground-truth
-        feedback, from one pass of the step core.
+    def teacher_forced_batch(self, E: np.ndarray, observer_ids,
+                             gts) -> tuple[Tensor, Tensor, Tensor]:
+        """Stacked (logits (T * B, HW), mu (T * B,), var (T * B,)) with
+        ground-truth feedback for B scanpaths of one length T on one image,
+        from one pass of the step core.
 
-        Step t sees the one-hot map of the ground-truth fixation t-1 (the
-        learned initial map at t=0), and the fixations before t feed the
-        inhibition of return, so the outputs at step t depend only on
-        fixations before t.
+        Row t * B + b is step t of ``gts[b]``, read as observer
+        ``observer_ids[b]``. Step t sees the one-hot map of the ground-truth
+        fixation t-1 (the learned initial map at t=0), and the fixations
+        before t feed the inhibition of return, so the outputs at step t
+        depend only on fixations before t.
         """
         cfg = self.config
-        if len(gt) > cfg.max_steps:
+        batch, steps = len(gts), len(gts[0])
+        if len(observer_ids) != batch or any(len(gt) != steps for gt in gts):
             raise ValueError(
-                f"ground truth length {len(gt)} exceeds max_steps "
+                f"a teacher-forced pass needs one observer per ground truth "
+                f"and one length, got observers {list(observer_ids)} and "
+                f"lengths {[len(gt) for gt in gts]}")
+        if steps > cfg.max_steps:
+            raise ValueError(
+                f"ground truth length {steps} exceeds max_steps "
                 f"{cfg.max_steps}")
-        gt.validate()
-        context = self._context(E, observer_id)
-        steps = len(gt)
-        forced = np.zeros((steps, cfg.cells))
-        forced[np.arange(steps),
-               [grid_cell(f.x, f.y, cfg.height, cfg.width)
-                for f in gt.fixations]] = 1.0
-        maps = reshape(self.initial_map(), (1, cfg.cells))
+        for gt in gts:
+            gt.validate()
+        context = self._context(E, observer_ids)
+        cells = np.array([[grid_cell(f.x, f.y, cfg.height, cfg.width)
+                           for f in gt.fixations] for gt in gts]).T
+        forced = np.zeros((steps, batch, cfg.cells))
+        forced[np.arange(steps)[:, None], np.arange(batch), cells] = 1.0
+        visited = (np.cumsum(forced, axis=0) - forced).reshape(-1, cfg.cells)
+        maps = Tensor(np.ones((batch, 1))) * self.initial_map()
         if steps > 1:
-            maps = concat([maps, Tensor(forced[:-1])], axis=0)
-        visited = np.cumsum(forced, axis=0) - forced
+            earlier = forced[:-1].reshape(-1, cfg.cells)
+            maps = concat([maps, Tensor(earlier)], axis=0)
         _, logits, mu, var = self._steps(context, maps, visited,
-                                         self.initial_state(), observer_id)
+                                         self.initial_state(batch))
         return logits, mu, var
+
+    def teacher_forced(self, E: np.ndarray, observer_id: int,
+                       gt: Scanpath) -> tuple[Tensor, Tensor, Tensor]:
+        """``teacher_forced_batch`` of one scanpath: (logits (T, HW),
+        mu (T,), var (T,))."""
+        return self.teacher_forced_batch(E, [observer_id], [gt])
 
     def rollout_teacher_forced(self, E: np.ndarray, observer_id: int,
                                gt: Scanpath) -> list[tuple[Tensor, Tensor, Tensor]]:
@@ -443,18 +499,22 @@ class ScanpathModel:
                  reshape(narrow(mu, 0, t, 1), ()),
                  reshape(narrow(var, 0, t, 1), ())) for t in range(len(gt))]
 
-    def sample_scanpath(self, E: np.ndarray, observer_id: int,
-                        n_steps: int | None = None, mode: str = "argmax",
-                        seed=0, image_id: int = -1) -> Scanpath:
-        """Free-running rollout feeding back its own soft maps.
+    def sample_scanpaths(self, E: np.ndarray, observer_ids, seeds,
+                         n_steps: int | None = None, mode: str = "argmax",
+                         image_id: int = -1) -> list[Scanpath]:
+        """One free-running rollout of B observers on one image, each
+        feeding back its own soft maps; returns their B scanpaths.
 
         Each step is one pass of the step core with T = 1 from the carried
-        state. The cells it fixates, not the soft maps, feed the inhibition
-        of return, as the ground-truth cells do under teacher forcing.
+        states. The cells an observer fixates, not its soft maps, feed its
+        inhibition of return, as the ground-truth cells do under teacher
+        forcing.
 
         ``argmax`` picks the modal cell and the median duration exp(mu);
-        ``sample`` draws the cell from m_t and the duration log-normally,
-        both from the given seed. Durations are clamped to [50, 5000] ms.
+        ``sample`` draws the cell from m_t and the duration log-normally.
+        Observer b draws from its own stream ``default_rng(seeds[b])``, so
+        its scanpath does not depend on which observers share the rollout.
+        Durations are clamped to [50, 5000] ms.
         """
         cfg = self.config
         steps = cfg.max_steps if n_steps is None else int(n_steps)
@@ -463,30 +523,45 @@ class ScanpathModel:
                 f"n_steps {steps} outside [1, {cfg.max_steps}]")
         if mode not in ("argmax", "sample"):
             raise ValueError("mode must be 'argmax' or 'sample'")
-        rng = np.random.default_rng(seed)
-        context = self._context(E, observer_id)
-        state = self.initial_state()
-        m_prev = reshape(self.initial_map(), (1, cfg.cells))
-        visited = np.zeros((1, cfg.cells))
-        fixations = []
-        for _ in range(steps):
+        batch = len(observer_ids)
+        if len(seeds) != batch:
+            raise ValueError(
+                f"got {len(seeds)} seeds for {batch} observers")
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        context = self._context(E, observer_ids)
+        state = self.initial_state(batch)
+        m_prev = Tensor(np.ones((batch, 1))) * self.initial_map()
+        visited = np.zeros((batch, cfg.cells))
+        cells = np.empty((steps, batch), dtype=int)
+        log_durs = np.empty((steps, batch))
+        for t in range(steps):
             state, logits, mu, var = self._steps(context, m_prev, visited,
-                                                 state, observer_id)
+                                                 state)
             m_prev = softmax(logits, axis=1)
-            prob = m_prev.data[0]
             if mode == "argmax":
-                cell = int(np.argmax(prob))
-                log_dur = float(mu.data[0])
+                cells[t] = np.argmax(m_prev.data, axis=1)
+                log_durs[t] = mu.data
             else:
-                cell = int(rng.choice(prob.size, p=prob / prob.sum()))
-                log_dur = float(rng.normal(mu.data[0],
-                                           np.sqrt(var.data[0])))
-            dur = float(np.clip(np.exp(log_dur), *DUR_CLAMP_MS))
-            x, y = cell_center(cell, cfg.height, cfg.width)
-            fixations.append(Fixation(x, y, dur))
-            visited[0, cell] += 1.0
-        return Scanpath(image_id=image_id, observer_id=int(observer_id),
-                        fixations=tuple(fixations))
+                for b, rng in enumerate(rngs):
+                    prob = m_prev.data[b]
+                    cells[t, b] = rng.choice(prob.size, p=prob / prob.sum())
+                    log_durs[t, b] = rng.normal(mu.data[b],
+                                                np.sqrt(var.data[b]))
+            visited[np.arange(batch), cells[t]] += 1.0
+        durs = np.clip(np.exp(log_durs), *DUR_CLAMP_MS)
+        return [Scanpath(image_id=image_id, observer_id=int(observer_id),
+                         fixations=tuple(
+                             Fixation(*cell_center(int(cell), cfg.height,
+                                                   cfg.width), float(dur))
+                             for cell, dur in zip(cells[:, b], durs[:, b])))
+                for b, observer_id in enumerate(observer_ids)]
+
+    def sample_scanpath(self, E: np.ndarray, observer_id: int,
+                        n_steps: int | None = None, mode: str = "argmax",
+                        seed=0, image_id: int = -1) -> Scanpath:
+        """``sample_scanpaths`` of one observer, drawing from ``seed``."""
+        return self.sample_scanpaths(E, [observer_id], [seed], n_steps, mode,
+                                     image_id)[0]
 
 
 def ablation_config(base: ModelConfig, variant: str) -> ModelConfig:

@@ -71,6 +71,13 @@ class CorpusConfig:
     scanpath_len: int = 6
 
     def __post_init__(self):
+        # every scene places a social and a nonsocial blob, and every
+        # scanpath holds a fixation
+        for name in ("n_social_channels", "n_nonsocial_channels",
+                     "scanpath_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_social_channels + self.n_nonsocial_channels >= self.channels:
             raise ValueError(
                 f"need at least one background channel: {self.channels} total, "

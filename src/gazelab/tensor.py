@@ -13,6 +13,8 @@ Conventions
   the tape; outside a tape they are plain numpy calls and produce identical
   values.
 * A tape is single-owner. Concurrent training requires independent tapes.
+* The fused ``lstm`` runs B sequences at once, on a (T, B, 4h) input with a
+  (B, 2h) carry, so a batch of scanpaths is one node as one scanpath is.
 """
 
 from __future__ import annotations
@@ -116,16 +118,20 @@ class _Node:
 class Tape:
     """Append-only record of primitive applications for one forward pass.
 
-    Gradients can be taken once: ``gradients`` frees every node's backward
-    closure as it goes, so the arrays the closures hold are released by
-    reference counting rather than left to the cyclic collector (each
-    recorded Tensor points back at its tape). The node list itself stays,
-    so ``len(tape.nodes)`` still counts what was recorded.
+    A recorded Tensor is marked with the tape's token, a plain object, not
+    with the tape itself: the tape holds its trainable leaves, so a mark
+    pointing back at the tape would make every trained parameter part of a
+    reference cycle that only the cyclic collector frees. Gradients can be
+    taken once: ``gradients`` frees every node's backward closure as it
+    goes, so the arrays the closures hold are released by reference
+    counting too. The node list itself stays, so ``len(tape.nodes)`` still
+    counts what was recorded.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self._leaves: dict[int, Tensor] = {}
+        self._token = object()
         self._entered = False
         self._spent = False
 
@@ -141,9 +147,9 @@ class Tape:
         return False
 
     def _leaf_id(self, t: Tensor) -> int:
-        if t._tape_token is not self:
+        if t._tape_token is not self._token:
             t.node = None
-            t._tape_token = self
+            t._tape_token = self._token
         if t.node is None:
             t.node = len(self.nodes)
             self.nodes.append(_Node("leaf", (), None))
@@ -167,7 +173,7 @@ class Tape:
             raise ValueError("gradients were already taken from this tape")
         if root.node is None and root.trainable:
             self._leaf_id(root)
-        if root.node is None or root._tape_token is not self:
+        if root.node is None or root._tape_token is not self._token:
             raise ValueError("root was not recorded on this tape")
         if root.data.size != 1:
             raise ValueError(f"backprop root must be scalar, got shape {root.data.shape}")
@@ -205,14 +211,14 @@ def _trace(op: str, out: np.ndarray, inputs: Sequence[Tensor], backward_builder)
     parent_ids = []
     input_slots = []
     for pos, t in enumerate(inputs):
-        if t.trainable or (t._tape_token is tape and t.node is not None):
+        if t.trainable or (t._tape_token is tape._token and t.node is not None):
             parent_ids.append(tape._leaf_id(t))
             input_slots.append(pos)
     if not parent_ids:
         return result
     backward = backward_builder(tuple(parent_ids), tuple(input_slots))
     result.node = tape._record(op, tuple(parent_ids), backward)
-    result._tape_token = tape
+    result._tape_token = tape._token
     return result
 
 
@@ -229,9 +235,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(op: str, a: np.ndarray, b: np.ndarray) -> None:
+def _broadcast(op: str, fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fn(a, b)`` of a NumPy binary ufunc, whose only ValueError is a
+    broadcast failure."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a, b)
     except ValueError as exc:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
@@ -242,8 +250,7 @@ def _check_broadcast(op: str, a: np.ndarray, b: np.ndarray) -> None:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("add", a.data, b.data)
-    out = a.data + b.data
+    out = _broadcast("add", np.add, a.data, b.data)
 
     def build(pids, slots):
         shapes = {0: a.data.shape, 1: b.data.shape}
@@ -258,8 +265,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("sub", a.data, b.data)
-    out = a.data - b.data
+    out = _broadcast("sub", np.subtract, a.data, b.data)
 
     def build(pids, slots):
         shapes = {0: a.data.shape, 1: b.data.shape}
@@ -278,8 +284,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("mul", a.data, b.data)
-    out = a.data * b.data
+    out = _broadcast("mul", np.multiply, a.data, b.data)
 
     def build(pids, slots):
         av, bv = a.data, b.data
@@ -300,10 +305,9 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("div", a.data, b.data)
     if np.any(b.data == 0.0):
         raise DomainError("div: zero divisor")
-    out = a.data / b.data
+    out = _broadcast("div", np.divide, a.data, b.data)
 
     def build(pids, slots):
         av, bv = a.data, b.data
@@ -553,58 +557,62 @@ def softplus(a) -> Tensor:
 
 
 def lstm(z, w_hh, state) -> Tensor:
-    """LSTM recurrence over a (T, 4h) sequence of input pre-activations.
+    """LSTM recurrence of B sequences over a (T, B, 4h) input sequence.
 
-    Gates are ordered i, f, g, o. Step t adds ``w_hh @ h_{t-1}`` to row t
-    of ``z``; then c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t).
-    ``state`` is the length-2h carry [h_0, c_0]. Returns (T, 2h) with row t
-    equal to [h_t, c_t], so the last row is the carry of a following call;
-    T chained one-row calls give bit-identical rows. The backward pass is
-    backpropagation through time over the saved gate activations.
+    ``z[t, b]`` holds the input pre-activations of sequence b at step t.
+    Gates are ordered i, f, g, o. Step t adds ``w_hh @ h_{t-1}`` to each
+    row of ``z[t]``; then c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t).
+    ``state`` is the (B, 2h) carry, row b = [h_0, c_0] of sequence b.
+    Returns (T, B, 2h) with ``out[t, b]`` equal to [h_t, c_t], so the last
+    step is the carry of a following call; T chained one-step calls give
+    bit-identical rows. The backward pass is backpropagation through time
+    over the saved gate activations.
     """
     z, w_hh, state = as_tensor(z), as_tensor(w_hh), as_tensor(state)
     zv, wv, sv = z.data, w_hh.data, state.data
-    if zv.ndim != 2 or zv.shape[0] < 1 or zv.shape[1] % 4 != 0:
-        raise ShapeError(f"lstm: pre-activations must be (T >= 1, 4h), got {zv.shape}")
-    steps, h = zv.shape[0], zv.shape[1] // 4
-    if wv.shape != (4 * h, h) or sv.shape != (2 * h,):
+    if zv.ndim != 3 or min(zv.shape[:2]) < 1 or zv.shape[2] % 4 != 0:
+        raise ShapeError(
+            f"lstm: pre-activations must be (T >= 1, B >= 1, 4h), got {zv.shape}")
+    steps, batch, h = zv.shape[0], zv.shape[1], zv.shape[2] // 4
+    if wv.shape != (4 * h, h) or sv.shape != (batch, 2 * h):
         raise ShapeError(
             f"lstm: with {zv.shape} pre-activations w_hh must be {(4 * h, h)} and "
-            f"state {(2 * h,)}, got {wv.shape} and {sv.shape}"
-        )
-    out = np.empty((steps, 2 * h))
-    acts = np.empty((steps, 4 * h))
-    hidden, cell = sv[:h], sv[h:]
+            f"state {(batch, 2 * h)}, got {wv.shape} and {sv.shape}")
+    out = np.empty((steps, batch, 2 * h))
+    acts = np.empty((steps, batch, 4 * h))
+    hidden, cell = sv[:, :h], sv[:, h:]
     for t in range(steps):
-        a = zv[t] + wv @ hidden
+        a = zv[t] + hidden @ wv.T
         act = acts[t]
         act[:] = _sigmoid(a)
-        act[2 * h:3 * h] = np.tanh(a[2 * h:3 * h])
-        cell = act[h:2 * h] * cell + act[:h] * act[2 * h:3 * h]
-        hidden = act[3 * h:] * np.tanh(cell)
-        out[t, :h] = hidden
-        out[t, h:] = cell
+        act[:, 2 * h:3 * h] = np.tanh(a[:, 2 * h:3 * h])
+        cell = act[:, h:2 * h] * cell + act[:, :h] * act[:, 2 * h:3 * h]
+        hidden = act[:, 3 * h:] * np.tanh(cell)
+        out[t, :, :h] = hidden
+        out[t, :, h:] = cell
 
     def build(pids, slots):
-        prev = np.vstack([sv[None, :], out[:-1]])  # carry entering each step
-        tanh_c = np.tanh(out[:, h:])
+        prev = np.concatenate([sv[None], out[:-1]])  # carry entering each step
+        tanh_c = np.tanh(out[:, :, h:])
 
         def backward(g):
-            dz = np.empty((steps, 4 * h))
-            dh = np.zeros(h)
-            dc = np.zeros(h)
+            dz = np.empty((steps, batch, 4 * h))
+            dh = np.zeros((batch, h))
+            dc = np.zeros((batch, h))
             for t in range(steps - 1, -1, -1):
-                i, f = acts[t, :h], acts[t, h:2 * h]
-                gg, o = acts[t, 2 * h:3 * h], acts[t, 3 * h:]
-                dh = g[t, :h] + dh
-                dc = g[t, h:] + dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-                dz[t, :h] = dc * gg * i * (1.0 - i)
-                dz[t, h:2 * h] = dc * prev[t, h:] * f * (1.0 - f)
-                dz[t, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
-                dz[t, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
+                i, f = acts[t, :, :h], acts[t, :, h:2 * h]
+                gg, o = acts[t, :, 2 * h:3 * h], acts[t, :, 3 * h:]
+                dh = g[t, :, :h] + dh
+                dc = g[t, :, h:] + dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+                dz[t, :, :h] = dc * gg * i * (1.0 - i)
+                dz[t, :, h:2 * h] = dc * prev[t, :, h:] * f * (1.0 - f)
+                dz[t, :, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
+                dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
                 dh = dz[t] @ wv
                 dc = dc * f
-            grads = {0: dz, 1: dz.T @ prev[:, :h], 2: np.concatenate([dh, dc])}
+            grads = {0: dz,
+                     1: dz.reshape(-1, 4 * h).T @ prev[:, :, :h].reshape(-1, h),
+                     2: np.concatenate([dh, dc], axis=1)}
             return [(pid, grads[slot]) for pid, slot in zip(pids, slots)]
 
         return backward

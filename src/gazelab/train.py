@@ -4,7 +4,9 @@ The objective is teacher-forced negative log-likelihood: cross-entropy of
 each step's spatial map at the ground-truth cell, plus a weighted Gaussian
 NLL of the log duration. Batches group scanpaths of distinct observers on
 the same image so every update sees individual differences on a shared
-stimulus.
+stimulus. A batch is recorded as one pass of the model's step core over
+its B scanpaths, with one ``softmax_nll`` and one ``gaussian_nll`` over
+all B * T rows, and updated by one flat Adam step.
 
 Baselines built here: the observer-agnostic model (all pathways off), the
 per-observer fine-tuned copies of that model, and the one-hot conditioned
@@ -64,43 +66,77 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
 
 
-def position_loss(logits: Tensor, gt: Scanpath, height: int,
-                  width: int) -> Tensor:
-    """Mean over steps of -log softmax(logits_t)[ground-truth cell].
-
-    ``logits`` is (T, HW), one row per ground-truth fixation; the loss is
-    one fused ``softmax_nll`` node.
-    """
-    if logits.shape[0] != len(gt):
+def _step_major(gts, values) -> np.ndarray:
+    """``values(gt)`` of scanpaths of one length, row t * B + b holding
+    step t of ``gts[b]``, the row order of a teacher-forced pass."""
+    if len({len(gt) for gt in gts}) != 1:
         raise ValueError(
-            f"got {logits.shape[0]} step maps for {len(gt)} ground-truth "
-            "fixations")
-    gt.validate()
-    return softmax_nll(logits, [grid_cell(f.x, f.y, height, width)
-                                for f in gt.fixations])
+            f"scanpaths of one pass must share a length, got "
+            f"{[len(gt) for gt in gts]}")
+    for gt in gts:
+        gt.validate()
+    return np.array([values(gt) for gt in gts]).T.ravel()
 
 
-def duration_loss(mu: Tensor, var: Tensor, gt: Scanpath) -> Tensor:
-    """Mean Gaussian NLL of log durations under per-step (mu, var).
+def position_loss(logits: Tensor, gts, height: int, width: int) -> Tensor:
+    """Mean over rows of -log softmax(logits_r)[ground-truth cell].
 
-    ``mu`` and ``var`` hold one entry per ground-truth fixation; the loss
-    is one fused ``gaussian_nll`` node.
+    ``logits`` is (T * B, HW), the rows of a teacher-forced pass over the
+    scanpaths ``gts`` of one length T; the loss is one fused
+    ``softmax_nll`` node.
     """
-    if mu.shape != (len(gt),) or var.shape != (len(gt),):
+    fixations = sum(len(gt) for gt in gts)
+    if logits.shape[0] != fixations:
+        raise ValueError(
+            f"got {logits.shape[0]} step maps for {fixations} ground-truth "
+            "fixations")
+    cells = _step_major(gts, lambda gt: [grid_cell(f.x, f.y, height, width)
+                                         for f in gt.fixations])
+    return softmax_nll(logits, cells)
+
+
+def duration_loss(mu: Tensor, var: Tensor, gts) -> Tensor:
+    """Mean Gaussian NLL of log durations under per-row (mu, var).
+
+    ``mu`` and ``var`` hold one entry per row of a teacher-forced pass over
+    the scanpaths ``gts``; the loss is one fused ``gaussian_nll`` node.
+    """
+    fixations = sum(len(gt) for gt in gts)
+    if mu.shape != (fixations,) or var.shape != (fixations,):
         raise ValueError(
             f"got duration parameters of shapes {mu.shape} and {var.shape} "
-            f"for {len(gt)} ground-truth fixations")
-    gt.validate()
-    return gaussian_nll(mu, var, np.log(gt.durations()))
+            f"for {fixations} ground-truth fixations")
+    return gaussian_nll(mu, var, np.log(_step_major(gts, Scanpath.durations)))
+
+
+def batch_loss(model: ScanpathModel, E: np.ndarray, items,
+               duration_weight: float = 0.1):
+    """Mean teacher-forced loss over the items [(observer_id, gt), ...] of
+    one image; returns (total, position, duration).
+
+    The items of one length are recorded as one pass of the step core, so a
+    batch adds no tape nodes per item. Items of different lengths make one
+    pass per length, each weighted by its share of the items, so every
+    item counts as much as in a mean of per-item losses.
+    """
+    by_length: dict[int, list] = {}
+    for observer_id, gt in items:
+        by_length.setdefault(len(gt), []).append((observer_id, gt))
+    pos = dur = 0.0
+    for group in by_length.values():
+        ids, gts = [obs for obs, _ in group], [gt for _, gt in group]
+        logits, mu, var = model.teacher_forced_batch(E, ids, gts)
+        share = len(group) / len(items)
+        pos = pos + position_loss(logits, gts, model.config.height,
+                                  model.config.width) * share
+        dur = dur + duration_loss(mu, var, gts) * share
+    return pos + dur * duration_weight, pos, dur
 
 
 def rollout_loss(model: ScanpathModel, E: np.ndarray, observer_id: int,
                  gt: Scanpath, duration_weight: float = 0.1):
-    """Teacher-forced total loss; returns (total, position, duration)."""
-    logits, mu, var = model.teacher_forced(E, observer_id, gt)
-    pos = position_loss(logits, gt, model.config.height, model.config.width)
-    dur = duration_loss(mu, var, gt)
-    return pos + dur * duration_weight, pos, dur
+    """``batch_loss`` of one scanpath; returns (total, position, duration)."""
+    return batch_loss(model, E, [(observer_id, gt)], duration_weight)
 
 
 def _epoch_batches(corpus, split: str, batch_size: int, rng):
@@ -130,9 +166,11 @@ def _epoch_batches(corpus, split: str, batch_size: int, rng):
 def train(model: ScanpathModel, corpus, config: TrainConfig):
     """Optimize in place; returns (model, per-epoch loss history).
 
-    History rows are (epoch, position_loss, duration_loss, total), each
-    averaged over the epoch's batches. Deterministic given the corpus and
-    config seeds.
+    Each batch is one ``batch_loss`` recording, one backward pass and one
+    Adam step; Adam moves the parameters into one flat buffer, so after
+    training each ``p.data`` is a view of it. History rows are (epoch,
+    position_loss, duration_loss, total), each averaged over the epoch's
+    batches. Deterministic given the corpus and config seeds.
     """
     opt = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay,
                lr_scale=dict.fromkeys(FAST_PARAMS, FAST_LR_SCALE))
@@ -144,15 +182,8 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
         for index, (image_id, items) in enumerate(batches):
             scene = corpus.scene_by_id(image_id)
             with Tape() as tape:
-                total = pos = dur = None
-                for observer_id, gt in items:
-                    t, p, d = rollout_loss(model, scene.E, observer_id, gt,
-                                           config.duration_loss_weight)
-                    total = t if total is None else total + t
-                    pos = p if pos is None else pos + p
-                    dur = d if dur is None else dur + d
-                scale = 1.0 / len(items)
-                total = total * scale
+                total, pos, dur = batch_loss(model, scene.E, items,
+                                             config.duration_loss_weight)
             if not np.isfinite(total.data):
                 observers = [obs for obs, _ in items]
                 raise RuntimeError(
@@ -160,8 +191,7 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
                     f"(image {image_id}, observers {observers})")
             grads = tape.gradients(total)
             opt.step(grads)
-            sums += (float(pos.data) * scale, float(dur.data) * scale,
-                     float(total.data))
+            sums += (float(pos.data), float(dur.data), float(total.data))
         means = sums / max(1, len(batches))
         history.append((epoch, means[0], means[1], means[2]))
     return model, history

@@ -175,8 +175,10 @@ def primitive_grad_cases(seed: int) -> dict:
 
     seed_case("lstm")
     steps, h = dims(2, 1, 4)
-    z, w_hh, state = t((steps, 4 * h)), t((4 * h, h)), t((2 * h,))
-    rd = reader((steps, 2 * h))
+    batch = int(rng.integers(2, 4))
+    z, w_hh = t((steps, batch, 4 * h)), t((4 * h, h))
+    state = t((batch, 2 * h))
+    rd = reader((steps, batch, 2 * h))
     cases["lstm"] = (lambda z=z, w=w_hh, s=state, rd=rd: rd(lstm(z, w, s)),
                      {"z": z, "w_hh": w_hh, "state": state})
 
@@ -197,6 +199,44 @@ def primitive_grad_cases(seed: int) -> dict:
     missing = set(DIFFERENTIABLE_PRIMITIVES) - set(cases)
     assert not missing, f"gradient-check cases missing for primitives: {sorted(missing)}"
     return cases
+
+
+# ---------------------------------------------------------------------------
+# optimizer oracle
+
+
+class PerArrayAdam:
+    """Adam with decoupled weight decay, one array at a time.
+
+    Each parameter keeps its own moments and its own update expression,
+    so this checks the flat-buffer update's arithmetic and its runs of
+    step sizes. ``step`` takes a name-keyed gradient map.
+    """
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0, lr_scale=None):
+        self.params = dict(params)
+        self.lr, self.eps, self.weight_decay = lr, eps, weight_decay
+        self.beta1, self.beta2 = betas
+        self.lr_scale = dict(lr_scale or {})
+        self.m = {name: np.zeros_like(p) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in self.params.items()}
+        self.t = 0
+
+    def step(self, grads) -> None:
+        self.t += 1
+        for name, p in self.params.items():
+            g = grads[name]
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            lr = self.lr * self.lr_scale.get(name, 1.0)
+            p -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                       + self.weight_decay * p)
 
 
 # ---------------------------------------------------------------------------

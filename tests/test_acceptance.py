@@ -128,16 +128,16 @@ def test_02_simplex_invariants():
         for _ in range(10):
             E = rng.normal(size=(cfg.channels, cfg.height, cfg.width))
             obs = int(rng.integers(cfg.n_observers))
-            u = model.encode_observer(obs)
+            u = model.encode_observers([obs])
             E_flat = model.features(E)
             maps = [model.initial_map().data,
-                    model.observer_guidance(E_flat, u).data]
-            state = model.initial_state()
+                    model.observer_guidance(E_flat, u).data[0]]
+            state = model.initial_state(1)
             m_prev = reshape(model.initial_map(), (1, cfg.cells))
             m_u = model.observer_guidance(E_flat, u)
             for _ in range(2):
                 X = model.integrate_features(E_flat, m_prev, m_u, u)
-                state, H = model.decoder_step(X, state, obs)
+                state, H = model.decoder_step(X, state, [obs])
                 logits, beta, _ = model.prioritize_fixation(E_flat, H, u)
                 m_prev = softmax(logits, axis=1)
                 maps.extend([m_prev.data[0], beta.data[0]])

@@ -318,7 +318,7 @@ class TestObserverFeatures:
         feats = extract_observer_features(fi_only)
         assert feats[0].v.shape == (2 * cfg.hidden + cfg.cells,)
         fp_only = ScanpathModel(feature_config(enable_fi=False), seed=0)
-        u = fp_only.encode_observer(1).data
+        u = fp_only.encode_observers([1]).data[0]
         feats = extract_observer_features(fp_only, observers=[1])
         np.testing.assert_array_equal(feats[0].v,
                                       fp_only.params["W_um"].data @ u)

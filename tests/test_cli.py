@@ -190,6 +190,20 @@ class TestValidationErrors:
                 "['hiden']") in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"model": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"corpus": {"n_scenes": ' + "9" * 5000 + "}}"],
+        ids=["deep-nesting", "long-integer"])
+    def test_unreadable_json_config_names_file_exit_2(self, tmp_path, capsys,
+                                                      text):
+        path = tmp_path / "run.json"
+        path.write_text(text + "\n")
+        code = main(["gen-data", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert f"{path}:1: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_override_error_does_not_name_config_file(self, capsys):
         code = main(["gen-data", "--config", SMOKE, "--seed", "0",
                      "--set", "model.hiden=3", "--out", "x"])
@@ -266,6 +280,15 @@ class TestValidationErrors:
         assert code == 2
         assert f"{override.partition('=')[0]} must be" in \
             capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("key", ["n_social_channels",
+                                     "n_nonsocial_channels", "scanpath_len"])
+    def test_empty_corpus_extent_exit_2(self, tmp_path, capsys, key):
+        code = main(["gen-data", "--seed", "0", "--set", f"corpus.{key}=0",
+                     "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
     def test_malformed_scene_file_exit_2(self, workspace, tmp_path, capsys):

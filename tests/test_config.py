@@ -5,6 +5,8 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gazelab.config import (
     MetricReport,
@@ -144,6 +146,52 @@ class TestOverrides:
     def test_override_through_scalar_rejected(self):
         with pytest.raises(ValueError, match="descends"):
             apply_overrides({"train": 5}, ["train.epochs=2"])
+
+
+def _keys():
+    """Dotted keys: every settable field, plus near misses and junk."""
+    fields = [f"{name}.{field.name}" for name, cls in RunConfig._SECTIONS
+              for field in dataclasses.fields(cls)]
+    return st.one_of(st.sampled_from(fields),
+                     st.builds(lambda k, extra: k + extra,
+                               st.sampled_from(fields),
+                               st.sampled_from(["", ".", ".x", "x", ".."])),
+                     st.text(max_size=12))
+
+
+def _values():
+    """JSON literals of every kind, their near misses, and free text."""
+    literal = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.text(max_size=6)),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+        max_leaves=6)
+    return st.one_of(literal.map(json.dumps), st.text(max_size=16),
+                     st.sampled_from(["NaN", "-Infinity", "[1,", "1e999",
+                                      "0x10", "'a'", "tru", "[" * 5000]))
+
+
+class TestOverrideFuzz:
+    # a --set parser fed anything raises ValueError or gives a config; the
+    # config is only built, never run, so no fuzzed extent is allocated
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds(lambda k, v: f"{k}={v}", _keys(), _values()),
+        st.text(max_size=20)), min_size=1, max_size=4))
+    @example(["model.hidden=" + "[" * 100_000])
+    @example(["corpus.n_scenes=" + "9" * 5000])
+    def test_only_value_errors(self, assignments):
+        try:
+            config = RunConfig.from_dict(apply_overrides({}, assignments))
+        except ValueError:
+            return
+        assert isinstance(config, RunConfig)
+
+    def test_deep_nesting_names_the_key(self):
+        with pytest.raises(ValueError, match="override model.hidden"):
+            apply_overrides({}, ["model.hidden=" + "[" * 100_000])
 
 
 class TestHashing:

@@ -10,13 +10,16 @@ from gazelab.evaluate import (
     build_saliency,
     expected_random_mrr,
     human_consistency,
+    predict_split,
     rank_eval,
     saliency_metrics,
     saliency_report,
     value_eval,
 )
 from gazelab.metrics import MetricConfig, multimatch, scanmatch, string_edit_distance
+from gazelab.model import ABLATION_VARIANTS, ModelConfig, ScanpathModel, ablation_config
 from gazelab.scanpath import Fixation, Scanpath
+from gazelab.synthetic import build_corpus, smoke_config
 
 from support import plain_scanmatch
 
@@ -386,3 +389,29 @@ class TestSaliencyReport:
         a = saliency_report(preds, gt, seed=5)
         b = saliency_report(preds, gt, seed=5)
         assert a["means"] == b["means"]
+
+
+class TestPredictSplit:
+    # each image's observers share one rollout; every prediction must be
+    # the one its observer's own rollout, on its own stream, gives
+    @pytest.mark.parametrize("mode", ["argmax", "sample"])
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_matches_one_rollout_per_observer(self, variant, mode):
+        corpus_cfg = smoke_config()
+        corpus = build_corpus(corpus_cfg, 0)
+        config = ablation_config(ModelConfig(
+            n_observers=4, height=8, width=8, channels=6, observer_dim=3,
+            hidden=4, semantic_channels=2, max_steps=4), variant)
+        model = ScanpathModel(config, seed=3)
+        preds = predict_split(model, corpus, "test", mode=mode, seed=9)
+        expect = [model.sample_scanpath(
+            corpus.scene_by_id(image_id).E, obs, n_steps=4, mode=mode,
+            seed=[9, 21, image_id, obs], image_id=image_id)
+            for image_id in corpus.split_ids["test"] for obs in range(4)]
+        assert len(preds) == len(expect)
+        for got, want in zip(preds, expect):
+            assert (got.image_id, got.observer_id) == \
+                (want.image_id, want.observer_id)
+            np.testing.assert_array_equal(got.xy(), want.xy())
+            np.testing.assert_allclose(got.durations(), want.durations(),
+                                       rtol=1e-12, atol=0)

@@ -15,8 +15,8 @@ from gazelab.model import (
     param_shapes,
 )
 from gazelab.scanpath import Fixation, Scanpath
-from gazelab.tensor import Tape, Tensor, grad_check
-from gazelab.train import duration_loss, rollout_loss
+from gazelab.tensor import Tape, Tensor, grad_check, reshape
+from gazelab.train import batch_loss, duration_loss, rollout_loss
 from support import naive_matmul, reference_rollout
 
 
@@ -84,16 +84,15 @@ class TestObserverEncoding:
         cfg = tiny_config(observer_dim=3, n_observers=3)
         model = ScanpathModel(cfg)
         model.params["W_u"].data[:] = np.eye(3)
-        u = model.encode_observer(2)
-        np.testing.assert_array_equal(u.data, [0.0, 0.0, 1.0])
+        u = model.encode_observers([2, 0])
+        np.testing.assert_array_equal(u.data, [[0.0, 0.0, 1.0],
+                                               [1.0, 0.0, 0.0]])
 
     def test_one_hot_selects_column(self):
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=3)
-        for i in range(cfg.n_observers):
-            u = model.encode_observer(i)
-            np.testing.assert_array_equal(u.data,
-                                          model.params["W_u"].data[:, i])
+        u = model.encode_observers(range(cfg.n_observers))
+        np.testing.assert_array_equal(u.data, model.params["W_u"].data.T)
 
     def test_matches_naive_matmul(self):
         cfg = tiny_config()
@@ -101,21 +100,21 @@ class TestObserverEncoding:
         for i in range(cfg.n_observers):
             one_hot = model.one_hot(i)
             expect = naive_matmul(model.params["W_u"].data, one_hot)
-            assert np.max(np.abs(model.encode_observer(i).data -
+            assert np.max(np.abs(model.encode_observers([i]).data[0] -
                                  expect)) < 1e-12
 
     def test_out_of_range_rejected(self):
         model = ScanpathModel(tiny_config())
         with pytest.raises(IndexError, match="out of range"):
-            model.encode_observer(3)
+            model.encode_observers([0, 3])
         with pytest.raises(IndexError, match="out of range"):
-            model.encode_observer(-1)
+            model.encode_observers([-1])
 
     def test_disabled_returns_zero_vector(self):
         cfg = tiny_config(enable_fi=False, enable_fp=False)
         model = ScanpathModel(cfg)
-        np.testing.assert_array_equal(model.encode_observer(1).data,
-                                      np.zeros(cfg.observer_dim))
+        np.testing.assert_array_equal(model.encode_observers([1, 2]).data,
+                                      np.zeros((2, cfg.observer_dim)))
 
 
 class TestGuidance:
@@ -124,8 +123,9 @@ class TestGuidance:
         model = ScanpathModel(cfg, seed=1)
         model.params["w_eu"].data[:] = 0.0
         E_flat = model.features(random_E(cfg))
-        m = model.observer_guidance(E_flat, model.encode_observer(0))
-        np.testing.assert_allclose(m.data, np.full(cfg.cells, 1 / cfg.cells),
+        m = model.observer_guidance(E_flat, model.encode_observers([0, 1]))
+        np.testing.assert_allclose(m.data,
+                                   np.full((2, cfg.cells), 1 / cfg.cells),
                                    atol=1e-12)
 
     def test_constant_features_give_uniform_for_any_observer(self):
@@ -133,26 +133,28 @@ class TestGuidance:
         model = ScanpathModel(cfg, seed=2)
         E = np.full((cfg.channels, cfg.height, cfg.width), 0.37)
         E_flat = model.features(E)
-        for i in range(cfg.n_observers):
-            m = model.observer_guidance(E_flat, model.encode_observer(i))
-            np.testing.assert_allclose(
-                m.data, np.full(cfg.cells, 1 / cfg.cells), atol=1e-12)
+        m = model.observer_guidance(
+            E_flat, model.encode_observers(range(cfg.n_observers)))
+        np.testing.assert_allclose(
+            m.data, np.full((cfg.n_observers, cfg.cells), 1 / cfg.cells),
+            atol=1e-12)
 
     def test_matches_per_location_loop(self):
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=4)
         E = random_E(cfg, seed=4)
         E_flat = model.features(E)
-        u = model.encode_observer(1)
+        u = model.encode_observers([1, 2])
         m = model.observer_guidance(E_flat, u)
         p = {k: v.data for k, v in model.params.items()}
-        scores = np.zeros(cfg.cells)
-        for loc in range(cfg.cells):
-            pre = p["W_eu"] @ E_flat.data[loc] + p["W_mu"] @ u.data
-            scores[loc] = p["w_eu"] @ np.tanh(pre)
-        expect = np.exp(scores - scores.max())
-        expect /= expect.sum()
-        np.testing.assert_allclose(m.data, expect, atol=1e-12)
+        for b in range(2):
+            scores = np.zeros(cfg.cells)
+            for loc in range(cfg.cells):
+                pre = p["W_eu"] @ E_flat.data[loc] + p["W_mu"] @ u.data[b]
+                scores[loc] = p["w_eu"] @ np.tanh(pre)
+            expect = np.exp(scores - scores.max())
+            expect /= expect.sum()
+            np.testing.assert_allclose(m.data[b], expect, atol=1e-12)
 
 
 class TestFixatedFeatures:
@@ -177,6 +179,9 @@ class TestIntegration:
         rng = np.random.default_rng(seed)
         return Tensor(rng.dirichlet(np.ones(cfg.cells), size=2))
 
+    def shared(self, model):
+        return reshape(model.initial_map(), (1, model.config.cells))
+
     def test_all_zero_weights_annihilate(self):
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=1)
@@ -184,8 +189,8 @@ class TestIntegration:
             model.params[name].data[:] = 0.0
         E_flat = model.features(random_E(cfg))
         maps = self.two_maps(cfg, 1)
-        X = model.integrate_features(E_flat, maps, model.initial_map(),
-                                     model.encode_observer(0))
+        X = model.integrate_features(E_flat, maps, self.shared(model),
+                                     model.encode_observers([0]))
         np.testing.assert_array_equal(X.data, np.zeros((2, cfg.hidden)))
 
     def test_basis_vectors_give_single_entry(self):
@@ -203,31 +208,34 @@ class TestIntegration:
         model.params["b_hc"].data[2] = 1.0
         E_flat = model.features(random_E(cfg))
         X = model.integrate_features(E_flat, self.two_maps(cfg, 2),
-                                     model.initial_map(),
-                                     model.encode_observer(0))
+                                     self.shared(model),
+                                     model.encode_observers([0]))
         expect = np.zeros((2, cfg.hidden))
         expect[:, 2] = 1.0 / cfg.cells
         np.testing.assert_array_equal(X.data, expect)
 
     def test_matches_composed_loop_oracle(self):
         # the closed forms against the fixated stacks and the outer
-        # product they stand for
+        # product they stand for; two steps of two observers, in t-major
+        # rows, each observer with its own guidance map and code
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=11)
         p = {k: v.data for k, v in model.params.items()}
         E_flat = model.features(random_E(cfg, seed=11))
-        maps = self.two_maps(cfg, 11)
-        m_u = np.random.default_rng(12).dirichlet(np.ones(cfg.cells))
-        u = model.encode_observer(2)
+        maps = Tensor(np.random.default_rng(11).dirichlet(np.ones(cfg.cells),
+                                                          size=4))
+        m_u = np.random.default_rng(12).dirichlet(np.ones(cfg.cells), size=2)
+        u = model.encode_observers([2, 0])
         X = model.integrate_features(E_flat, maps, Tensor(m_u), u)
-        for t, m_prev in enumerate(maps.data):
+        for row, m_prev in enumerate(maps.data):
+            b = row % 2
             stacks = np.concatenate([E_flat.data * m_prev[:, None],
-                                     E_flat.data * m_u[:, None]], axis=1)
+                                     E_flat.data * m_u[b][:, None]], axis=1)
             u_s = np.maximum(p["W_hs"] @ stacks.mean(axis=1) + p["b_hs"], 0.0)
-            u_s = u_s + p["W_us"] @ u.data
+            u_s = u_s + p["W_us"] @ u.data[b]
             u_c = np.maximum(p["W_hc"] @ stacks.mean(axis=0) + p["b_hc"], 0.0)
-            u_c = u_c + p["W_uc"] @ u.data
-            np.testing.assert_allclose(X.data[t],
+            u_c = u_c + p["W_uc"] @ u.data[b]
+            np.testing.assert_allclose(X.data[row],
                                        np.outer(u_s, u_c).mean(axis=0),
                                        atol=1e-12)
 
@@ -237,7 +245,7 @@ class TestIntegration:
         E_flat = model.features(random_E(cfg, seed=12))
         maps = self.two_maps(cfg, 12)
         X = model.integrate_features(E_flat, maps, None,
-                                     model.encode_observer(0))
+                                     model.encode_observers([0]))
         for t, m_prev in enumerate(maps.data):
             R = (E_flat.data * m_prev[:, None]) @ model.params["W_fi"].data \
                 + model.params["b_fi"].data
@@ -254,10 +262,10 @@ class TestDecoder:
             model.params[name].data[:] = 0.0
         model.params["b_dur"].data[:] = [1.5, -0.3]
         X = Tensor(np.random.default_rng(1).normal(size=(3, cfg.hidden)))
-        state, H = model.decoder_step(X, model.initial_state(), 0)
+        state, H = model.decoder_step(X, model.initial_state(1), [0])
         np.testing.assert_array_equal(H.data, np.zeros((3, cfg.hidden)))
         np.testing.assert_array_equal(state.carry.data,
-                                      np.zeros(2 * cfg.hidden))
+                                      np.zeros((1, 2 * cfg.hidden)))
         assert state.t == 3
         mu, _ = model.duration_head(H)
         np.testing.assert_array_equal(mu.data, [1.5, 1.5, 1.5])
@@ -272,7 +280,7 @@ class TestDecoder:
         model.params["b_lstm"].data[:] = [0.1, 0.2, 0.3, 0.4]
         r = 0.7
         state, H = model.decoder_step(Tensor(np.array([[r]])),
-                                      model.initial_state(), 0)
+                                      model.initial_state(1), [0])
 
         def logistic(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -282,7 +290,7 @@ class TestDecoder:
         go = logistic(wo * r + 0.4)
         cell = gi * gg
         np.testing.assert_allclose(state.carry.data,
-                                   [go * np.tanh(cell), cell], atol=1e-12)
+                                   [[go * np.tanh(cell), cell]], atol=1e-12)
         np.testing.assert_allclose(H.data, [[go * np.tanh(cell)]],
                                    atol=1e-12)
 
@@ -293,10 +301,12 @@ class TestDecoder:
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=3)
         X = Tensor(np.random.default_rng(3).normal(size=(4, cfg.hidden)))
-        whole_state, whole = model.decoder_step(X, model.initial_state(), 1)
-        state = model.initial_state()
+        whole_state, whole = model.decoder_step(X, model.initial_state(1),
+                                                [1])
+        state = model.initial_state(1)
         for t in range(4):
-            state, H = model.decoder_step(Tensor(X.data[t:t + 1]), state, 1)
+            state, H = model.decoder_step(Tensor(X.data[t:t + 1]), state,
+                                          [1])
             np.testing.assert_allclose(H.data[0], whole.data[t], rtol=0,
                                        atol=1e-14)
         np.testing.assert_allclose(state.carry.data, whole_state.carry.data,
@@ -306,8 +316,8 @@ class TestDecoder:
         cfg = tiny_config()
         model = ScanpathModel(cfg, seed=3)
         X = Tensor(np.random.default_rng(3).normal(size=(2, cfg.hidden)))
-        s1, h1 = model.decoder_step(X, model.initial_state(), 1)
-        s2, h2 = model.decoder_step(X, model.initial_state(), 1)
+        s1, h1 = model.decoder_step(X, model.initial_state(1), [1])
+        s2, h2 = model.decoder_step(X, model.initial_state(1), [1])
         np.testing.assert_array_equal(s1.carry.data, s2.carry.data)
         np.testing.assert_array_equal(h1.data, h2.data)
 
@@ -315,23 +325,22 @@ class TestDecoder:
         cfg = tiny_config(max_steps=2)
         model = ScanpathModel(cfg)
         X = Tensor(np.zeros((1, cfg.hidden)))
-        state = model.initial_state()
-        state, _ = model.decoder_step(X, state, 0)
-        state, _ = model.decoder_step(X, state, 0)
+        state = model.initial_state(1)
+        state, _ = model.decoder_step(X, state, [0])
+        state, _ = model.decoder_step(X, state, [0])
         with pytest.raises(ValueError, match="max_steps"):
-            model.decoder_step(X, state, 0)
+            model.decoder_step(X, state, [0])
         with pytest.raises(ValueError, match="max_steps"):
             model.decoder_step(Tensor(np.zeros((3, cfg.hidden))),
-                               model.initial_state(), 0)
+                               model.initial_state(1), [0])
 
     def test_one_hot_concat_conditions_decoder(self):
         cfg = tiny_config(observer_mode="one_hot_concat", enable_fi=False,
                           enable_fp=False)
         model = ScanpathModel(cfg, seed=4)
-        X = Tensor(np.random.default_rng(4).normal(size=(1, cfg.hidden)))
-        _, h0 = model.decoder_step(X, model.initial_state(), 0)
-        _, h1 = model.decoder_step(X, model.initial_state(), 1)
-        assert np.max(np.abs(h0.data - h1.data)) > 0.0
+        X = Tensor(np.random.default_rng(4).normal(size=(2, cfg.hidden)))
+        _, H = model.decoder_step(X, model.initial_state(2), [0, 1])
+        assert np.max(np.abs(H.data[0] - H.data[1])) > 0.0
 
 
 def fixed_bank(model, A):
@@ -355,7 +364,7 @@ class TestPrioritization:
         A = np.random.default_rng(5).normal(size=(1, cfg.cells))
         H = fixed_bank(model, A)
         logits, beta, _ = model.prioritize_fixation(
-            E_flat, H, model.encode_observer(0))
+            E_flat, H, model.encode_observers([0]))
         np.testing.assert_allclose(beta.data, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(logits.data, A, atol=1e-12)
 
@@ -367,7 +376,7 @@ class TestPrioritization:
         H = fixed_bank(model, np.tile(row, (3, 1)))
         for i in range(cfg.n_observers):
             logits, _, _ = model.prioritize_fixation(
-                E_flat, H, model.encode_observer(i))
+                E_flat, H, model.encode_observers([i]))
             np.testing.assert_allclose(softmax_row(logits.data[0]),
                                        softmax_row(row), atol=1e-12)
 
@@ -378,14 +387,14 @@ class TestPrioritization:
         E_flat = model.features(random_E(cfg, seed=7))
         A = np.random.default_rng(7).normal(size=(2, cfg.cells))
         H = fixed_bank(model, A)
-        u = model.encode_observer(1)
+        u = model.encode_observers([1])
         logits, beta, V = model.prioritize_fixation(E_flat, H, u)
         V_ref = np.zeros((2, cfg.channels))
         scores = np.zeros(2)
         for l in range(2):
             V_ref[l] = (E_flat.data * A[l][:, None]).mean(axis=0)
             scores[l] = p["w_b"] @ np.tanh(p["W_b"] @ V_ref[l] +
-                                           p["W_um"] @ u.data)
+                                           p["W_um"] @ u.data[0])
         beta_ref = softmax_row(scores)
         combined = beta_ref[0] * A[0] + beta_ref[1] * A[1]
         np.testing.assert_allclose(V.data, V_ref, atol=1e-12)
@@ -398,7 +407,7 @@ class TestPrioritization:
         E_flat = model.features(random_E(cfg, seed=8))
         H = Tensor(np.random.default_rng(8).normal(size=(2, cfg.hidden)))
         logits, beta, _ = model.prioritize_fixation(
-            E_flat, H, model.encode_observer(0))
+            E_flat, H, model.encode_observers([0]))
         expect = H.data @ model.params["W_fp"].data.T + \
             model.params["b_fp"].data
         np.testing.assert_allclose(logits.data, expect, atol=1e-12)
@@ -414,7 +423,7 @@ class TestPrioritization:
                                                   cfg.cells))
         H = fixed_bank(model, A)
         logits, beta, _ = model.prioritize_fixation(
-            E_flat, H, model.encode_observer(0))
+            E_flat, H, model.encode_observers([0]))
         shifted = beta.data[0] @ A + 123.456
         assert np.max(np.abs(softmax_row(logits.data[0]) -
                              softmax_row(shifted))) < 1e-9
@@ -448,7 +457,7 @@ class TestDurationHead:
 
         def f():
             _, mu, var = model.teacher_forced(E, 1, gt)
-            return duration_loss(mu, var, gt)
+            return duration_loss(mu, var, [gt])
 
         head = {"W_dur": model.params["W_dur"],
                 "b_dur": model.params["b_dur"]}
@@ -586,6 +595,96 @@ class TestSampling:
         assert np.all(np.abs(freq - m) <= 3.0 * sigma + 1e-12)
 
 
+def max_rel_err(a, b) -> float:
+    """Largest difference of two arrays relative to the larger of them."""
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+class TestBatchAxis:
+    # a batch is B observers on one image, recorded as one pass of the step
+    # core; it must stand for the mean of B single-item passes
+
+    @staticmethod
+    def items(cfg, lengths):
+        return [(obs, path_at_cells([(5 * t + 3 * obs) % cfg.cells
+                                     for t in range(n)], cfg,
+                                    dur=150.0 + 40 * obs + 7 * n,
+                                    observer_id=obs))
+                for obs, n in enumerate(lengths)]
+
+    @staticmethod
+    def loss_and_grads(model, loss_fn):
+        with Tape() as tape:
+            total = loss_fn()
+        grads = tape.gradients(total)
+        return float(total.data), {name: grads[p]
+                                   for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("lengths", [(4, 4, 4), (4, 2, 4)],
+                             ids=["one-length", "ragged"])
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_batch_matches_mean_of_single_items(self, variant, lengths):
+        cfg = ablation_config(tiny_config(), variant)
+        model = ScanpathModel(cfg, seed=21)
+        E = random_E(cfg, seed=21)
+        items = self.items(cfg, lengths)
+        batch, batch_grads = self.loss_and_grads(
+            model, lambda: batch_loss(model, E, items, 0.1)[0])
+        singles = [self.loss_and_grads(
+            model, lambda obs=obs, gt=gt: rollout_loss(model, E, obs, gt,
+                                                       0.1)[0])
+            for obs, gt in items]
+        mean = sum(loss for loss, _ in singles) / len(items)
+        assert abs(batch - mean) <= 1e-10 * abs(mean)
+        for name, grad in batch_grads.items():
+            expect = sum(g[name] for _, g in singles) / len(items)
+            assert max_rel_err(grad, expect) <= 1e-10, name
+
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_batch_records_as_many_nodes_as_one_item(self, variant):
+        cfg = ablation_config(tiny_config(), variant)
+        model = ScanpathModel(cfg, seed=22)
+        E = random_E(cfg, seed=22)
+        counts = []
+        for size in (1, 2, 3):
+            with Tape() as tape:
+                batch_loss(model, E, self.items(cfg, [4] * size))
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1] == counts[2], counts
+
+    @pytest.mark.parametrize("mode", ["argmax", "sample"])
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_shared_rollout_matches_one_rollout_per_observer(self, variant,
+                                                             mode):
+        cfg = ablation_config(tiny_config(height=3, width=3), variant)
+        model = ScanpathModel(cfg, seed=23)
+        E = random_E(cfg, seed=23)
+        observers = [2, 0, 1]
+        seeds = [[5, obs] for obs in observers]
+        shared = model.sample_scanpaths(E, observers, seeds, n_steps=4,
+                                        mode=mode, image_id=7)
+        for obs, seed, path in zip(observers, seeds, shared):
+            alone = model.sample_scanpath(E, obs, n_steps=4, mode=mode,
+                                          seed=seed, image_id=7)
+            assert (path.image_id, path.observer_id) == (7, obs)
+            np.testing.assert_array_equal(path.xy(), alone.xy())
+            np.testing.assert_allclose(path.durations(), alone.durations(),
+                                       rtol=1e-12, atol=0)
+
+    def test_mismatched_batch_rejected(self):
+        cfg = tiny_config()
+        model = ScanpathModel(cfg)
+        E = random_E(cfg)
+        (_, a), (_, b) = self.items(cfg, [3, 2])
+        with pytest.raises(ValueError, match="one length"):
+            model.teacher_forced_batch(E, [0, 1], [a, b])
+        with pytest.raises(ValueError, match="one observer per"):
+            model.teacher_forced_batch(E, [0], [a, a])
+        with pytest.raises(ValueError, match="seeds"):
+            model.sample_scanpaths(E, [0, 1], [0], n_steps=2)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_emitted_maps_are_simplexes(self, variant):
@@ -606,7 +705,7 @@ class TestInvariants:
         model = ScanpathModel(cfg, seed=5)
         E_flat = model.features(random_E(cfg, seed=5))
         maps = [model.observer_guidance(E_flat,
-                                        model.encode_observer(i)).data
+                                        model.encode_observers([i])).data
                 for i in range(cfg.n_observers)]
         assert np.max(np.abs(maps[0] - maps[1])) > 0.0
 

@@ -34,7 +34,7 @@ from gazelab.tensor import (
     tsum,
 )
 
-from support import naive_matmul, primitive_grad_cases
+from support import PerArrayAdam, naive_matmul, primitive_grad_cases
 
 
 class TestForward:
@@ -154,46 +154,54 @@ class TestTape:
 
 class TestFusedPrimitives:
     @settings(max_examples=100, deadline=None)
-    @given(steps=st.integers(1, 7), h=st.integers(1, 6),
-           seed=st.integers(0, 2**32 - 1))
-    def test_lstm_sequence_equals_chained_single_steps(self, steps, h, seed):
-        # free running feeds the carry of one-row calls forward; teacher
-        # forcing makes one call over all rows: both must run one recurrence
+    @given(steps=st.integers(1, 7), batch=st.integers(1, 4),
+           h=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_lstm_sequence_equals_chained_single_steps(self, steps, batch, h,
+                                                       seed):
+        # free running feeds the carry of one-step calls forward; teacher
+        # forcing makes one call over all steps: both must run one recurrence
         rng = np.random.default_rng(seed)
-        z = rng.normal(scale=2.0, size=(steps, 4 * h))
+        z = rng.normal(scale=2.0, size=(steps, batch, 4 * h))
         w_hh = rng.normal(size=(4 * h, h))
-        state = Tensor(rng.normal(size=2 * h))
+        state = Tensor(rng.normal(size=(batch, 2 * h)))
         whole = lstm(z, w_hh, state).data
         for t in range(steps):
             row = lstm(z[t:t + 1], w_hh, state)
             np.testing.assert_array_equal(row.data[0], whole[t])
-            state = reshape(narrow(row, 0, 0, 1), (2 * h,))
+            state = reshape(narrow(row, 0, 0, 1), (batch, 2 * h))
 
     def test_lstm_matches_gate_equations(self):
+        # each of the B sequences runs its own recurrence from its own carry
         rng = np.random.default_rng(4)
-        steps, h = 5, 3
-        z = rng.normal(size=(steps, 4 * h))
+        steps, batch, h = 5, 2, 3
+        z = rng.normal(size=(steps, batch, 4 * h))
         w_hh = rng.normal(size=(4 * h, h))
-        state = rng.normal(size=2 * h)
+        state = rng.normal(size=(batch, 2 * h))
         out = lstm(z, w_hh, state).data
 
         def logistic(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        hid, cell = state[:h], state[h:]
-        for t in range(steps):
-            a = z[t] + w_hh @ hid
-            cell = logistic(a[h:2 * h]) * cell + \
-                logistic(a[:h]) * np.tanh(a[2 * h:3 * h])
-            hid = logistic(a[3 * h:]) * np.tanh(cell)
-            np.testing.assert_allclose(out[t], np.concatenate([hid, cell]),
-                                       rtol=0, atol=1e-12)
+        for b in range(batch):
+            hid, cell = state[b, :h], state[b, h:]
+            for t in range(steps):
+                a = z[t, b] + w_hh @ hid
+                cell = logistic(a[h:2 * h]) * cell + \
+                    logistic(a[:h]) * np.tanh(a[2 * h:3 * h])
+                hid = logistic(a[3 * h:]) * np.tanh(cell)
+                np.testing.assert_allclose(out[t, b],
+                                           np.concatenate([hid, cell]),
+                                           rtol=0, atol=1e-12)
 
     def test_lstm_shape_errors(self):
         with pytest.raises(ShapeError, match="lstm"):
-            lstm(np.zeros((2, 6)), np.zeros((6, 1)), np.zeros(2))
+            lstm(np.zeros((2, 1, 6)), np.zeros((6, 1)), np.zeros((1, 2)))
         with pytest.raises(ShapeError, match="lstm"):
-            lstm(np.zeros((2, 8)), np.zeros((8, 2)), np.zeros(2))
+            lstm(np.zeros((2, 1, 8)), np.zeros((8, 2)), np.zeros((1, 2)))
+        with pytest.raises(ShapeError, match="lstm"):
+            lstm(np.zeros((2, 3, 8)), np.zeros((8, 2)), np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match="lstm"):
+            lstm(np.zeros((2, 8)), np.zeros((8, 2)), np.zeros((1, 4)))
 
     def test_softmax_nll_matches_log_of_softmax(self):
         rng = np.random.default_rng(6)
@@ -341,3 +349,43 @@ class TestAdam:
             loss = tsum(mul(p, p))
         opt.step(tape.gradients(loss))
         assert p.data[0] < 1.0
+
+    def test_flat_update_matches_per_array_oracle_bit_for_bit(self):
+        # 50 steps with weight decay, a 0-d array and two scaled arrays, one
+        # at each end of the buffer so that the step sizes form three runs
+        rng = np.random.default_rng(7)
+        shapes = {"a": (3, 4), "b": (), "c": (5,), "d": (2, 2, 2)}
+        start = {name: rng.normal(size=shape)
+                 for name, shape in shapes.items()}
+        scale = {"a": 10.0, "d": 3.0}
+        params = {name: Tensor(x.copy(), trainable=True)
+                  for name, x in start.items()}
+        opt = Adam(params, lr=1e-2, weight_decay=5e-3, lr_scale=scale)
+        oracle = PerArrayAdam({name: x.copy() for name, x in start.items()},
+                              lr=1e-2, weight_decay=5e-3, lr_scale=scale)
+        for _ in range(50):
+            grads = {name: rng.normal(size=shape)
+                     for name, shape in shapes.items()}
+            opt.step({params[name]: g for name, g in grads.items()})
+            oracle.step(grads)
+        for name in shapes:
+            np.testing.assert_array_equal(params[name].data,
+                                          oracle.params[name], err_msg=name)
+
+    def test_parameters_become_views_of_one_buffer(self):
+        params = {"w": Tensor(np.arange(6.0).reshape(2, 3), trainable=True),
+                  "b": Tensor(np.array(-1.0), trainable=True)}
+        Adam(params, lr=0.1)
+        np.testing.assert_array_equal(params["w"].data,
+                                      np.arange(6.0).reshape(2, 3))
+        assert float(params["b"].data) == -1.0
+        assert params["w"].data.base is params["b"].data.base is not None
+
+    def test_missing_gradient_rejected_with_its_name(self):
+        p = Tensor(np.ones(2), trainable=True)
+        q = Tensor(np.ones(3), trainable=True)
+        opt = Adam({"p": p, "q": q}, lr=0.1, weight_decay=0.0)
+        with pytest.raises(ValueError, match="parameter q"):
+            opt.step({p: np.ones(2)})
+        with pytest.raises(ValueError, match="shape"):
+            opt.step({p: np.ones(2), q: np.ones(2)})

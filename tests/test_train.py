@@ -1,6 +1,8 @@
 """Training tests: losses, batch rule, optimization loop, baselines."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ class TestPositionLoss:
     def test_uniform_maps(self):
         hw = 12
         gt = path_at([0, 5, 11], 3, 4, [200.0] * 3)
-        loss = position_loss(Tensor(np.zeros((3, hw))), gt, 3, 4)
+        loss = position_loss(Tensor(np.zeros((3, hw))), [gt], 3, 4)
         assert float(loss.data) == pytest.approx(np.log(hw), rel=1e-9)
 
     def test_perfect_prediction(self):
@@ -52,7 +54,7 @@ class TestPositionLoss:
         gt = path_at([2, 7, 9], 3, 4, [200.0] * 3)
         logits = np.zeros((3, hw))
         logits[[0, 1, 2], [2, 7, 9]] = 50.0
-        loss = position_loss(Tensor(logits), gt, 3, 4)
+        loss = position_loss(Tensor(logits), [gt], 3, 4)
         assert abs(float(loss.data)) < 1e-11
 
     def test_matches_hand_sum(self):
@@ -61,35 +63,50 @@ class TestPositionLoss:
         cells = [3, 1, 10, 4]
         gt = path_at(cells, 3, 4, [200.0] * 4)
         logits = rng.normal(scale=2.0, size=(4, hw))
-        loss = position_loss(Tensor(logits), gt, 3, 4)
+        loss = position_loss(Tensor(logits), [gt], 3, 4)
         maps = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         expect = np.mean([-np.log(m[c]) for m, c in zip(maps, cells)])
         assert float(loss.data) == pytest.approx(expect, abs=1e-12)
 
+    def test_rows_are_step_major(self):
+        # row t * B + b of a pass is step t of scanpath b
+        rng = np.random.default_rng(3)
+        a = path_at([3, 1, 10], 3, 4, [200.0] * 3)
+        b = path_at([0, 7, 4], 3, 4, [200.0] * 3, observer_id=1)
+        logits = rng.normal(size=(6, 12))
+        both = position_loss(Tensor(logits), [a, b], 3, 4)
+        each = [position_loss(Tensor(logits[k::2]), [gt], 3, 4)
+                for k, gt in enumerate((a, b))]
+        assert float(both.data) == pytest.approx(
+            (float(each[0].data) + float(each[1].data)) / 2, abs=1e-12)
+        with pytest.raises(ValueError, match="share a length"):
+            position_loss(Tensor(logits[:5]), [a, path_at([0, 1], 3, 4,
+                                                          [200.0] * 2)], 3, 4)
+
     def test_length_mismatch_rejected(self):
         gt = path_at([0, 1], 3, 4, [200.0] * 2)
         with pytest.raises(ValueError, match="maps"):
-            position_loss(Tensor(np.zeros((1, 12))), gt, 3, 4)
+            position_loss(Tensor(np.zeros((1, 12))), [gt], 3, 4)
 
     def test_out_of_bounds_fixation_rejected(self):
         gt = Scanpath(image_id=0, observer_id=0,
                       fixations=(Fixation(0.5, 1.2, 100.0),))
         with pytest.raises(ValueError):
-            position_loss(Tensor(np.zeros((1, 12))), gt, 3, 4)
+            position_loss(Tensor(np.zeros((1, 12))), [gt], 3, 4)
 
 
 class TestDurationLoss:
     def test_zero_residual_unit_variance(self):
         gt = path_at([0, 1], 2, 2, [300.0, 120.0])
         loss = duration_loss(Tensor(np.log([300.0, 120.0])),
-                             Tensor(np.ones(2)), gt)
+                             Tensor(np.ones(2)), [gt])
         assert float(loss.data) == pytest.approx(HALF_LOG_2PI, abs=1e-12)
 
     def test_doubling_variance_adds_half_log_two(self):
         gt = path_at([0], 2, 2, [250.0])
         mu = Tensor(np.log([250.0]))
-        base = duration_loss(mu, Tensor([1.0]), gt)
-        doubled = duration_loss(mu, Tensor([2.0]), gt)
+        base = duration_loss(mu, Tensor([1.0]), [gt])
+        doubled = duration_loss(mu, Tensor([2.0]), [gt])
         assert float(doubled.data) - float(base.data) == pytest.approx(
             0.5 * np.log(2.0), abs=1e-12)
 
@@ -99,7 +116,7 @@ class TestDurationLoss:
         mus = rng.normal(5.5, 0.5, 5)
         variances = rng.uniform(0.2, 2.0, 5)
         gt = path_at(range(5), 4, 4, durs)
-        loss = duration_loss(Tensor(mus), Tensor(variances), gt)
+        loss = duration_loss(Tensor(mus), Tensor(variances), [gt])
         expect = np.mean(
             0.5 * (np.log(2 * np.pi) + np.log(variances) +
                    (np.log(durs) - mus) ** 2 / variances))
@@ -108,7 +125,7 @@ class TestDurationLoss:
     def test_length_mismatch_rejected(self):
         gt = path_at([0], 2, 2, [100.0])
         with pytest.raises(ValueError, match="duration parameters"):
-            duration_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)), gt)
+            duration_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)), [gt])
 
 
 class TestTrainConfig:
@@ -185,6 +202,23 @@ class TestTrain:
                            TrainConfig(epochs=3, lr=3e-4, seed=0))
         assert len(history) == 3
         assert history[-1][3] < history[0][3]
+
+    def test_trained_parameters_freed_without_cyclic_collector(self):
+        # a recorded tensor marks its tape by a token, not by the tape,
+        # which holds the trainable leaves: no reference cycle is left
+        corpus_cfg = smoke_config()
+        corpus = build_corpus(corpus_cfg, 0)
+        model = ScanpathModel(small_model_config(corpus_cfg), seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, corpus, TrainConfig(epochs=1))
+            # a Tensor takes no weak reference; its array dies with it
+            param = weakref.ref(model.params["W_ih"].data)
+            del model
+            assert param() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_loss_aborts_with_diagnostic(self):
