@@ -254,6 +254,8 @@ def build_saliency(fixations, sigma: float | None = None,
     if not fixations:
         raise ValueError("cannot build a saliency map from zero fixations")
     height, width = int(resolution[0]), int(resolution[1])
+    if height < 1 or width < 1:
+        raise ValueError(f"resolution must be at least 1x1, got {height}x{width}")
     if sigma is None:
         sigma = width / 16.0
     if sigma <= 0:

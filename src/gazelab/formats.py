@@ -40,6 +40,17 @@ MANIFEST_FORMAT = "isp-corpus-v2"
 SPLITS = ("train", "val", "test")
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; a byte sequence that is not UTF-8 is a
+    ValueError naming the file and the line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def _parse_json(path, text: str, lineno: int = 1) -> dict:
     """The JSON object in ``text``, which starts at line ``lineno`` of
     ``path``; errors name the file and the line."""
@@ -58,7 +69,7 @@ def _parse_json(path, text: str, lineno: int = 1) -> dict:
 def read_json(path, expected_format: str | None = None) -> dict:
     """The JSON object a whole file holds, checked for its format tag when
     ``expected_format`` is given."""
-    document = _parse_json(path, Path(path).read_text())
+    document = _parse_json(path, _read_text(path))
     if expected_format is not None and \
             document.get("format") != expected_format:
         raise ValueError(f"{path}: expected format {expected_format!r}, "
@@ -98,7 +109,7 @@ def write_scanpaths(scanpaths, path) -> None:
 
 
 def read_scanpaths(path) -> list:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     _check_header(path, lines, GAZE_FORMAT)
     scanpaths = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -195,7 +206,7 @@ def read_scenes(path, shape: tuple | None = None) -> list:
     ``CATEGORIES`` codes, and each blob an object of the six ``Blob``
     fields whose channel indexes E.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     _check_header(path, lines, SCENE_FORMAT)
     scenes = []
     for lineno, line in enumerate(lines[1:], start=2):

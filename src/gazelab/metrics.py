@@ -53,6 +53,10 @@ class MetricConfig:
             raise ValueError(f"metric grids must be at least 1x1, got {self.sm_grid} and {self.sed_grid}")
         if self.sm_tbin < 0:
             raise ValueError(f"sm_tbin must be >= 0, got {self.sm_tbin}")
+        if self.sm_gap > 0:
+            raise ValueError(f"sm_gap must be <= 0, a penalty, got {self.sm_gap}")
+        if min(self.aspect) <= 0:
+            raise ValueError(f"aspect entries must be > 0, got {self.aspect}")
 
 
 def _require_nonempty(*scanpaths: Scanpath) -> None:

@@ -13,6 +13,11 @@ Conventions
   the tape; outside a tape they are plain numpy calls and produce identical
   values.
 * A tape is single-owner. Concurrent training requires independent tapes.
+* Each primitive passes ``_trace`` one gradient function per operand,
+  mapping the output gradient to that operand's contribution. A node keeps
+  the functions of its traced operands only, and each function closes over
+  only what its formula reads (shapes, not operand Tensors, where a shape
+  suffices).
 * The fused ``lstm`` runs B sequences at once, on a (T, B, 4h) input with a
   (B, 2h) carry, so a batch of scanpaths is one node as one scanpath is.
 """
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -112,7 +119,7 @@ def as_tensor(value) -> Tensor:
 class _Node:
     op: str
     parents: tuple
-    backward: Callable | None  # grad -> list of (parent id, contribution)
+    vjps: tuple | None  # vjps[i]: output grad -> contribution to parents[i]
 
 
 class Tape:
@@ -122,10 +129,10 @@ class Tape:
     with the tape itself: the tape holds its trainable leaves, so a mark
     pointing back at the tape would make every trained parameter part of a
     reference cycle that only the cyclic collector frees. Gradients can be
-    taken once: ``gradients`` frees every node's backward closure as it
-    goes, so the arrays the closures hold are released by reference
-    counting too. The node list itself stays, so ``len(tape.nodes)`` still
-    counts what was recorded.
+    taken once: ``gradients`` frees every node's gradient functions as it
+    goes, so the arrays they hold are released by reference counting too.
+    The node list itself stays, so ``len(tape.nodes)`` still counts what
+    was recorded.
     """
 
     def __init__(self):
@@ -157,11 +164,6 @@ class Tape:
                 self._leaves[t.node] = t
         return t.node
 
-    def _record(self, op: str, parent_ids: tuple, backward: Callable) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(_Node(op, parent_ids, backward))
-        return nid
-
     def gradients(self, root: Tensor) -> dict:
         """Backpropagate from a scalar root.
 
@@ -179,45 +181,41 @@ class Tape:
             raise ValueError(f"backprop root must be scalar, got shape {root.data.shape}")
         self._spent = True
         for node in self.nodes[root.node + 1:]:
-            node.backward = None
+            node.vjps = None
         grads: dict[int, np.ndarray] = {root.node: np.ones_like(root.data)}
         for nid in range(root.node, -1, -1):
             node = self.nodes[nid]
-            backward, node.backward = node.backward, None
+            vjps, node.vjps = node.vjps, None
             g = grads.pop(nid, None)
             if g is None:
                 continue
-            if backward is None:
+            if vjps is None:
                 grads[nid] = g  # keep leaf grads
                 continue
-            for pid, contrib in backward(g):
-                if pid in grads:
-                    grads[pid] = grads[pid] + contrib
-                else:
-                    grads[pid] = contrib
+            for pid, vjp in zip(node.parents, vjps):
+                contrib = vjp(g)
+                grads[pid] = grads[pid] + contrib if pid in grads else contrib
         return {t: grads[nid] for nid, t in self._leaves.items() if nid in grads}
 
 
-def _trace(op: str, out: np.ndarray, inputs: Sequence[Tensor], backward_builder) -> Tensor:
+def _trace(op: str, out: np.ndarray, inputs: Sequence[Tensor], *vjps) -> Tensor:
     """Wrap a primitive result; append a node when a tape is active.
 
-    ``backward_builder`` is called only when recording, with the input node
-    ids of the traced operands, and must return grad -> [(pid, contrib)].
+    ``vjps[i]`` maps the output gradient to input i's contribution. Only
+    the traced inputs keep theirs, so a constant operand costs no backward
+    work.
     """
     result = Tensor(out)
     tape = _active_tape()
     if tape is None:
         return result
-    parent_ids = []
-    input_slots = []
-    for pos, t in enumerate(inputs):
-        if t.trainable or (t._tape_token is tape._token and t.node is not None):
-            parent_ids.append(tape._leaf_id(t))
-            input_slots.append(pos)
-    if not parent_ids:
+    traced = [(tape._leaf_id(t), vjp) for t, vjp in zip(inputs, vjps)
+              if t.trainable or (t._tape_token is tape._token and t.node is not None)]
+    if not traced:
         return result
-    backward = backward_builder(tuple(parent_ids), tuple(input_slots))
-    result.node = tape._record(op, tuple(parent_ids), backward)
+    parents, kept = zip(*traced)
+    result.node = len(tape.nodes)
+    tape.nodes.append(_Node(op, parents, kept))
     result._tape_token = tape._token
     return result
 
@@ -251,83 +249,49 @@ def _broadcast(op: str, fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _broadcast("add", np.add, a.data, b.data)
-
-    def build(pids, slots):
-        shapes = {0: a.data.shape, 1: b.data.shape}
-
-        def backward(g):
-            return [(pid, _unbroadcast(g, shapes[slot])) for pid, slot in zip(pids, slots)]
-
-        return backward
-
-    return _trace("add", out, (a, b), build)
+    sa, sb = a.data.shape, b.data.shape
+    return _trace("add", out, (a, b),
+                  lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _broadcast("sub", np.subtract, a.data, b.data)
-
-    def build(pids, slots):
-        shapes = {0: a.data.shape, 1: b.data.shape}
-
-        def backward(g):
-            outs = []
-            for pid, slot in zip(pids, slots):
-                contrib = _unbroadcast(g if slot == 0 else -g, shapes[slot])
-                outs.append((pid, contrib))
-            return outs
-
-        return backward
-
-    return _trace("sub", out, (a, b), build)
+    sa, sb = a.data.shape, b.data.shape
+    return _trace("sub", out, (a, b),
+                  lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _broadcast("mul", np.multiply, a.data, b.data)
-
-    def build(pids, slots):
-        av, bv = a.data, b.data
-
-        def backward(g):
-            outs = []
-            for pid, slot in zip(pids, slots):
-                if slot == 0:
-                    outs.append((pid, _unbroadcast(g * bv, av.shape)))
-                else:
-                    outs.append((pid, _unbroadcast(g * av, bv.shape)))
-            return outs
-
-        return backward
-
-    return _trace("mul", out, (a, b), build)
+    av, bv = a.data, b.data
+    out = _broadcast("mul", np.multiply, av, bv)
+    sa, sb = av.shape, bv.shape
+    return _trace("mul", out, (a, b),
+                  lambda g: _unbroadcast(g * bv, sa), lambda g: _unbroadcast(g * av, sb))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if np.any(b.data == 0.0):
+    av, bv = a.data, b.data
+    if np.any(bv == 0.0):
         raise DomainError("div: zero divisor")
-    out = _broadcast("div", np.divide, a.data, b.data)
-
-    def build(pids, slots):
-        av, bv = a.data, b.data
-
-        def backward(g):
-            outs = []
-            for pid, slot in zip(pids, slots):
-                if slot == 0:
-                    outs.append((pid, _unbroadcast(g / bv, av.shape)))
-                else:
-                    outs.append((pid, _unbroadcast(-g * av / (bv * bv), bv.shape)))
-            return outs
-
-        return backward
-
-    return _trace("div", out, (a, b), build)
+    out = _broadcast("div", np.divide, av, bv)
+    sa, sb = av.shape, bv.shape
+    return _trace("div", out, (a, b),
+                  lambda g: _unbroadcast(g / bv, sa),
+                  lambda g: _unbroadcast(-g * av / (bv * bv), sb))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
+
+
+def _as_matrices(av: np.ndarray, bv: np.ndarray) -> tuple:
+    """The operands of ``av @ bv`` as matrices: a vector ``av`` is one row,
+    a vector ``bv`` one column."""
+    return (av.reshape(1, -1) if av.ndim == 1 else av,
+            bv.reshape(-1, 1) if bv.ndim == 1 else bv)
 
 
 def matmul(a, b) -> Tensor:
@@ -341,25 +305,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
     out = av @ bv
 
-    def build(pids, slots):
-        a2 = av.reshape(1, -1) if av.ndim == 1 else av
-        b2 = bv.reshape(-1, 1) if bv.ndim == 1 else bv
+    def vjp_a(g):
+        a2, b2 = _as_matrices(av, bv)
+        return (g.reshape(len(a2), b2.shape[1]) @ b2.T).reshape(av.shape)
 
-        def backward(g):
-            g2 = g.reshape(a2.shape[0], b2.shape[1])
-            outs = []
-            for pid, slot in zip(pids, slots):
-                if slot == 0:
-                    ga = g2 @ b2.T
-                    outs.append((pid, ga.reshape(av.shape)))
-                else:
-                    gb = a2.T @ g2
-                    outs.append((pid, gb.reshape(bv.shape)))
-            return outs
+    def vjp_b(g):
+        a2, b2 = _as_matrices(av, bv)
+        return (a2.T @ g.reshape(len(a2), b2.shape[1])).reshape(bv.shape)
 
-        return backward
-
-    return _trace("matmul", out, (a, b), build)
+    return _trace("matmul", out, (a, b), vjp_a, vjp_b)
 
 
 def transpose(a) -> Tensor:
@@ -367,18 +321,17 @@ def transpose(a) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expects a 2-D operand, got {a.data.shape}")
     out = a.data.T  # a view: matmul hands it to BLAS as transposed, uncopied
-
-    def build(pids, slots):
-        def backward(g):
-            return [(pids[0], g.T)]
-
-        return backward
-
-    return _trace("transpose", out, (a,), build)
+    return _trace("transpose", out, (a,), lambda g: g.T)
 
 
 # ---------------------------------------------------------------------------
 # structure
+
+
+def _slicer(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    sl = [slice(None)] * ndim
+    sl[axis] = slice(start, stop)
+    return tuple(sl)
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -397,42 +350,25 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(
             "concat: shapes " + ", ".join(str(p.data.shape) for p in parts) + f" on axis {axis}"
         ) from exc
-
-    def build(pids, slots):
-        sizes = [p.data.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(g):
-            outs = []
-            for pid, slot in zip(pids, slots):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offsets[slot], offsets[slot + 1])
-                outs.append((pid, g[tuple(sl)]))
-            return outs
-
-        return backward
-
-    return _trace("concat", out, tuple(parts), build)
+    bounds = [0, *accumulate(p.data.shape[axis] for p in parts)]
+    return _trace("concat", out, parts,
+                  *(itemgetter(_slicer(nd, axis, lo, hi)) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     a = as_tensor(a)
-    extent = a.data.shape[axis]
-    if start < 0 or start + length > extent:
-        raise ShapeError(f"narrow: [{start}:{start + length}] outside axis {axis} of {a.data.shape}")
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    out = a.data[tuple(sl)].copy()
+    shape = a.data.shape
+    if start < 0 or start + length > shape[axis]:
+        raise ShapeError(f"narrow: [{start}:{start + length}] outside axis {axis} of {shape}")
+    sl = _slicer(len(shape), axis, start, start + length)
+    out = a.data[sl].copy()
 
-    def build(pids, slots):
-        def backward(g):
-            full = np.zeros_like(a.data)
-            full[tuple(sl)] = g
-            return [(pids[0], full)]
+    def vjp(g):
+        full = np.zeros(shape)
+        full[sl] = g
+        return full
 
-        return backward
-
-    return _trace("narrow", out, (a,), build)
+    return _trace("narrow", out, (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -441,15 +377,8 @@ def reshape(a, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: {a.data.shape} to {tuple(shape)}") from exc
-    out = out.copy()
-
-    def build(pids, slots):
-        def backward(g):
-            return [(pids[0], g.reshape(a.data.shape))]
-
-        return backward
-
-    return _trace("reshape", out, (a,), build)
+    sa = a.data.shape
+    return _trace("reshape", out.copy(), (a,), lambda g: g.reshape(sa))
 
 
 # ---------------------------------------------------------------------------
@@ -461,36 +390,21 @@ def mean(a, axis: int) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"mean: axis {axis} outside shape {a.data.shape}")
     axis = axis % a.data.ndim
-    out = a.data.mean(axis=axis)
-
-    def build(pids, slots):
-        n = a.data.shape[axis]
-
-        def backward(g):
-            ge = np.expand_dims(g, axis)
-            return [(pids[0], np.broadcast_to(ge / n, a.data.shape).copy())]
-
-        return backward
-
-    return _trace("mean", out, (a,), build)
+    sa = a.data.shape
+    return _trace("mean", a.data.mean(axis=axis), (a,),
+                  lambda g: np.broadcast_to(np.expand_dims(g, axis) / sa[axis], sa).copy())
 
 
 def tsum(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
     if axis is not None and not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"sum: axis {axis} outside shape {a.data.shape}")
-    out = a.data.sum(axis=axis)
-
-    def build(pids, slots):
-        def backward(g):
-            if axis is None:
-                return [(pids[0], np.broadcast_to(g, a.data.shape).copy())]
-            ge = np.expand_dims(g, axis % a.data.ndim)
-            return [(pids[0], np.broadcast_to(ge, a.data.shape).copy())]
-
-        return backward
-
-    return _trace("sum", out, (a,), build)
+    sa = a.data.shape
+    if axis is not None:
+        axis = axis % a.data.ndim
+    return _trace("sum", a.data.sum(axis=axis), (a,),
+                  lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                            sa).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -504,31 +418,16 @@ def softmax(a, axis: int = -1) -> Tensor:
         raise ShapeError(f"softmax: axis {axis} outside shape {a.data.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def build(pids, slots):
-        s = out
-
-        def backward(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            return [(pids[0], (g - dot) * s)]
-
-        return backward
-
-    return _trace("softmax", out, (a,), build)
+    s = e / e.sum(axis=axis, keepdims=True)
+    return _trace("softmax", s, (a,),
+                  lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s)
 
 
 def _unary(op: str, a, fwd, bwd) -> Tensor:
     a = as_tensor(a)
-    out = fwd(a.data)
-
-    def build(pids, slots):
-        def backward(g):
-            return [(pids[0], bwd(g, a.data, out))]
-
-        return backward
-
-    return _trace(op, out, (a,), build)
+    x = a.data
+    y = fwd(x)
+    return _trace(op, y, (a,), lambda g: bwd(g, x, y))
 
 
 def tanh(a) -> Tensor:
@@ -566,7 +465,8 @@ def lstm(z, w_hh, state) -> Tensor:
     Returns (T, B, 2h) with ``out[t, b]`` equal to [h_t, c_t], so the last
     step is the carry of a following call; T chained one-step calls give
     bit-identical rows. The backward pass is backpropagation through time
-    over the saved gate activations.
+    over the saved gate activations; it runs once per output gradient and
+    yields all three operands' gradients.
     """
     z, w_hh, state = as_tensor(z), as_tensor(w_hh), as_tensor(state)
     zv, wv, sv = z.data, w_hh.data, state.data
@@ -590,12 +490,12 @@ def lstm(z, w_hh, state) -> Tensor:
         hidden = act[:, 3 * h:] * np.tanh(cell)
         out[t, :, :h] = hidden
         out[t, :, h:] = cell
+    memo = [None, None]  # the output gradient last seen and its three gradients
 
-    def build(pids, slots):
-        prev = np.concatenate([sv[None], out[:-1]])  # carry entering each step
-        tanh_c = np.tanh(out[:, :, h:])
-
-        def backward(g):
+    def bptt(g):
+        if memo[0] is not g:
+            prev = np.concatenate([sv[None], out[:-1]])  # carry entering each step
+            tanh_c = np.tanh(out[:, :, h:])
             dz = np.empty((steps, batch, 4 * h))
             dh = np.zeros((batch, h))
             dc = np.zeros((batch, h))
@@ -610,14 +510,12 @@ def lstm(z, w_hh, state) -> Tensor:
                 dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
                 dh = dz[t] @ wv
                 dc = dc * f
-            grads = {0: dz,
-                     1: dz.reshape(-1, 4 * h).T @ prev[:, :, :h].reshape(-1, h),
-                     2: np.concatenate([dh, dc], axis=1)}
-            return [(pid, grads[slot]) for pid, slot in zip(pids, slots)]
+            dw = dz.reshape(-1, 4 * h).T @ prev[:, :, :h].reshape(-1, h)
+            memo[:] = g, (dz, dw, np.concatenate([dh, dc], axis=1))
+        return memo[1]
 
-        return backward
-
-    return _trace("lstm", out, (z, w_hh, state), build)
+    return _trace("lstm", out, (z, w_hh, state),
+                  lambda g: bptt(g)[0], lambda g: bptt(g)[1], lambda g: bptt(g)[2])
 
 
 def softmax_nll(logits, targets) -> Tensor:
@@ -644,15 +542,12 @@ def softmax_nll(logits, targets) -> Tensor:
     total = e.sum(axis=1)
     out = np.asarray(np.mean(np.log(total) - shifted[rows, idx]))
 
-    def build(pids, slots):
-        def backward(g):
-            p = e / total[:, None]
-            p[rows, idx] -= 1.0
-            return [(pids[0], p * (g / xv.shape[0]))]
+    def vjp(g):
+        p = e / total[:, None]
+        p[rows, idx] -= 1.0
+        return p * (g / len(rows))
 
-        return backward
-
-    return _trace("softmax_nll", out, (x,), build)
+    return _trace("softmax_nll", out, (x,), vjp)
 
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -676,16 +571,10 @@ def gaussian_nll(mu, var, x) -> Tensor:
         raise DomainError("gaussian_nll: variance has entries <= 0")
     r = mu.data - xv
     out = np.asarray(np.mean(0.5 * (np.log(vv) + r * r / vv)) + HALF_LOG_2PI)
-
-    def build(pids, slots):
-        def backward(g):
-            scale = g / xv.size
-            grads = {0: scale * r / vv, 1: scale * 0.5 * (1.0 - r * r / vv) / vv}
-            return [(pid, grads[slot]) for pid, slot in zip(pids, slots)]
-
-        return backward
-
-    return _trace("gaussian_nll", out, (mu, var), build)
+    n = xv.size
+    return _trace("gaussian_nll", out, (mu, var),
+                  lambda g: g / n * r / vv,
+                  lambda g: g / n * 0.5 * (1.0 - r * r / vv) / vv)
 
 
 # Closed set of differentiable primitives. Tests iterate over this registry,

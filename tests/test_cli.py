@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelab.cli import main
@@ -204,6 +204,14 @@ class TestValidationErrors:
         assert f"{path}:1: invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    def test_non_utf8_config_names_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"model":\n  {"hidden": "\xff"}}\n')
+        code = main(["gen-data", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert f"{path}:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_override_error_does_not_name_config_file(self, capsys):
         code = main(["gen-data", "--config", SMOKE, "--seed", "0",
                      "--set", "model.hiden=3", "--out", "x"])
@@ -281,6 +289,28 @@ class TestValidationErrors:
         assert f"{override.partition('=')[0]} must be" in \
             capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("override", [
+        "metric.aspect=[0,0]", "metric.aspect=[-4,3]", "metric.sm_gap=5"])
+    def test_meaningless_metric_setting_exit_2(self, workspace, tmp_path,
+                                               capsys, override):
+        pred = str(Path(workspace["data"]) / "gaze_test.jsonl")
+        code = main(["eval-value", "--config", SMOKE, "--set", override,
+                     "--data", workspace["data"], "--pred", pred,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        field = override.partition("=")[0].split(".")[1]
+        assert f"error: {field} " in capsys.readouterr().err
+
+    def test_zero_saliency_resolution_exit_2(self, workspace, tmp_path,
+                                             capsys):
+        code = main(["eval-saliency", "--config", SMOKE, "--seed", "0",
+                     "--resolution", "0", "--data", workspace["data"],
+                     "--checkpoint", workspace["ckpt"],
+                     "--out", str(tmp_path / "sal")])
+        assert code == 2
+        assert "resolution must be at least 1x1, got 0x0" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["n_social_channels",
                                      "n_nonsocial_channels", "scanpath_len"])
@@ -439,13 +469,31 @@ class TestValidationErrors:
 # a value of each JSON kind; bool is a kind of its own, and a float is not
 # an id
 JSON_KINDS = [None, True, 3, 2.5, "x", [1], {"a": 1}]
-CORPUS_FILES = ("manifest.json", "scenes.jsonl", "gaze_train.jsonl",
-                "gaze_val.jsonl", "gaze_test.jsonl")
+LINE_FILES = ("scenes.jsonl", "gaze_train.jsonl", "gaze_val.jsonl",
+              "gaze_test.jsonl")
+CORPUS_FILES = ("manifest.json",) + LINE_FILES
 
 
 @pytest.fixture(scope="module")
 def corrupt_root(tmp_path_factory):
     return tmp_path_factory.mktemp("corrupt")
+
+
+def fresh_copy(workspace, corrupt_root):
+    root = corrupt_root / "data"
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(workspace["data"], root)
+    return root
+
+
+def train_zero_epochs(root, out):
+    """Exit code and standard error of ``train`` on the corpus at ``root``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--config", SMOKE, "--seed", "0",
+                     "--set", "train.epochs=0", "--data", str(root),
+                     "--out", str(out)])
+    return code, err.getvalue()
 
 
 class TestCorruptedCorpus:
@@ -457,9 +505,7 @@ class TestCorruptedCorpus:
     @given(data=st.data())
     def test_train_exits_2_naming_a_file(self, workspace, corrupt_root,
                                          data):
-        root = corrupt_root / "data"
-        shutil.rmtree(root, ignore_errors=True)
-        shutil.copytree(workspace["data"], root)
+        root = fresh_copy(workspace, corrupt_root)
         name = data.draw(st.sampled_from(CORPUS_FILES))
         path = root / name
         lines = path.read_text().splitlines()
@@ -490,13 +536,25 @@ class TestCorruptedCorpus:
         else:
             lines[lineno - 1] = json.dumps(record)
             path.write_text("\n".join(lines) + "\n")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["train", "--config", SMOKE, "--seed", "0",
-                         "--set", "train.epochs=0", "--data", str(root),
-                         "--out", str(corrupt_root / "out")])
+        code, err = train_zero_epochs(root, corrupt_root / "out")
         assert code == 2
-        assert str(root) in err.getvalue()
+        assert str(root) in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(LINE_FILES), index=st.integers(0, 1000),
+           garbage=st.binary())
+    @example(name="gaze_train.jsonl", index=1, garbage=b"\xff")
+    @example(name="scenes.jsonl", index=2, garbage=b"\xff")
+    def test_garbage_line_exits_0_or_2_naming_its_file(
+            self, workspace, corrupt_root, name, index, garbage):
+        """One whole line of a gaze or scene file replaced by any bytes."""
+        root = fresh_copy(workspace, corrupt_root)
+        path = root / name
+        lines = path.read_bytes().splitlines()
+        lines[index % len(lines)] = garbage
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code, err = train_zero_epochs(root, corrupt_root / "out")
+        assert code == 0 or (code == 2 and str(path) in err)
 
 
 class TestGenData:

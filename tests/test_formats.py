@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazelab.evaluate import predict_split
 from gazelab.formats import (
     read_checkpoint,
     read_corpus,
@@ -30,7 +31,7 @@ from gazelab.model import (
     ablation_config,
 )
 from gazelab.scanpath import Fixation, Scanpath
-from gazelab.synthetic import CorpusConfig, build_corpus
+from gazelab.synthetic import CorpusConfig, build_corpus, smoke_config
 
 
 def random_scanpaths(n, seed):
@@ -85,6 +86,16 @@ class TestScanpathFile:
         lines[2] = "{not json"
         file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r":3:.*invalid JSON"):
+            read_scanpaths(file)
+
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        file = tmp_path / "gaze.jsonl"
+        write_scanpaths(random_scanpaths(2, seed=3), file)
+        lines = file.read_bytes().splitlines()
+        lines[2] = b'{"image_id": \xff}'
+        file.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{file}:3: not UTF-8 text")):
             read_scanpaths(file)
 
     def test_wrong_header_format_rejected(self, tmp_path):
@@ -581,6 +592,25 @@ class TestCorpusDirectory:
         write_corpus(tiny_corpus, tmp_path / "b")
         for file in sorted((tmp_path / "a").iterdir()):
             assert file.read_bytes() == (tmp_path / "b" / file.name).read_bytes()
+
+    def test_write_read_write_byte_identical(self, tmp_path):
+        # every file of the smoke corpus, plus a gaze file of sampled
+        # predictions, whose durations are not round numbers
+        corpus = build_corpus(smoke_config(), seed=0)
+        model = ScanpathModel(ModelConfig(
+            n_observers=4, height=8, width=8, channels=6, observer_dim=3,
+            hidden=4, semantic_channels=2, max_steps=4), seed=0)
+        preds = predict_split(model, corpus, "test", mode="sample", seed=1)
+        first, second = tmp_path / "a", tmp_path / "b"
+        write_corpus(corpus, first)
+        write_scanpaths(preds, first / "predictions.jsonl")
+        write_corpus(read_corpus(first), second)
+        write_scanpaths(read_scanpaths(first / "predictions.jsonl"),
+                        second / "predictions.jsonl")
+        names = sorted(file.name for file in first.iterdir())
+        assert names == sorted(file.name for file in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_manifest_without_files_names_manifest(self, tmp_path,
                                                    tiny_corpus):

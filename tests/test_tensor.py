@@ -143,6 +143,13 @@ class TestTape:
             gc.enable()
         assert [node.op for node in tape.nodes] == ["leaf", "mul", "tanh", "sum"]
 
+    def test_constant_operand_is_not_a_parent(self):
+        w = Tensor(np.ones((2, 3)), trainable=True)
+        with Tape() as tape:
+            out = matmul(w, np.arange(3.0))
+        node = tape.nodes[out.node]
+        assert (node.op, node.parents, len(node.vjps)) == ("matmul", (w.node,), 1)
+
     def test_second_gradients_call_rejected(self):
         x = Tensor(np.ones(2), trainable=True)
         with Tape() as tape:
@@ -169,6 +176,29 @@ class TestFusedPrimitives:
             row = lstm(z[t:t + 1], w_hh, state)
             np.testing.assert_array_equal(row.data[0], whole[t])
             state = reshape(narrow(row, 0, 0, 1), (batch, 2 * h))
+
+    def test_lstm_gradient_same_traced_alone_or_together(self):
+        # the three operands share one backward pass; tracing fewer of them
+        # must not change the gradient of the others by a single bit
+        rng = np.random.default_rng(5)
+        steps, batch, h = 3, 2, 4
+        values = [rng.normal(size=shape) for shape in
+                  ((steps, batch, 4 * h), (4 * h, h), (batch, 2 * h))]
+        weights = rng.normal(size=(steps, batch, 2 * h))
+
+        def grads(traced):
+            operands = [Tensor(v, trainable=i in traced)
+                        for i, v in enumerate(values)]
+            with Tape() as tape:
+                loss = tsum(mul(lstm(*operands), weights))
+            found = tape.gradients(loss)
+            return [found.get(t) for t in operands]
+
+        together = grads({0, 1, 2})
+        for i in range(3):
+            alone = grads({i})
+            np.testing.assert_array_equal(alone[i], together[i])
+            assert sum(g is not None for g in alone) == 1
 
     def test_lstm_matches_gate_equations(self):
         # each of the B sequences runs its own recurrence from its own carry
