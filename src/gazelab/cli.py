@@ -117,7 +117,8 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="test",
                    choices=("train", "val", "test"))
     p.add_argument("--variant", default="model", help="report row label")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored")
 
     p = command("eval-rank", _cmd_eval_rank, False,
                 "observer retrieval ranking from a checkpoint")
@@ -126,7 +127,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--split", default="test",
                    choices=("train", "val", "test"))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored")
 
     p = command("eval-saliency", _cmd_eval_saliency, True,
                 "saliency scores of pooled predictions")
@@ -142,7 +144,8 @@ def build_parser() -> _Parser:
                 "train and score all six model variants")
     p.add_argument("--data", help="corpus directory")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored")
 
     p = command("analyze", _cmd_analyze, True,
                 "semantic region statistics and correlations")

@@ -15,25 +15,26 @@ and SIM.
 Prediction makes one free-running rollout per image for all of its
 observers (``ScanpathModel.sample_scanpaths``).
 
-ScanMatch and string-edit distance score every pair of a call in one
-batched Needleman-Wunsch sweep each (``metrics.scanmatch_pairs`` and
-``metrics.sed_pairs``). ``threads`` > 1 maps only MultiMatch and the
-per-row rank sort across a thread pool, with a deterministic,
-order-preserving reduce; the default, 1, runs them serially.
+Each evaluation call is one batched array sweep per metric: ScanMatch and
+string-edit distance score every pair of the call in one Needleman-Wunsch
+sweep each (``metrics.scanmatch_pairs`` and ``metrics.sed_pairs``),
+MultiMatch aligns every pair in one batch (``metrics.multimatch_pairs``),
+and ``rank_eval`` ranks all rows at once by counting. There is no thread
+pool; the ``threads`` keywords are accepted and ignored.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-# scanmatch and string_edit_distance stay importable here beside multimatch
+# scanmatch, multimatch and string_edit_distance stay importable here
 from .metrics import (  # noqa: F401
     MetricConfig,
     multimatch,
+    multimatch_pairs,
     scanmatch,
     scanmatch_pairs,
     sed_pairs,
@@ -44,13 +45,6 @@ from .scanpath import grid_cell
 log = logging.getLogger(__name__)
 
 VALUE_METRICS = ("sm", "mm", "sed")
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _index_by_pair(preds) -> dict:
@@ -92,10 +86,10 @@ class ValueResult:
     stderr: dict
 
 
-def _value_rows(pairs, config: MetricConfig, threads: int) -> list:
+def _value_rows(pairs, config: MetricConfig) -> list:
     """SM, MultiMatch mean and SED of each (prediction, ground truth) pair."""
     sms, seds = scanmatch_pairs(pairs, config), sed_pairs(pairs, config)
-    mms = _pmap(lambda pair: multimatch(*pair, config).mean, pairs, threads)
+    mms = [result.mean for result in multimatch_pairs(pairs, config)]
     return [{"sm": float(sm), "mm": mm, "sed": float(sed)}
             for sm, mm, sed in zip(sms, mms, seds)]
 
@@ -103,7 +97,8 @@ def _value_rows(pairs, config: MetricConfig, threads: int) -> list:
 def value_eval(preds, gt, config: MetricConfig | None = None,
                threads: int = 1) -> ValueResult:
     """Score each prediction against its own observer's ground truth; two
-    predictions for one (image, observer) raise ``ValueError``."""
+    predictions for one (image, observer) raise ``ValueError``.
+    ``threads`` is ignored."""
     config = config or MetricConfig()
     by_pair = _index_by_pair(preds)
     ordered = sorted(gt, key=lambda sp: (sp.image_id, sp.observer_id))
@@ -115,7 +110,7 @@ def value_eval(preds, gt, config: MetricConfig | None = None,
 
     scored = _value_rows(
         [(by_pair[(sp.image_id, sp.observer_id)], sp) for sp in ordered],
-        config, threads)
+        config)
     pairs = {(sp.image_id, sp.observer_id): row
              for sp, row in zip(ordered, scored)}
     means, stderr = {}, {}
@@ -146,11 +141,13 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
               ks=(1, 5), threads: int = 1) -> RankingResult:
     """Rank every observer's ground truth against each prediction.
 
-    Ground truths on the prediction's image are sorted by ScanMatch to the
-    prediction, descending, ties broken by observer id ascending; the
-    matching observer's position is the rank. Images lacking ground truth
-    from every observer are excluded and logged. Two predictions for one
-    (image, observer) raise ``ValueError``.
+    Ground truths on the prediction's image are ordered by ScanMatch to
+    the prediction, descending, ties broken by observer id ascending; the
+    matching observer's position is the rank, counted for all rows at once
+    as 1 + #(higher score) + #(equal score, lower observer id). Images
+    lacking ground truth from every observer are excluded and logged. Two
+    predictions for one (image, observer) raise ``ValueError``.
+    ``threads`` is ignored.
     """
     config = config or MetricConfig()
     observers = sorted({sp.observer_id for sp in gt})
@@ -166,24 +163,24 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
         usable[image_id] = per_obs
     pred_rows = [sp for key, sp in sorted(_index_by_pair(preds).items())
                  if key[0] in usable]
+    column = {obs: k for k, obs in enumerate(observers)}
+    for pred in pred_rows:
+        if pred.observer_id not in column:
+            raise ValueError(
+                f"prediction observer {pred.observer_id} has no ground truth "
+                f"on image {pred.image_id}")
+    own = np.array([column[pred.observer_id] for pred in pred_rows],
+                   dtype=np.intp)
 
     scores = scanmatch_pairs(
         [(pred, usable[pred.image_id][obs])
          for pred in pred_rows for obs in observers],
         config).reshape(len(pred_rows), len(observers))
-
-    def rank_one(row):
-        pred, row_scores = row
-        scored = list(zip(row_scores.tolist(), observers))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        for position, (_, obs) in enumerate(scored, start=1):
-            if obs == pred.observer_id:
-                return position
-        raise ValueError(
-            f"prediction observer {pred.observer_id} has no ground truth "
-            f"on image {pred.image_id}")
-
-    ranks_list = _pmap(rank_one, list(zip(pred_rows, scores)), threads)
+    own_score = scores[np.arange(len(pred_rows)), own][:, None]
+    # observers are sorted, so a lower column is a lower observer id
+    ahead = (scores > own_score) | ((scores == own_score) &
+                                    (np.arange(len(observers)) < own[:, None]))
+    ranks_list = (1 + ahead.sum(axis=1)).tolist()
     ranks = {(sp.image_id, sp.observer_id): rank
              for sp, rank in zip(pred_rows, ranks_list)}
     values = np.array(ranks_list, dtype=float)
@@ -200,7 +197,7 @@ def human_consistency(gt, config: MetricConfig | None = None,
 
     For each (image, observer), the mean metric between that observer's
     scanpath and every other observer's on the same image. Images with a
-    single observer are skipped with a warning.
+    single observer are skipped with a warning. ``threads`` is ignored.
     """
     config = config or MetricConfig()
     by_image: dict[int, list] = {}
@@ -217,7 +214,7 @@ def human_consistency(gt, config: MetricConfig | None = None,
             others = [o for o in group if o.observer_id != sp.observer_id]
             jobs.append(slice(len(pairs), len(pairs) + len(others)))
             pairs.extend((sp, other) for other in others)
-    rows = _value_rows(pairs, config, threads)
+    rows = _value_rows(pairs, config)
     scored = [{name: float(np.mean([row[name] for row in rows[job]]))
                for name in VALUE_METRICS} for job in jobs]
     return {name: (float(np.mean([row[name] for row in scored]))

@@ -51,6 +51,16 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split at "\\n" only: the same count
+    that names a line in every error, unlike ``str.splitlines``, which also
+    splits at form feeds and other separators."""
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _parse_json(path, text: str, lineno: int = 1) -> dict:
     """The JSON object in ``text``, which starts at line ``lineno`` of
     ``path``; errors name the file and the line."""
@@ -109,7 +119,7 @@ def write_scanpaths(scanpaths, path) -> None:
 
 
 def read_scanpaths(path) -> list:
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     _check_header(path, lines, GAZE_FORMAT)
     scanpaths = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -206,7 +216,7 @@ def read_scenes(path, shape: tuple | None = None) -> list:
     ``CATEGORIES`` codes, and each blob an object of the six ``Blob``
     fields whose channel indexes E.
     """
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     _check_header(path, lines, SCENE_FORMAT)
     scenes = []
     for lineno, line in enumerate(lines[1:], start=2):

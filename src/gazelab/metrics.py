@@ -17,14 +17,18 @@ so its diagonal has length sqrt(2), which puts every dimension in [0,1].
 
 ScanMatch and string-edit distance share one Needleman-Wunsch kernel,
 ``nw_scores``, that aligns a whole batch of token-string pairs in one sweep
-over the anti-diagonals of their tables, keeping two diagonals per pair.
-``scanmatch_pairs`` and ``sed_pairs`` score many scanpath pairs with one
-call to it; ``scanmatch``, ``string_edit_distance`` and ``nw_score`` are
-batches of one. All functions are pure.
+over the anti-diagonals of their tables, keeping two diagonals per pair and
+sweeping only the pairs whose tables have not yet ended. ``scanmatch_pairs``
+and ``sed_pairs`` score many scanpath pairs with one call to it.
+``multimatch_pairs`` aligns many MultiMatch pairs in one anti-diagonal
+sweep of their padded min-cost tables and one traceback. ``scanmatch``,
+``multimatch``, ``string_edit_distance``, ``nw_score`` and
+``align_minimum_cost`` are batches of one. All functions are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,23 +71,34 @@ def _require_nonempty(*scanpaths: Scanpath) -> None:
             )
 
 
+# the longest duration-expanded token string ScanMatch aligns: 500 s of
+# fixation at the default 50 ms bins. The sweep's cost grows with the
+# product of two lengths, so a longer string is refused before it is built.
+MAX_SCANPATH_TOKENS = 10_000
+
+
 def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> list[int]:
     """Token string of fixations binned onto a Gx x Gy grid, column-major ids.
 
     Cells follow ``grid_cell`` with Gy rows and Gx columns; the token id is
     ``col * Gy + row``. With ``tbin > 0`` each fixation token is repeated
     ``ceil(dur / tbin)`` times, so longer fixations occupy more of the
-    string.
+    string; a string longer than ``MAX_SCANPATH_TOKENS`` raises ValueError.
     """
     _require_nonempty(sp)
     sp.validate()
     gx, gy = grid
     tokens: list[int] = []
-    for f in sp.fixations:
+    for i, f in enumerate(sp.fixations):
         row, col = divmod(grid_cell(f.x, f.y, gy, gx), gx)
         token = col * gy + row
-        reps = int(np.ceil(f.dur_ms / tbin)) if tbin > 0 else 1
-        tokens.extend([token] * max(reps, 1))
+        reps = max(f.dur_ms / tbin, 1.0) if tbin > 0 else 1.0
+        if len(tokens) + reps > MAX_SCANPATH_TOKENS:
+            raise ValueError(
+                f"fixation {i} of image {sp.image_id} observer {sp.observer_id}: "
+                f"duration {f.dur_ms} ms at sm_tbin {tbin} expands the scanpath "
+                f"past {MAX_SCANPATH_TOKENS} tokens")
+        tokens.extend([token] * math.ceil(reps))
     return tokens
 
 
@@ -111,12 +126,14 @@ def nw_scores(a_list, b_list, sub: np.ndarray, gap: float) -> np.ndarray:
     """Needleman-Wunsch best global alignment scores of many pairs at once.
 
     Sweeps the anti-diagonals of every pair's (len(a)+1) x (len(b)+1)
-    table together. The strings are padded to the longest; a padded cell
-    never feeds a cell inside its own pair's table, and pair ``p``'s score
-    is read off diagonal ``len(a) + len(b)``. Entry ``i`` of diagonal ``d``
-    holds cell ``(i, d - i)``, and only the last two diagonals are kept.
-    Each cell repeats the row-by-row recurrence's float operations in the
-    same order, so the scores are bit-identical to it for any gap.
+    table together. Entry ``i`` of diagonal ``d`` holds cell ``(i, d - i)``,
+    and only the last two diagonals are kept. The pairs are swept longest
+    table first: a pair's score is read off diagonal ``len(a) + len(b)``,
+    after which it drops out, so each diagonal runs on the live rows
+    ``[:live]`` only. The strings are padded to the longest; a padded cell
+    never feeds a cell inside its own pair's table. Each cell repeats the
+    row-by-row recurrence's float operations and tie rule, so the scores
+    are bit-identical to it for any gap. Scores come back in input order.
     """
     n_pairs = len(a_list)
     if n_pairs != len(b_list):
@@ -124,9 +141,14 @@ def nw_scores(a_list, b_list, sub: np.ndarray, gap: float) -> np.ndarray:
     out = np.empty(n_pairs)
     if n_pairs == 0:
         return out
+    ends = np.array([len(a) + len(b) for a, b in zip(a_list, b_list)],
+                    dtype=np.intp)
+    order = np.argsort(-ends, kind="stable")
+    ends = ends[order]
+    a_list = [a_list[p] for p in order.tolist()]
+    b_list = [b_list[p] for p in order.tolist()]
     len_a = np.array([len(a) for a in a_list], dtype=np.intp)
-    len_b = np.array([len(b) for b in b_list], dtype=np.intp)
-    n, m = int(len_a.max()), int(len_b.max())
+    n, m = int(len_a.max()), max(len(b) for b in b_list)
     A = np.zeros((n_pairs, n), dtype=np.intp)
     # B reversed and right-aligned, so the tokens b[j - 1] along a
     # diagonal, read in order of increasing i, are one contiguous slice
@@ -139,26 +161,32 @@ def nw_scores(a_list, b_list, sub: np.ndarray, gap: float) -> np.ndarray:
         raise ValueError(f"token outside the {rows}x{k} substitution matrix")
     A *= k  # row offsets into the flattened matrix
     flat = sub.ravel()
-    ends = len_a + len_b
+    # live[d]: the pairs whose table reaches diagonal d, a prefix of the rows
+    live = np.searchsorted(-ends, -np.arange(ends[0] + 2), side="right").tolist()
+    scores = np.empty(n_pairs)
     prev2 = np.empty((n_pairs, n + 1))
     prev1 = np.empty((n_pairs, n + 1))
     cur = np.empty((n_pairs, n + 1))
-    for d in range(n + m + 1):
+    for d in range(int(ends[0]) + 1):
+        n_live = live[d]
         if d <= m:
-            cur[:, 0] = d * gap
+            cur[:n_live, 0] = d * gap
         if d <= n:
-            cur[:, d] = d * gap
+            cur[:n_live, d] = d * gap
         lo, hi = max(1, d - m), min(n, d - 1)
         if lo <= hi:
-            s = flat[A[:, lo - 1:hi] + B_rev[:, m - d + lo:m - d + hi + 1]]
-            diag = prev2[:, lo - 1:hi] + s
-            up = prev1[:, lo - 1:hi] + gap
-            left = prev1[:, lo:hi + 1] + gap
-            best = np.where(diag >= up, diag, up)
-            cur[:, lo:hi + 1] = np.where(left > best, left, best)
-        done = np.flatnonzero(ends == d)
-        out[done] = cur[done, len_a[done]]
+            diag = flat[A[:n_live, lo - 1:hi] + B_rev[:n_live, m - d + lo:m - d + hi + 1]]
+            np.add(prev2[:n_live, lo - 1:hi], diag, out=diag)
+            gapped = prev1[:n_live, lo - 1:hi + 1] + gap  # up, then left
+            # np.maximum(x, y) is y unless x > y: diag wins a tie with up,
+            # and the best of those a tie with left, as in the recurrence
+            np.maximum(gapped[:, :-1], diag, out=diag)
+            np.maximum(gapped[:, 1:], diag, out=cur[:n_live, lo:hi + 1])
+        done = live[d + 1]
+        if done < n_live:
+            scores[done:n_live] = cur[np.arange(done, n_live), len_a[done:n_live]]
         prev2, prev1, cur = prev1, cur, prev2
+    out[order] = scores
     return out
 
 
@@ -258,40 +286,164 @@ def _screen_scale(aspect: tuple[float, float]) -> np.ndarray:
     return np.array([aw, ah]) * (np.sqrt(2.0) / diag)
 
 
+def _min_cost_tables(cost: np.ndarray) -> np.ndarray:
+    """Minimal summed cost from (0, 0) to every cell, for each of P padded
+    (N, M) cost matrices at once.
+
+    Row 0 and column 0 are running sums; each other cell is the least of
+    its upper, left and upper-left neighbours plus its own cost, filled one
+    anti-diagonal at a time. In the flattened (N*M) layout anti-diagonal
+    ``d`` is the strided slice ``d + i*(M-1)`` and its neighbours are the
+    same slice shifted by M, 1 and M+1. A padded cell never feeds a cell of
+    its own pair's table.
+    """
+    cost = np.ascontiguousarray(cost, dtype=float)
+    n_pairs, n, m = cost.shape
+    total = np.empty_like(cost)
+    total[:, 0, :] = np.cumsum(cost[:, 0, :], axis=1)
+    total[:, :, 0] = np.cumsum(cost[:, :, 0], axis=1)
+    if min(n, m) == 1:
+        return total
+    flat, c = total.reshape(n_pairs, n * m), cost.reshape(n_pairs, n * m)
+    step = m - 1
+    for d in range(2, n + m - 1):
+        lo, hi = max(1, d - step), min(n - 1, d - 1)
+        start, stop = d + lo * step, d + hi * step + 1
+        best = np.minimum(flat[:, start - m:stop - m:step],
+                          flat[:, start - 1:stop - 1:step])
+        np.minimum(best, flat[:, start - m - 1:stop - m - 1:step], out=best)
+        np.add(best, c[:, start:stop:step], out=flat[:, start:stop:step])
+    return total
+
+
+def _align_batch(cost: np.ndarray, n: np.ndarray, m: np.ndarray):
+    """Minimal-cost monotone paths through P padded cost matrices.
+
+    Pair ``p``'s matrix is ``cost[p, :n[p], :m[p]]``. Returns the pair,
+    row and column of every path cell, pair by pair and each path from
+    (0, 0) to its far corner, and the number of cells of each path. The
+    traceback steps back from the far corner to the least of the diagonal,
+    upper and left neighbours, preferring them in that order on a tie.
+    """
+    n_pairs, rows, cols = cost.shape
+    total = _min_cost_tables(cost).ravel()
+    base = np.arange(n_pairs) * (rows * cols)
+    i, j = n - 1, m - 1
+    steps_i, steps_j = [i], [j]
+    length = np.ones(n_pairs, dtype=np.intp)
+    moving = (i > 0) | (j > 0)
+    while moving.any():
+        length += moving
+        at = base + i * cols + j
+        diag = np.where((i > 0) & (j > 0), total[at - cols - 1], np.inf)
+        up = np.where(i > 0, total[at - cols], np.inf)
+        left = np.where(j > 0, total[at - 1], np.inf)
+        take_diag = moving & (diag <= up) & (diag <= left)
+        take_up = moving & ~take_diag & (up <= left)
+        i = i - (take_diag | take_up)
+        j = j - (moving & ~take_up)
+        steps_i.append(i)
+        steps_j.append(j)
+        moving = (i > 0) | (j > 0)
+    # each pair's column runs from its far corner to (0, 0) and then stays
+    # there; reversed, its path is the last `length` entries
+    steps_i, steps_j = np.array(steps_i[::-1]).T, np.array(steps_j[::-1]).T
+    keep = np.arange(steps_i.shape[1]) >= (steps_i.shape[1] - length)[:, None]
+    pair = np.repeat(np.arange(n_pairs), length)
+    return pair, steps_i[keep], steps_j[keep], length
+
+
 def align_minimum_cost(cost: np.ndarray) -> list[tuple[int, int]]:
     """Monotone alignment through a cost matrix with minimal summed cost.
 
     Moves are right, down, and diagonal; the path runs from (0,0) to the
-    opposite corner and every visited cell is an aligned pair. The table is
-    filled on Python floats, which take the same ``min`` and ``+`` as NumPy
-    scalars at a fraction of the cost per cell.
+    opposite corner and every visited cell is an aligned pair. A batch of
+    one of the alignment ``multimatch_pairs`` runs.
     """
     n, m = cost.shape
-    c = cost.tolist()
-    total = [[0.0] * m for _ in range(n)]
-    row = total[0]
-    row[0] = c[0][0]
-    for j in range(1, m):
-        row[j] = row[j - 1] + c[0][j]
-    for i in range(1, n):
-        prev, row, ci = total[i - 1], total[i], c[i]
-        row[0] = prev[0] + ci[0]
-        for j in range(1, m):
-            row[j] = min(prev[j], row[j - 1], prev[j - 1]) + ci[j]
-    path = [(n - 1, m - 1)]
-    i, j = n - 1, m - 1
-    while (i, j) != (0, 0):
-        candidates = []
-        if i > 0 and j > 0:
-            candidates.append((total[i - 1][j - 1], (i - 1, j - 1)))
-        if i > 0:
-            candidates.append((total[i - 1][j], (i - 1, j)))
-        if j > 0:
-            candidates.append((total[i][j - 1], (i, j - 1)))
-        _, (i, j) = min(candidates, key=lambda cand: cand[0])
-        path.append((i, j))
-    path.reverse()
-    return path
+    _, i, j, _ = _align_batch(cost[None], np.array([n]), np.array([m]))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def multimatch_pairs(pairs, cfg: MetricConfig | None = None) -> list[MultiMatchResult]:
+    """MultiMatch of each ``(a, b)`` scanpath pair, all pairs aligned in one
+    batch; see ``multimatch`` for the dimensions.
+
+    Each distinct scanpath is validated and read once. The pairs' cost
+    matrices are padded into one (P, N, M) array, aligned by
+    ``_align_batch``, and every dimension is computed once over all pairs'
+    concatenated paths. Each pair's means are ``np.mean`` over its own
+    slice of them, so every value is bit-identical to scoring the pairs one
+    by one.
+    """
+    cfg = cfg or MetricConfig()
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    slot: dict[int, int] = {}
+    keys = []
+    first, second = [], []
+    for a, b in pairs:
+        _require_nonempty(a, b)
+        for sp in (a, b):
+            if id(sp) not in slot:
+                sp.validate()
+                slot[id(sp)] = len(keys)
+                keys.append(_canonical_key(sp))
+        ia, ib = slot[id(a)], slot[id(b)]
+        # Alignment tie-breaking is orientation-dependent; every dimension
+        # is symmetric in the pair, so computing in a canonical order makes
+        # multimatch(a, b) == multimatch(b, a) exact.
+        if keys[ib] < keys[ia]:
+            ia, ib = ib, ia
+        first.append(ia)
+        second.append(ib)
+    first, second = np.array(first), np.array(second)
+
+    # every distinct scanpath's (x, y, dur_ms) rows, padded to the longest
+    sizes = np.array([size for size, _ in keys])
+    fixations = np.array([row for _, rows in keys for row in rows])
+    padded = np.zeros((len(keys), int(sizes.max()), 3))
+    padded[np.repeat(np.arange(len(keys)), sizes),
+           np.arange(len(fixations)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = fixations
+    xy = padded[:, :, :2] * _screen_scale(cfg.aspect)
+    dur = padded[:, :, 2]
+    moves = np.zeros_like(xy)
+    moves[:, :-1] = np.diff(xy, axis=1)
+
+    # aligned items: saccade vectors, or the fixations themselves when
+    # either scanpath has a single fixation
+    saccades = (sizes[first] > 1) & (sizes[second] > 1)
+    pa, pb = xy[first], xy[second]
+    u = np.where(saccades[:, None, None], moves[first], pa)
+    v = np.where(saccades[:, None, None], moves[second], pb)
+    cost = np.sqrt(((u[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3))
+    p, i, j, length = _align_batch(cost, sizes[first] - saccades, sizes[second] - saccades)
+
+    # the float operations of scoring one aligned index at a time, so every
+    # value is bit-identical to that loop (loop_multimatch in the tests)
+    da, db = dur[first[p], i], dur[second[p], j]
+    duration = 1.0 - np.abs(da - db) / np.maximum(da, db)
+    shape = 1.0 - cost[p, i, j] / (2.0 * np.sqrt(2.0))
+    amp_a, amp_b = np.hypot(u[p, i, 0], u[p, i, 1]), np.hypot(v[p, j, 0], v[p, j, 1])
+    length_sim = 1.0 - np.abs(amp_a - amp_b) / np.sqrt(2.0)
+    # absolute angle difference in [0, pi]; a zero-length saccade has angle 0
+    turn = np.abs(np.arctan2(u[p, i, 1], u[p, i, 0]) - np.arctan2(v[p, j, 1], v[p, j, 0]))
+    direction = 1.0 - np.minimum(turn, 2.0 * np.pi - turn) / np.pi
+    position = 1.0 - np.hypot(pa[p, i, 0] - pb[p, j, 0], pa[p, i, 1] - pb[p, j, 1]) / np.sqrt(2.0)
+    fixation_position = 1.0 - cost[p, i, j] / np.sqrt(2.0)
+
+    dims = np.stack([shape, length_sim, direction, position, duration])
+    fixation_dims = np.stack([fixation_position, duration])
+    results = []
+    ends = np.cumsum(length).tolist()
+    for k, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        if saccades[k]:
+            results.append(MultiMatchResult(*np.mean(dims[:, lo:hi], axis=1).tolist()))
+        else:
+            results.append(MultiMatchResult(
+                None, None, None, *np.mean(fixation_dims[:, lo:hi], axis=1).tolist()))
+    return results
 
 
 def multimatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> MultiMatchResult:
@@ -303,42 +455,10 @@ def multimatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> Mul
     sqrt 2 and duration 1 - |dur_a - dur_b| / max(dur) at the aligned
     indices, all averaged over the alignment. When either scanpath has a
     single fixation there are no saccades; fixations are aligned directly
-    and only position and duration are reported.
+    and only position and duration are reported. A batch of one of
+    ``multimatch_pairs``.
     """
-    cfg = cfg or MetricConfig()
-    _require_nonempty(a, b)
-    a.validate()
-    b.validate()
-    # Alignment tie-breaking is orientation-dependent; every dimension is
-    # symmetric in the pair, so computing in a canonical order makes
-    # multimatch(a, b) == multimatch(b, a) exact.
-    if _canonical_key(b) < _canonical_key(a):
-        a, b = b, a
-    scale = _screen_scale(cfg.aspect)
-    pa, pb = a.xy() * scale, b.xy() * scale
-    da, db = a.durations(), b.durations()
-
-    saccades = len(a) > 1 and len(b) > 1
-    u, v = (np.diff(pa, axis=0), np.diff(pb, axis=0)) if saccades else (pa, pb)
-    cost = np.sqrt(((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
-    i, j = np.array(align_minimum_cost(cost)).T
-    duration = 1.0 - np.abs(da[i] - db[j]) / np.maximum(da[i], db[j])
-    if not saccades:
-        position = 1.0 - cost[i, j] / np.sqrt(2.0)
-        return MultiMatchResult(None, None, None, float(np.mean(position)),
-                                float(np.mean(duration)))
-
-    # the float operations of scoring one aligned index at a time, so every
-    # value is bit-identical to that loop (loop_multimatch in the tests)
-    shape = 1.0 - cost[i, j] / (2.0 * np.sqrt(2.0))
-    amp_a, amp_b = np.hypot(u[i, 0], u[i, 1]), np.hypot(v[j, 0], v[j, 1])
-    length = 1.0 - np.abs(amp_a - amp_b) / np.sqrt(2.0)
-    # absolute angle difference in [0, pi]; a zero-length saccade has angle 0
-    turn = np.abs(np.arctan2(u[i, 1], u[i, 0]) - np.arctan2(v[j, 1], v[j, 0]))
-    direction = 1.0 - np.minimum(turn, 2.0 * np.pi - turn) / np.pi
-    position = 1.0 - np.hypot(pa[i, 0] - pb[j, 0], pa[i, 1] - pb[j, 1]) / np.sqrt(2.0)
-    return MultiMatchResult(*(float(np.mean(dim)) for dim in
-                              (shape, length, direction, position, duration)))
+    return multimatch_pairs([(a, b)], cfg)[0]
 
 
 def _canonical_key(sp: Scanpath):

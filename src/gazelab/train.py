@@ -239,7 +239,7 @@ def run_ablation_suite(corpus, train_config: TrainConfig,
     Returns (rows, models): one row per variant with mean value metrics and
     ranking aggregates, plus the trained models keyed by variant name.
     Variants that share a config ("none" and "OE") share one trained model
-    and its scores.
+    and its scores. ``threads`` is ignored.
     """
     from .evaluate import predict_split, rank_eval, value_eval
 

@@ -266,6 +266,22 @@ class TestValidationErrors:
         assert code == 2
         assert f"{path}:2:" in capsys.readouterr().err
 
+    def test_huge_finite_duration_exit_2(self, workspace, tmp_path, capsys):
+        from gazelab.formats import read_corpus, write_scanpaths
+        preds = read_corpus(workspace["data"]).scanpaths["test"]
+        first = preds[0].fixations[0]
+        preds[0].fixations[0] = Fixation(first.x, first.y, 1e300)
+        path = tmp_path / "huge.jsonl"
+        write_scanpaths(preds, path)
+        code = main(["eval-value", "--config", SMOKE,
+                     "--data", workspace["data"], "--pred", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"{path}: fixation 0 of image {preds[0].image_id} observer "
+                f"{preds[0].observer_id}: duration 1e+300 ms at sm_tbin") in err
+
     def test_unparseable_gaze_line_exit_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "isp-gaze-v1"}\n{broken\n')

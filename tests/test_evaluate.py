@@ -86,12 +86,15 @@ class TestValueEval:
             value_eval(gt + [gt[2]], gt)
 
     def test_threaded_matches_serial(self):
+        # threads is still accepted, and ignored
         gt = random_set(3)
         preds = random_set(4)
-        serial = value_eval(preds, gt, threads=1)
+        serial = value_eval(preds, gt)
         threaded = value_eval(preds, gt, threads=4)
         assert serial.pairs == threaded.pairs
         assert serial.means == threaded.means
+        assert rank_eval(preds, gt, threads=4) == rank_eval(preds, gt)
+        assert human_consistency(gt, threads=4) == human_consistency(gt)
 
 
 class TestRankEval:
@@ -124,6 +127,14 @@ class TestRankEval:
         result = rank_eval(preds, gt, ks=(1, 2))
         assert result.ranks[(0, 0)] == 1
         assert result.ranks[(0, 1)] == 2
+
+    def test_row_of_equal_scores_ranks_by_observer_id(self):
+        rng = np.random.default_rng(15)
+        shared = random_scanpath(rng, 0, 0)
+        gt = [retarget(shared, obs) for obs in range(4)]
+        preds = random_set(16, n_images=1, n_observers=4)
+        result = rank_eval(preds, gt)
+        assert result.ranks == {(0, obs): obs + 1 for obs in range(4)}
 
     def test_incomplete_images_excluded_and_logged(self, caplog):
         gt = random_set(8, n_images=2, n_observers=3)

@@ -98,6 +98,23 @@ class TestScanpathFile:
                            match=re.escape(f"{file}:3: not UTF-8 text")):
             read_scanpaths(file)
 
+    def test_form_feed_keeps_line_numbers(self, tmp_path):
+        file = tmp_path / "gaze.jsonl"
+        write_scanpaths(random_scanpaths(2, seed=3), file)
+        lines = file.read_text().split("\n")
+        lines[1] += "\x0c"
+        file.write_text("\n".join(lines))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{file}:2: invalid JSON")):
+            read_scanpaths(file)
+
+    def test_crlf_file_reads(self, tmp_path):
+        original = random_scanpaths(3, seed=4)
+        file = tmp_path / "gaze.jsonl"
+        write_scanpaths(original, file)
+        file.write_bytes(file.read_bytes().replace(b"\n", b"\r\n"))
+        assert_paths_equal(read_scanpaths(file), original)
+
     def test_wrong_header_format_rejected(self, tmp_path):
         file = tmp_path / "gaze.jsonl"
         file.write_text('{"format": "isp-gaze-v2"}\n')

@@ -6,10 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelab.metrics import (
+    MAX_SCANPATH_TOKENS,
     MetricConfig,
+    _align_batch,
     align_minimum_cost,
     edit_distances,
     multimatch,
+    multimatch_pairs,
     nw_score,
     nw_scores,
     quantize,
@@ -85,6 +88,15 @@ class TestQuantize:
         with pytest.raises(ValueError, match="empty"):
             quantize(Scanpath(0, 0, []), (8, 6), 0.0)
 
+    def test_expansion_capped_at_max_tokens(self):
+        at_cap = Scanpath(0, 0, [Fixation(0.5, 0.5, 50.0 * MAX_SCANPATH_TOKENS)])
+        assert len(quantize(at_cap, (8, 6), 50.0)) == MAX_SCANPATH_TOKENS
+        # 1e7 ms at 50 ms bins would be 200,000 tokens
+        huge = Scanpath(3, 4, [Fixation(0.5, 0.5, 100.0), Fixation(0.5, 0.5, 1e7)])
+        with pytest.raises(ValueError, match=r"fixation 1 of image 3 observer 4: "
+                                             r"duration 10000000.0 ms at sm_tbin 50.0"):
+            quantize(huge, (8, 6), 50.0)
+
 
 class TestScanMatch:
     @pytest.mark.parametrize("seed", range(10))
@@ -146,20 +158,38 @@ class TestScanMatch:
 
 
 SUB_8X6 = substitution_matrix((8, 6), (4.0, 3.0))
-token_strings = st.lists(st.integers(0, 47), min_size=1, max_size=12)
+# edit distance's substitution scores: -0.0 on the diagonal
+SUB_UNIT = -(1.0 - np.eye(48))
+# signed zeros only, so every cell ties and the tie rule sets the sign
+SUB_ZEROS = np.where(np.random.default_rng(0).random((48, 48)) < 0.5, 0.0, -0.0)
+tokens = st.integers(0, 47)
+token_strings = st.lists(tokens, max_size=60)
+
+
+@st.composite
+def pairs_ending_together(draw):
+    """Up to 16 pairs whose tables all end on one anti-diagonal."""
+    total = draw(st.integers(0, 60))
+    cuts = draw(st.lists(st.integers(0, total), min_size=1, max_size=16))
+    return [(draw(st.lists(tokens, min_size=k, max_size=k)),
+             draw(st.lists(tokens, min_size=total - k, max_size=total - k)))
+            for k in cuts]
 
 
 class TestBatchedNeedlemanWunsch:
     @settings(max_examples=200, deadline=None)
-    @given(pairs=st.lists(st.tuples(token_strings, token_strings),
-                          min_size=1, max_size=8),
-           gap=st.sampled_from([0.0, -0.5, 0.3]))
-    @example(pairs=[([5], [7])], gap=-0.5)
-    def test_equals_plain_recurrence_exactly(self, pairs, gap):
-        got = nw_scores([a for a, _ in pairs], [b for _, b in pairs],
-                        SUB_8X6, gap)
-        want = [plain_nw(a, b, SUB_8X6, gap) for a, b in pairs]
-        assert got.tolist() == want
+    @given(pairs=st.one_of(st.lists(st.tuples(token_strings, token_strings),
+                                    min_size=1, max_size=16),
+                           pairs_ending_together()),
+           sub=st.sampled_from([SUB_8X6, SUB_UNIT, SUB_ZEROS]),
+           gap=st.sampled_from([0.0, -0.0, -0.5, 0.3]))
+    @example(pairs=[([5], [7])], sub=SUB_8X6, gap=-0.5)
+    @example(pairs=[([], []), ([1], []), ([], [2, 3])], sub=SUB_8X6, gap=-0.5)
+    def test_equals_plain_recurrence_exactly(self, pairs, sub, gap):
+        got = nw_scores([a for a, _ in pairs], [b for _, b in pairs], sub, gap)
+        want = np.array([plain_nw(a, b, sub, gap) for a, b in pairs])
+        # bit for bit, so a signed zero counts
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_batch(self):
         assert nw_scores([], [], SUB_8X6, 0.0).shape == (0,)
@@ -199,6 +229,62 @@ scanpaths = st.one_of(
     st.lists(fine_fixations, min_size=1, max_size=12),
     st.lists(st.one_of(coarse_fixations, fine_fixations), min_size=1, max_size=2),
 )
+
+
+def plain_align(cost):
+    """Minimal-cost monotone alignment, filled row by row on Python floats
+    and traced back preferring the diagonal, then up, then left."""
+    n, m = cost.shape
+    c = cost.tolist()
+    total = [[0.0] * m for _ in range(n)]
+    total[0][0] = c[0][0]
+    for j in range(1, m):
+        total[0][j] = total[0][j - 1] + c[0][j]
+    for i in range(1, n):
+        total[i][0] = total[i - 1][0] + c[i][0]
+        for j in range(1, m):
+            total[i][j] = min(total[i - 1][j], total[i][j - 1],
+                              total[i - 1][j - 1]) + c[i][j]
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while (i, j) != (0, 0):
+        candidates = []
+        if i > 0 and j > 0:
+            candidates.append((total[i - 1][j - 1], (i - 1, j - 1)))
+        if i > 0:
+            candidates.append((total[i - 1][j], (i - 1, j)))
+        if j > 0:
+            candidates.append((total[i][j - 1], (i, j - 1)))
+        _, (i, j) = min(candidates, key=lambda cand: cand[0])
+        path.append((i, j))
+    return path[::-1]
+
+
+# small cost matrices, whole numbers full of ties or arbitrary floats
+cost_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 3.0)),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+    ).map(lambda values: np.array(values).reshape(shape)))
+
+
+class TestBatchedAlignment:
+    @settings(max_examples=200, deadline=None)
+    @given(costs=st.lists(cost_matrices, min_size=1, max_size=8))
+    def test_paths_equal_single_and_plain_alignment(self, costs):
+        n = np.array([c.shape[0] for c in costs])
+        m = np.array([c.shape[1] for c in costs])
+        padded = np.full((len(costs), n.max(), m.max()), 7.0)
+        for p, c in enumerate(costs):
+            padded[p, :n[p], :m[p]] = c
+        pair, i, j, length = _align_batch(padded, n, m)
+        assert length.sum() == len(pair) == len(i) == len(j)
+        for p, c in enumerate(costs):
+            path = list(zip(i[pair == p].tolist(), j[pair == p].tolist()))
+            assert path == align_minimum_cost(c) == plain_align(c)
+            best = min(sum(c[a, b] for a, b in walk)
+                       for walk in enumerate_monotone_pairings(*c.shape))
+            assert sum(c[a, b] for a, b in path) == pytest.approx(best, abs=1e-12)
 
 
 class TestMultiMatch:
@@ -259,6 +345,22 @@ class TestMultiMatch:
     def test_equals_per_index_loop_exactly(self, a, b):
         a, b = (Scanpath(0, 0, [Fixation(*f) for f in sp]) for sp in (a, b))
         assert multimatch(a, b).as_dict() == loop_multimatch(a, b).as_dict()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=st.lists(scanpaths, min_size=1, max_size=6),
+           picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                          min_size=1, max_size=10))
+    def test_batch_equals_loop_and_single_pairs_exactly(self, pool, picks):
+        # pairs share scanpath objects and include self-pairs
+        pool = [Scanpath(0, 0, [Fixation(*f) for f in sp]) for sp in pool]
+        pairs = [(pool[x % len(pool)], pool[y % len(pool)]) for x, y in picks]
+        for ordered in (pairs, [(b, a) for a, b in pairs]):
+            got = [r.as_dict() for r in multimatch_pairs(ordered)]
+            assert got == [loop_multimatch(a, b).as_dict() for a, b in ordered]
+            assert got == [multimatch(a, b).as_dict() for a, b in ordered]
+
+    def test_empty_batch(self):
+        assert multimatch_pairs([]) == []
 
 
 class TestStringEditDistance:
