@@ -19,7 +19,7 @@ import numpy as np
 
 from .optim import Adam
 from .synthetic import CATEGORIES
-from .tensor import Tape, Tensor, matmul, softplus, tanh, transpose, tsum
+from .tensor import Tape, Tensor, matmul, softplus, tanh, tsum
 
 log = logging.getLogger(__name__)
 
@@ -114,18 +114,19 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    return float(da @ db / np.sqrt((da @ da) * (db @ db)))
+def _shuffles(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` rows, each a shuffle of ``range(n)``: the same rows, drawn
+    from the same stream, as ``count`` successive ``rng.permutation(n)``."""
+    return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
 
-def _exceeds(value: float, observed: float, alternative: str) -> bool:
+def _exceeds(values: np.ndarray, observed: float, alternative: str) -> np.ndarray:
+    """Which null values reach the observed one, within ``COMPARE_TOL``."""
     if alternative == "greater":
-        return value >= observed - COMPARE_TOL
+        return values >= observed - COMPARE_TOL
     if alternative == "less":
-        return value <= observed + COMPARE_TOL
-    return abs(value) >= abs(observed) - COMPARE_TOL
+        return values <= observed + COMPARE_TOL
+    return np.abs(values) >= abs(observed) - COMPARE_TOL
 
 
 @dataclass
@@ -163,35 +164,42 @@ def spearman_rho(x, y, alternative: str = "greater",
                                  method="degenerate", n_permutations=0)
     rx = _average_ranks(x)
     ry = _average_ranks(y)
-    rho = _pearson(rx, ry)
+    # Mean ranks are multiples of one half and average (n + 1) / 2, so the
+    # centred ranks, their products and every sum of them are exact: each
+    # permutation's coefficient is the same whatever the summation order.
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    scale = np.sqrt((dx @ dx) * (dy @ dy))
+    rho = float(dx @ dy / scale)
     if math.factorial(n) <= n_permutations:
-        hits = 0
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            hits += _exceeds(_pearson(rx, ry[list(perm)]), rho, alternative)
-            total += 1
-        return CorrelationResult(rho=rho, p_value=hits / total,
-                                 degenerate=False, method="exact",
-                                 n_permutations=total)
-    rng = np.random.default_rng([seed, 37])
-    hits = 0
-    for _ in range(n_permutations):
-        hits += _exceeds(_pearson(rx, rng.permutation(ry)), rho, alternative)
-    return CorrelationResult(rho=rho,
-                             p_value=(hits + 1) / (n_permutations + 1),
-                             degenerate=False, method="sampled",
-                             n_permutations=n_permutations)
+        perms = np.array(list(itertools.permutations(range(n))))
+        method = "exact"
+    else:
+        perms = _shuffles(n, n_permutations, np.random.default_rng([seed, 37]))
+        method = "sampled"
+    hits = int(np.count_nonzero(_exceeds(dy[perms] @ dx / scale, rho,
+                                         alternative)))
+    total = perms.shape[0]
+    p_value = hits / total if method == "exact" else (hits + 1) / (total + 1)
+    return CorrelationResult(rho=rho, p_value=p_value, degenerate=False,
+                             method=method, n_permutations=total)
+
+
+def _welch_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Welch's t of each row pair ``a[i]``, ``b[i]``, in ``welch_t``'s float
+    operations: zero for identical constants, infinite with the sign of the
+    mean difference for other zero denominators."""
+    diff = a.mean(axis=-1) - b.mean(axis=-1)
+    denom = np.sqrt(a.var(axis=-1, ddof=1) / a.shape[-1]
+                    + b.var(axis=-1, ddof=1) / b.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = diff / denom
+    return np.where(denom != 0.0, t, np.where(diff == 0.0, 0.0, np.copysign(np.inf, diff)))
 
 
 def welch_t(a: np.ndarray, b: np.ndarray) -> float:
     """Welch's unequal-variance t statistic; zero for identical constants."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a.mean() - b.mean()
-    denom = math.sqrt(a.var(ddof=1) / a.shape[0] + b.var(ddof=1) / b.shape[0])
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    return float(diff / denom)
+    return float(_welch_rows(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
 @dataclass
@@ -221,24 +229,21 @@ def group_compare(values_a, values_b, n_permutations: int = 10000,
     k = a.shape[0]
     total = math.comb(n, k)
     if total <= n_permutations:
-        hits = 0
-        for picked in itertools.combinations(range(n), k):
-            mask = np.zeros(n, dtype=bool)
-            mask[list(picked)] = True
-            hits += _exceeds(welch_t(pooled[mask], pooled[~mask]), t_obs,
-                             "two-sided")
-        return GroupCompareResult(t=t_obs, p_value=hits / total,
-                                  method="exact", n_permutations=total)
-    rng = np.random.default_rng([seed, 41])
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(n)
-        hits += _exceeds(welch_t(pooled[perm[:k]], pooled[perm[k:]]), t_obs,
-                         "two-sided")
-    return GroupCompareResult(t=t_obs,
-                              p_value=(hits + 1) / (n_permutations + 1),
-                              method="sampled",
-                              n_permutations=n_permutations)
+        picked = np.zeros((total, n), dtype=bool)
+        picked[np.arange(total)[:, None],
+               list(itertools.combinations(range(n), k))] = True
+        # each row: its picked indices, then the rest, each ascending
+        orders = np.argsort(~picked, axis=1, kind="stable")
+        method = "exact"
+    else:
+        orders = _shuffles(n, n_permutations, np.random.default_rng([seed, 41]))
+        method = "sampled"
+    t_null = _welch_rows(pooled[orders[:, :k]], pooled[orders[:, k:]])
+    hits = int(np.count_nonzero(_exceeds(t_null, t_obs, "two-sided")))
+    count = orders.shape[0]
+    p_value = hits / count if method == "exact" else (hits + 1) / (count + 1)
+    return GroupCompareResult(t=t_obs, p_value=p_value, method=method,
+                              n_permutations=count)
 
 
 @dataclass
@@ -290,6 +295,12 @@ def classify_group_loocv(features, labels, hidden: int = 16,
     loss reweights classes by inverse frequency; together with the small
     default learning rate this keeps label-shuffled controls at chance
     instead of the below-chance drift an interpolating fit produces.
+
+    All n folds train as one model: their rows, labels, class weights and
+    weights stack along a leading fold axis, each epoch records one tape of
+    stacked ``matmul`` products, and one Adam step moves every fold. The
+    loss is the sum of the folds' losses and Adam is elementwise, so each
+    fold steps as it would alone.
     """
     rows = [f.v if isinstance(f, ObserverFeature) else np.asarray(f, float)
             for f in features]
@@ -304,51 +315,46 @@ def classify_group_loocv(features, labels, hidden: int = 16,
         raise ValueError(f"need exactly 2 classes, got {classes}")
     y = np.array([classes.index(lab) for lab in labels], dtype=float)
 
-    predictions = []
-    probabilities = []
+    # fold s trains on every row but row s
+    train = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    mu = X[train].mean(axis=1, keepdims=True)
+    sd = X[train].std(axis=1, keepdims=True)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    y_train = y[train]
+    n_pos = y_train.sum(axis=1, keepdims=True)
+    n_neg = (n - 1) - n_pos
+    with np.errstate(divide="ignore"):
+        weights = np.where(y_train == 1.0, (n - 1) / (2.0 * n_pos),
+                           (n - 1) / (2.0 * n_neg))
+    weights = np.where((n_pos > 0) & (n_neg > 0), weights, 1.0)
+    W1, W2 = [], []
     for fold in range(n):
-        train = np.arange(n) != fold
-        mu = X[train].mean(axis=0)
-        sd = X[train].std(axis=0)
-        sd = np.where(sd == 0.0, 1.0, sd)
-        Xz = (X - mu) / sd
         rng = np.random.default_rng([seed, 43, fold])
-        params = {
-            "W1": Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), (hidden, dim)),
-                         trainable=True),
-            "b1": Tensor(np.zeros(hidden), trainable=True),
-            "W2": Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, 1)),
-                         trainable=True),
-            "b2": Tensor(np.zeros(1), trainable=True),
-        }
-        opt = Adam(params, lr=lr, weight_decay=0.0)
-        y_train = y[train]
-        n_pos = y_train.sum()
-        n_neg = y_train.shape[0] - n_pos
-        if n_pos > 0 and n_neg > 0:
-            weights = np.where(y_train == 1.0,
-                               y_train.shape[0] / (2.0 * n_pos),
-                               y_train.shape[0] / (2.0 * n_neg))
-        else:
-            weights = np.ones(y_train.shape[0])
-        Xt = Tensor(Xz[train])
-        Yt = Tensor(y_train[:, None])
-        Wt = Tensor(weights[:, None])
-        for _ in range(epochs):
-            with Tape() as tape:
-                H = tanh(matmul(Xt, transpose(params["W1"])) + params["b1"])
-                Z = matmul(H, params["W2"]) + params["b2"]
-                # stable bernoulli NLL: softplus(z) - y z = -log p(y | z)
-                loss = tsum(Wt * (softplus(Z) - Yt * Z)) / float(train.sum())
-            opt.step(tape.gradients(loss))
-        h = tanh(matmul(params["W1"], Tensor(Xz[fold])) + params["b1"])
-        z = matmul(transpose(params["W2"]), h) + params["b2"]
-        # the logistic function in the tanh form the engine's gates use
-        prob = float((0.5 * (1.0 + np.tanh(0.5 * z.data)))[0])
-        predicted = classes[int(prob >= 0.5)]
-        predictions.append(predicted)
-        probabilities.append(prob)
-
+        W1.append(rng.normal(0.0, 1.0 / np.sqrt(dim), (hidden, dim)).T)
+        W2.append(rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, 1)))
+    params = {
+        "W1": Tensor(np.stack(W1), trainable=True),
+        "b1": Tensor(np.zeros((n, 1, hidden)), trainable=True),
+        "W2": Tensor(np.stack(W2), trainable=True),
+        "b2": Tensor(np.zeros((n, 1, 1)), trainable=True),
+    }
+    opt = Adam(params, lr=lr, weight_decay=0.0)
+    Xt = Tensor((X[train] - mu) / sd)
+    Yt = Tensor(y_train[:, :, None])
+    Wt = Tensor(weights[:, :, None])
+    for _ in range(epochs):
+        with Tape() as tape:
+            H = tanh(matmul(Xt, params["W1"]) + params["b1"])
+            Z = matmul(H, params["W2"]) + params["b2"]
+            # stable bernoulli NLL: softplus(z) - y z = -log p(y | z)
+            loss = tsum(Wt * (softplus(Z) - Yt * Z)) / float(n - 1)
+        opt.step(tape.gradients(loss))
+    fit = {name: t.data for name, t in params.items()}
+    held = (X[:, None, :] - mu) / sd
+    z = np.tanh(held @ fit["W1"] + fit["b1"]) @ fit["W2"] + fit["b2"]
+    # the logistic function in the tanh form the engine's gates use
+    probabilities = (0.5 * (1.0 + np.tanh(0.5 * z))).ravel().tolist()
+    predictions = [classes[int(prob >= 0.5)] for prob in probabilities]
     truth = [classes[int(v)] for v in y]
     accuracy = 100.0 * float(np.mean([p == t for p, t in
                                       zip(predictions, truth)]))

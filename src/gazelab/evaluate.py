@@ -17,10 +17,11 @@ observers (``ScanpathModel.sample_scanpaths``).
 
 Each evaluation call is one batched array sweep per metric: ScanMatch and
 string-edit distance score every pair of the call in one Needleman-Wunsch
-sweep each (``metrics.scanmatch_pairs`` and ``metrics.sed_pairs``),
-MultiMatch aligns every pair in one batch (``metrics.multimatch_pairs``),
-and ``rank_eval`` ranks all rows at once by counting. There is no thread
-pool; the ``threads`` keywords are accepted and ignored.
+sweep each, MultiMatch aligns every pair in one batch, and each distinct
+scanpath is validated and binned once for all three
+(``metrics.value_pairs``); ``rank_eval`` ranks all rows at once by
+counting. There is no thread pool; the ``threads`` keywords are accepted
+and ignored.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ import numpy as np
 from .metrics import (  # noqa: F401
     MetricConfig,
     multimatch,
-    multimatch_pairs,
     scanmatch,
     scanmatch_pairs,
-    sed_pairs,
     string_edit_distance,
+    value_pairs,
 )
 from .scanpath import grid_cell
 
@@ -88,9 +88,8 @@ class ValueResult:
 
 def _value_rows(pairs, config: MetricConfig) -> list:
     """SM, MultiMatch mean and SED of each (prediction, ground truth) pair."""
-    sms, seds = scanmatch_pairs(pairs, config), sed_pairs(pairs, config)
-    mms = [result.mean for result in multimatch_pairs(pairs, config)]
-    return [{"sm": float(sm), "mm": mm, "sed": float(sed)}
+    sms, mms, seds = value_pairs(pairs, config)
+    return [{"sm": float(sm), "mm": mm.mean, "sed": float(sed)}
             for sm, mm, sed in zip(sms, mms, seds)]
 
 

@@ -21,9 +21,12 @@ over the anti-diagonals of their tables, keeping two diagonals per pair and
 sweeping only the pairs whose tables have not yet ended. ``scanmatch_pairs``
 and ``sed_pairs`` score many scanpath pairs with one call to it.
 ``multimatch_pairs`` aligns many MultiMatch pairs in one anti-diagonal
-sweep of their padded min-cost tables and one traceback. ``scanmatch``,
-``multimatch``, ``string_edit_distance``, ``nw_score`` and
-``align_minimum_cost`` are batches of one. All functions are pure.
+sweep of their padded min-cost tables and one traceback. Each batch
+reads and validates its distinct scanpaths once and bins their fixations
+in one array expression; ``value_pairs`` shares that read among all three
+metrics. ``scanmatch``, ``multimatch``, ``string_edit_distance``,
+``nw_score`` and ``align_minimum_cost`` are batches of one. All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scanpath import Scanpath, grid_cell
+from .scanpath import Scanpath
 
 
 @dataclass
@@ -63,18 +66,84 @@ class MetricConfig:
             raise ValueError(f"aspect entries must be > 0, got {self.aspect}")
 
 
-def _require_nonempty(*scanpaths: Scanpath) -> None:
-    for sp in scanpaths:
-        if len(sp) == 0:
-            raise ValueError(
-                f"empty scanpath (image {sp.image_id}, observer {sp.observer_id})"
-            )
-
-
 # the longest duration-expanded token string ScanMatch aligns: 500 s of
 # fixation at the default 50 ms bins. The sweep's cost grows with the
 # product of two lengths, so a longer string is refused before it is built.
 MAX_SCANPATH_TOKENS = 10_000
+
+
+@dataclass
+class _ReadPairs:
+    """The distinct scanpaths of a batch of pairs, each validated once.
+
+    ``rows`` holds every distinct scanpath's (x, y, dur_ms) fixations, one
+    scanpath after another in first-seen order, ``sizes`` their counts,
+    and ``first[p]`` and ``second[p]`` index pair p's two scanpaths.
+    """
+
+    paths: list
+    sizes: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+
+def _read_pairs(pairs) -> _ReadPairs:
+    """Read and validate each distinct scanpath of ``pairs`` once.
+
+    A fault raises the ValueError of ``Scanpath.validate`` or of an empty
+    scanpath, for the first faulty scanpath in pair order.
+    """
+    slot: dict[int, int] = {}
+    paths, first, second = [], [], []
+    for a, b in pairs:
+        for sp in (a, b):
+            if id(sp) not in slot:
+                slot[id(sp)] = len(paths)
+                paths.append(sp)
+        first.append(slot[id(a)])
+        second.append(slot[id(b)])
+    sizes = np.array([len(sp) for sp in paths], dtype=np.intp)
+    rows = np.array([(f.x, f.y, f.dur_ms) for sp in paths for f in sp.fixations],
+                    dtype=np.float64).reshape(-1, 3)
+    xy, dur = rows[:, :2], rows[:, 2]
+    if not (sizes.all() and ((xy >= 0.0) & (xy <= 1.0)).all()
+            and ((dur > 0.0) & (dur < math.inf)).all()):
+        for sp in paths:
+            if len(sp) == 0:
+                raise ValueError(
+                    f"empty scanpath (image {sp.image_id}, observer {sp.observer_id})")
+            sp.validate()
+    return _ReadPairs(paths, sizes, rows, np.array(first, dtype=np.intp),
+                      np.array(second, dtype=np.intp))
+
+
+def _tokens(read: _ReadPairs, grid: tuple[int, int], tbin: float) -> list[np.ndarray]:
+    """Each distinct scanpath's token string; see ``quantize``."""
+    if not read.paths:
+        return []
+    gx, gy = grid
+    x, y, dur = read.rows.T
+    # grid_cell's rule, closed upper edge included, in column-major ids
+    tokens = (np.minimum((x * gx).astype(np.intp), gx - 1) * gy
+              + np.minimum((y * gy).astype(np.intp), gy - 1))
+    reps = np.maximum(dur / tbin, 1.0) if tbin > 0 else np.ones_like(dur)
+    # a fixation past the cap is refused below, so its count is clipped to
+    # stay an integer
+    counts = np.ceil(np.minimum(reps, MAX_SCANPATH_TOKENS + 1)).astype(np.intp)
+    starts = np.cumsum(read.sizes) - read.sizes  # each scanpath's first fixation
+    prior = np.cumsum(counts) - counts  # tokens before each fixation
+    before = prior - np.repeat(prior[starts], read.sizes)  # ... in its scanpath
+    over = np.flatnonzero(before + reps > MAX_SCANPATH_TOKENS)
+    if over.size:
+        k = int(np.searchsorted(starts, over[0], side="right")) - 1
+        i = int(over[0] - starts[k])
+        sp = read.paths[k]
+        raise ValueError(
+            f"fixation {i} of image {sp.image_id} observer {sp.observer_id}: "
+            f"duration {sp.fixations[i].dur_ms} ms at sm_tbin {tbin} expands the scanpath "
+            f"past {MAX_SCANPATH_TOKENS} tokens")
+    return np.split(np.repeat(tokens, counts), prior[starts[1:]])
 
 
 def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> list[int]:
@@ -85,21 +154,7 @@ def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> list[int
     ``ceil(dur / tbin)`` times, so longer fixations occupy more of the
     string; a string longer than ``MAX_SCANPATH_TOKENS`` raises ValueError.
     """
-    _require_nonempty(sp)
-    sp.validate()
-    gx, gy = grid
-    tokens: list[int] = []
-    for i, f in enumerate(sp.fixations):
-        row, col = divmod(grid_cell(f.x, f.y, gy, gx), gx)
-        token = col * gy + row
-        reps = max(f.dur_ms / tbin, 1.0) if tbin > 0 else 1.0
-        if len(tokens) + reps > MAX_SCANPATH_TOKENS:
-            raise ValueError(
-                f"fixation {i} of image {sp.image_id} observer {sp.observer_id}: "
-                f"duration {f.dur_ms} ms at sm_tbin {tbin} expands the scanpath "
-                f"past {MAX_SCANPATH_TOKENS} tokens")
-        tokens.extend([token] * math.ceil(reps))
-    return tokens
+    return _tokens(_read_pairs([(sp, sp)]), grid, tbin)[0].tolist()
 
 
 def _bin_centers(grid: tuple[int, int], aspect: tuple[float, float]) -> np.ndarray:
@@ -195,28 +250,23 @@ def nw_score(a: list[int], b: list[int], sub: np.ndarray, gap: float) -> float:
     return float(nw_scores([a], [b], sub, gap)[0])
 
 
-def _token_strings(pairs, grid: tuple[int, int], tbin: float):
-    """Token strings of each pair's scanpaths, each distinct one quantized once."""
-    tokens: dict[int, list[int]] = {}
-    for pair in pairs:
-        for sp in pair:
-            if id(sp) not in tokens:
-                tokens[id(sp)] = quantize(sp, grid, tbin)
-    return [tokens[id(a)] for a, _ in pairs], [tokens[id(b)] for _, b in pairs]
+def _scanmatch(read: _ReadPairs, cfg: MetricConfig) -> np.ndarray:
+    tokens = _tokens(read, cfg.sm_grid, cfg.sm_tbin)
+    lengths = np.array([len(t) for t in tokens], dtype=float)
+    sub = substitution_matrix(cfg.sm_grid, cfg.aspect)
+    scores = nw_scores([tokens[k] for k in read.first.tolist()],
+                       [tokens[k] for k in read.second.tolist()], sub, cfg.sm_gap)
+    longer = np.maximum(lengths[read.first], lengths[read.second])
+    return np.clip(scores / longer, 0.0, 1.0)
 
 
 def scanmatch_pairs(pairs, cfg: MetricConfig | None = None) -> np.ndarray:
     """ScanMatch similarity of each ``(a, b)`` scanpath pair, in [0, 1].
 
-    The substitution matrix is built once and all alignments run in one
-    ``nw_scores`` call.
+    Each distinct scanpath is validated and binned once, the substitution
+    matrix is built once and all alignments run in one ``nw_scores`` call.
     """
-    cfg = cfg or MetricConfig()
-    ta, tb = _token_strings(list(pairs), cfg.sm_grid, cfg.sm_tbin)
-    sub = substitution_matrix(cfg.sm_grid, cfg.aspect)
-    scores = nw_scores(ta, tb, sub, cfg.sm_gap)
-    longer = np.array([max(len(x), len(y)) for x, y in zip(ta, tb)], dtype=float)
-    return np.clip(scores / longer, 0.0, 1.0)
+    return _scanmatch(_read_pairs(pairs), cfg or MetricConfig())
 
 
 def scanmatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> float:
@@ -237,12 +287,17 @@ def edit_distances(a_list, b_list, n_tokens: int) -> np.ndarray:
     return (-nw_scores(a_list, b_list, sub, -1.0)).astype(int)
 
 
+def _sed(read: _ReadPairs, cfg: MetricConfig) -> np.ndarray:
+    tokens = _tokens(read, cfg.sed_grid, 0.0)
+    return edit_distances([tokens[k] for k in read.first.tolist()],
+                          [tokens[k] for k in read.second.tolist()],
+                          cfg.sed_grid[0] * cfg.sed_grid[1])
+
+
 def sed_pairs(pairs, cfg: MetricConfig | None = None) -> np.ndarray:
     """String-edit distance of each ``(a, b)`` scanpath pair, in one
     ``nw_scores`` call."""
-    cfg = cfg or MetricConfig()
-    ta, tb = _token_strings(list(pairs), cfg.sed_grid, 0.0)
-    return edit_distances(ta, tb, cfg.sed_grid[0] * cfg.sed_grid[1])
+    return _sed(_read_pairs(pairs), cfg or MetricConfig())
 
 
 def string_edit_distance(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> int:
@@ -376,36 +431,26 @@ def multimatch_pairs(pairs, cfg: MetricConfig | None = None) -> list[MultiMatchR
     slice of them, so every value is bit-identical to scoring the pairs one
     by one.
     """
-    cfg = cfg or MetricConfig()
-    pairs = list(pairs)
-    if not pairs:
+    return _multimatch(_read_pairs(pairs), cfg or MetricConfig())
+
+
+def _multimatch(read: _ReadPairs, cfg: MetricConfig) -> list[MultiMatchResult]:
+    if not read.first.size:
         return []
-    slot: dict[int, int] = {}
-    keys = []
-    first, second = [], []
-    for a, b in pairs:
-        _require_nonempty(a, b)
-        for sp in (a, b):
-            if id(sp) not in slot:
-                sp.validate()
-                slot[id(sp)] = len(keys)
-                keys.append(_canonical_key(sp))
-        ia, ib = slot[id(a)], slot[id(b)]
-        # Alignment tie-breaking is orientation-dependent; every dimension
-        # is symmetric in the pair, so computing in a canonical order makes
-        # multimatch(a, b) == multimatch(b, a) exact.
-        if keys[ib] < keys[ia]:
-            ia, ib = ib, ia
-        first.append(ia)
-        second.append(ib)
-    first, second = np.array(first), np.array(second)
+    # Alignment tie-breaking is orientation-dependent; every dimension is
+    # symmetric in the pair, so computing in a canonical order makes
+    # multimatch(a, b) == multimatch(b, a) exact.
+    keys = [_canonical_key(sp) for sp in read.paths]
+    swap = np.array([keys[b] < keys[a] for a, b in
+                     zip(read.first.tolist(), read.second.tolist())], dtype=bool)
+    first = np.where(swap, read.second, read.first)
+    second = np.where(swap, read.first, read.second)
 
     # every distinct scanpath's (x, y, dur_ms) rows, padded to the longest
-    sizes = np.array([size for size, _ in keys])
-    fixations = np.array([row for _, rows in keys for row in rows])
-    padded = np.zeros((len(keys), int(sizes.max()), 3))
-    padded[np.repeat(np.arange(len(keys)), sizes),
-           np.arange(len(fixations)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = fixations
+    sizes = read.sizes
+    padded = np.zeros((len(sizes), int(sizes.max()), 3))
+    padded[np.repeat(np.arange(len(sizes)), sizes),
+           np.arange(len(read.rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = read.rows
     xy = padded[:, :, :2] * _screen_scale(cfg.aspect)
     dur = padded[:, :, 2]
     moves = np.zeros_like(xy)
@@ -459,6 +504,17 @@ def multimatch(a: Scanpath, b: Scanpath, cfg: MetricConfig | None = None) -> Mul
     ``multimatch_pairs``.
     """
     return multimatch_pairs([(a, b)], cfg)[0]
+
+
+def value_pairs(pairs, cfg: MetricConfig | None = None) -> tuple:
+    """ScanMatch, MultiMatch and string-edit distance of each ``(a, b)``
+    pair, as ``scanmatch_pairs``, ``multimatch_pairs`` and ``sed_pairs``
+    return them, with each distinct scanpath validated and read once for
+    all three."""
+    cfg = cfg or MetricConfig()
+    read = _read_pairs(pairs)
+    sms, seds = _scanmatch(read, cfg), _sed(read, cfg)
+    return sms, _multimatch(read, cfg), seds
 
 
 def _canonical_key(sp: Scanpath):

@@ -295,12 +295,27 @@ def _as_matrices(av: np.ndarray, bv: np.ndarray) -> tuple:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` of 1-D and 2-D operands, or of two stacks of matrices.
+
+    Vectors and matrices multiply as in NumPy. Two 3-D operands
+    ``(S, n, k) @ (S, k, m)`` give the S products ``a[s] @ b[s]`` as one
+    ``(S, n, m)`` result; both must be 3-D and hold S matrices each.
+    """
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.data, b.data
+    if av.ndim == 3 or bv.ndim == 3:
+        if av.ndim != 3 or bv.ndim != 3 or av.shape[0] != bv.shape[0] \
+                or av.shape[2] != bv.shape[1]:
+            raise ShapeError(
+                f"matmul: stacked operands must be (S, n, k) and (S, k, m), got "
+                f"{av.shape} and {bv.shape}")
+        return _trace("matmul", av @ bv, (a, b),
+                      lambda g: g @ bv.swapaxes(-1, -2),
+                      lambda g: av.swapaxes(-1, -2) @ g)
     if av.ndim == 0 or bv.ndim == 0:
         raise ShapeError(f"matmul: operands must be at least 1-D, got {av.shape} and {bv.shape}")
     if av.ndim > 2 or bv.ndim > 2:
-        raise ShapeError(f"matmul: operands must be at most 2-D, got {av.shape} and {bv.shape}")
+        raise ShapeError(f"matmul: operands must be at most 3-D, got {av.shape} and {bv.shape}")
     if av.shape[-1] != (bv.shape[0] if bv.ndim >= 1 else None):
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
     out = av @ bv

@@ -7,10 +7,23 @@ is used to check.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
+from gazelab.analysis import (
+    COMPARE_TOL,
+    CorrelationResult,
+    GroupCompareResult,
+    LoocvResult,
+    ObserverFeature,
+    _average_ranks,
+)
+from gazelab.optim import Adam
 from gazelab.tensor import (
     DIFFERENTIABLE_PRIMITIVES,
+    Tape,
     Tensor,
     concat,
     div,
@@ -116,7 +129,13 @@ def primitive_grad_cases(seed: int) -> dict:
     seed_case("matmul")
     m, n, p = dims(3)
     a, b, rd = t((m, n)), t((n, p)), reader((m, p))
-    cases["matmul"] = (lambda a=a, b=b, rd=rd: rd(matmul(a, b)), {"a": a, "b": b})
+    # the stacked form (S, m, n) @ (S, n, p) on a generator of its own
+    seed_case("matmul stacked")
+    s, m3, n3, p3 = dims(4)
+    a3, b3, rd3 = t((s, m3, n3)), t((s, n3, p3)), reader((s, m3, p3))
+    cases["matmul"] = (
+        lambda a=a, b=b, rd=rd, a3=a3, b3=b3, rd3=rd3: rd(matmul(a, b)) + rd3(matmul(a3, b3)),
+        {"a": a, "b": b, "a3": a3, "b3": b3})
 
     seed_case("transpose")
     m, n = dims()
@@ -237,6 +256,156 @@ class PerArrayAdam:
             lr = self.lr * self.lr_scale.get(name, 1.0)
             p -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
                        + self.weight_decay * p)
+
+
+# ---------------------------------------------------------------------------
+# analysis oracles: the permutation tests and the LOOCV classifier one
+# permutation, one split and one fold at a time
+
+
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    da = a - a.mean()
+    db = b - b.mean()
+    return float(da @ db / np.sqrt((da @ da) * (db @ db)))
+
+
+def _exceeds(value: float, observed: float, alternative: str) -> bool:
+    if alternative == "greater":
+        return value >= observed - COMPARE_TOL
+    if alternative == "less":
+        return value <= observed + COMPARE_TOL
+    return abs(value) >= abs(observed) - COMPARE_TOL
+
+
+def scalar_welch_t(a: np.ndarray, b: np.ndarray) -> float:
+    """Welch's t of two 1-D samples; zero for identical constants."""
+    diff = a.mean() - b.mean()
+    denom = math.sqrt(a.var(ddof=1) / a.shape[0] + b.var(ddof=1) / b.shape[0])
+    if denom == 0.0:
+        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    return float(diff / denom)
+
+
+def loop_spearman_rho(x, y, alternative="greater", n_permutations=10000,
+                      seed=0) -> CorrelationResult:
+    """``analysis.spearman_rho`` scoring one permutation per Pearson call."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.shape[0]
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return CorrelationResult(rho=0.0, p_value=1.0, degenerate=True,
+                                 method="degenerate", n_permutations=0)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
+    rho = _pearson(rx, ry)
+    if math.factorial(n) <= n_permutations:
+        hits = 0
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            hits += _exceeds(_pearson(rx, ry[list(perm)]), rho, alternative)
+            total += 1
+        return CorrelationResult(rho=rho, p_value=hits / total,
+                                 degenerate=False, method="exact",
+                                 n_permutations=total)
+    rng = np.random.default_rng([seed, 37])
+    hits = 0
+    for _ in range(n_permutations):
+        hits += _exceeds(_pearson(rx, rng.permutation(ry)), rho, alternative)
+    return CorrelationResult(rho=rho,
+                             p_value=(hits + 1) / (n_permutations + 1),
+                             degenerate=False, method="sampled",
+                             n_permutations=n_permutations)
+
+
+def loop_group_compare(values_a, values_b, n_permutations=10000,
+                       seed=0) -> GroupCompareResult:
+    """``analysis.group_compare`` scoring one split per Welch call."""
+    a = np.asarray(values_a, dtype=float)
+    b = np.asarray(values_b, dtype=float)
+    t_obs = scalar_welch_t(a, b)
+    pooled = np.concatenate([a, b])
+    n = pooled.shape[0]
+    k = a.shape[0]
+    total = math.comb(n, k)
+    if total <= n_permutations:
+        hits = 0
+        for picked in itertools.combinations(range(n), k):
+            mask = np.zeros(n, dtype=bool)
+            mask[list(picked)] = True
+            hits += _exceeds(scalar_welch_t(pooled[mask], pooled[~mask]), t_obs,
+                             "two-sided")
+        return GroupCompareResult(t=t_obs, p_value=hits / total,
+                                  method="exact", n_permutations=total)
+    rng = np.random.default_rng([seed, 41])
+    hits = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(n)
+        hits += _exceeds(scalar_welch_t(pooled[perm[:k]], pooled[perm[k:]]), t_obs,
+                         "two-sided")
+    return GroupCompareResult(t=t_obs,
+                              p_value=(hits + 1) / (n_permutations + 1),
+                              method="sampled",
+                              n_permutations=n_permutations)
+
+
+def loop_classify_group_loocv(features, labels, hidden=16, epochs=200,
+                              lr=0.001, seed=0) -> LoocvResult:
+    """``analysis.classify_group_loocv`` training one fold at a time, each
+    with its own tape per epoch and its own Adam."""
+    rows = [f.v if isinstance(f, ObserverFeature) else np.asarray(f, float)
+            for f in features]
+    X = np.stack(rows).astype(float)
+    n, dim = X.shape
+    classes = tuple(sorted(set(labels)))
+    y = np.array([classes.index(lab) for lab in labels], dtype=float)
+
+    predictions = []
+    probabilities = []
+    for fold in range(n):
+        train = np.arange(n) != fold
+        mu = X[train].mean(axis=0)
+        sd = X[train].std(axis=0)
+        sd = np.where(sd == 0.0, 1.0, sd)
+        Xz = (X - mu) / sd
+        rng = np.random.default_rng([seed, 43, fold])
+        params = {
+            "W1": Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), (hidden, dim)),
+                         trainable=True),
+            "b1": Tensor(np.zeros(hidden), trainable=True),
+            "W2": Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, 1)),
+                         trainable=True),
+            "b2": Tensor(np.zeros(1), trainable=True),
+        }
+        opt = Adam(params, lr=lr, weight_decay=0.0)
+        y_train = y[train]
+        n_pos = y_train.sum()
+        n_neg = y_train.shape[0] - n_pos
+        if n_pos > 0 and n_neg > 0:
+            weights = np.where(y_train == 1.0,
+                               y_train.shape[0] / (2.0 * n_pos),
+                               y_train.shape[0] / (2.0 * n_neg))
+        else:
+            weights = np.ones(y_train.shape[0])
+        Xt = Tensor(Xz[train])
+        Yt = Tensor(y_train[:, None])
+        Wt = Tensor(weights[:, None])
+        for _ in range(epochs):
+            with Tape() as tape:
+                H = tanh(matmul(Xt, transpose(params["W1"])) + params["b1"])
+                Z = matmul(H, params["W2"]) + params["b2"]
+                loss = tsum(Wt * (softplus(Z) - Yt * Z)) / float(train.sum())
+            opt.step(tape.gradients(loss))
+        h = tanh(matmul(params["W1"], Tensor(Xz[fold])) + params["b1"])
+        z = matmul(transpose(params["W2"]), h) + params["b2"]
+        prob = float((0.5 * (1.0 + np.tanh(0.5 * z.data)))[0])
+        predictions.append(classes[int(prob >= 0.5)])
+        probabilities.append(prob)
+
+    truth = [classes[int(v)] for v in y]
+    accuracy = 100.0 * float(np.mean([p == t for p, t in
+                                      zip(predictions, truth)]))
+    return LoocvResult(accuracy=accuracy, predictions=predictions,
+                       probabilities=probabilities, classes=classes)
 
 
 # ---------------------------------------------------------------------------

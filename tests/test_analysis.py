@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gazelab.analysis import (
     ObserverFeature,
@@ -21,6 +23,28 @@ from gazelab.model import ModelConfig, ScanpathModel
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import CorpusConfig, SyntheticScene, build_corpus
 from gazelab.tensor import Tensor
+
+from support import (
+    loop_classify_group_loocv,
+    loop_group_compare,
+    loop_spearman_rho,
+    scalar_welch_t,
+)
+
+# values from a small set tie often and make constant samples; floats
+# make distinct ones
+SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                          st.floats(-5.0, 5.0, allow_subnormal=False))
+# a budget of 50 enumerates n <= 4, 720 n <= 6 and 5,040 n <= 7; larger
+# n are sampled
+PERMUTATION_BUDGETS = st.sampled_from([50, 720, 5040])
+
+
+@st.composite
+def paired_samples(draw):
+    n = draw(st.integers(3, 10))
+    sample = st.lists(SAMPLE_VALUES, min_size=n, max_size=n)
+    return draw(sample), draw(sample)
 
 
 def grid_scene(scene_id, mask):
@@ -223,6 +247,29 @@ class TestSpearman:
             spearman_rho(x, y, seed=7).p_value
 
 
+class TestSpearmanOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(xy=paired_samples(),
+           alternative=st.sampled_from(["greater", "less", "two-sided"]),
+           n_permutations=PERMUTATION_BUDGETS, seed=st.integers(0, 2**16))
+    @example(xy=([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0]),
+             alternative="greater", n_permutations=50, seed=0)
+    @example(xy=([1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 5.0, 6.0],
+                 [2.0, 1.0, 1.0, 3.0, 5.0, 4.0, 6.0, 6.0]),
+             alternative="two-sided", n_permutations=5040, seed=3)
+    def test_equals_permutation_loop(self, xy, alternative, n_permutations,
+                                     seed):
+        x, y = xy
+        kwargs = dict(alternative=alternative, n_permutations=n_permutations,
+                      seed=seed)
+        assert spearman_rho(x, y, **kwargs) == loop_spearman_rho(x, y, **kwargs)
+
+    def test_both_branches_reached(self):
+        x = [3.0, 1.0, 2.0, 5.0, 4.0, 6.0]
+        assert spearman_rho(x, x, n_permutations=720).method == "exact"
+        assert spearman_rho(x, x, n_permutations=719).method == "sampled"
+
+
 def exhaustive_group_p(a, b):
     """All-splits oracle with sum-of-squares Welch arithmetic."""
     pooled = np.concatenate([a, b])
@@ -292,6 +339,28 @@ class TestGroupCompare:
     def test_sign_follows_mean_difference(self):
         assert group_compare([5.0, 6.0, 7.0], [1.0, 2.0, 3.0]).t > 0
         assert group_compare([1.0, 2.0, 3.0], [5.0, 6.0, 7.0]).t < 0
+
+
+class TestGroupCompareOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.lists(SAMPLE_VALUES, min_size=2, max_size=5),
+           b=st.lists(SAMPLE_VALUES, min_size=2, max_size=5),
+           n_permutations=st.sampled_from([20, 100, 10000]),
+           seed=st.integers(0, 2**16))
+    @example(a=[5.0, 5.0], b=[5.0, 5.0], n_permutations=10000, seed=0)
+    @example(a=[1.0, 1.0, 1.0], b=[2.0, 2.0], n_permutations=10000, seed=0)
+    @example(a=[1.0, 1.0, 1.0, 1.0, 2.0], b=[2.0, 2.0, 0.0, 2.0, 2.0],
+             n_permutations=100, seed=1)
+    def test_equals_split_loop(self, a, b, n_permutations, seed):
+        result = group_compare(a, b, n_permutations=n_permutations, seed=seed)
+        assert result == loop_group_compare(a, b, n_permutations=n_permutations,
+                                            seed=seed)
+        assert welch_t(a, b) == scalar_welch_t(np.array(a), np.array(b))
+
+    def test_zero_denominator_rule(self):
+        assert welch_t([2.0, 2.0], [2.0, 2.0]) == 0.0
+        assert welch_t([3.0, 3.0], [1.0, 1.0]) == math.inf
+        assert welch_t([1.0, 1.0], [3.0, 3.0]) == -math.inf
 
 
 def feature_config(**overrides):
@@ -411,6 +480,39 @@ class TestClassifier:
         b = classify_group_loocv(X, labels, seed=3)
         assert a.accuracy == b.accuracy
         assert a.probabilities == b.probabilities
+
+    def assert_matches_fold_loop(self, X, labels, seed):
+        result = classify_group_loocv(X, labels, seed=seed)
+        oracle = loop_classify_group_loocv(X, labels, seed=seed)
+        assert result.predictions == oracle.predictions
+        assert result.accuracy == oracle.accuracy
+        assert result.classes == oracle.classes
+        np.testing.assert_allclose(result.probabilities, oracle.probabilities,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_separable_fixtures_match_fold_loop(self, seed):
+        X, labels = self.separable(seed=seed)
+        self.assert_matches_fold_loop(X, labels, seed)
+
+    def test_random_labels_match_fold_loop(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(8, 4))
+        labels = list(rng.permutation(["A"] * 4 + ["B"] * 4))
+        self.assert_matches_fold_loop(X, labels, 0)
+
+    def test_shuffled_labels_at_width_240_match_fold_loop(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(8, 240))
+        labels = list(rng.permutation(["A"] * 4 + ["B"] * 4))
+        self.assert_matches_fold_loop(X, labels, 4)
+
+    def test_single_member_class_matches_fold_loop(self):
+        # the fold holding out the lone "A" trains on one class, unweighted
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(5, 3))
+        X[:, 1] = 2.0  # a constant column keeps its unit scale
+        self.assert_matches_fold_loop(X, ["A", "B", "B", "B", "B"], 1)
 
     def test_too_few_observers_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):

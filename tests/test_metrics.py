@@ -1,5 +1,7 @@
 """Metric tests: binning, ScanMatch, MultiMatch, string-edit distance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +23,9 @@ from gazelab.metrics import (
     sed_pairs,
     string_edit_distance,
     substitution_matrix,
+    value_pairs,
 )
-from gazelab.scanpath import Fixation, Scanpath
+from gazelab.scanpath import Fixation, Scanpath, grid_cell
 
 from support import (
     brute_force_nw,
@@ -96,6 +99,58 @@ class TestQuantize:
         with pytest.raises(ValueError, match=r"fixation 1 of image 3 observer 4: "
                                              r"duration 10000000.0 ms at sm_tbin 50.0"):
             quantize(huge, (8, 6), 50.0)
+
+
+# coordinates with both closed edges, 0 and 1, drawn often
+EDGE_COORDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestBatchedQuantize:
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.lists(st.tuples(EDGE_COORDS, EDGE_COORDS,
+                                     st.floats(1.0, 900.0)),
+                           min_size=1, max_size=12),
+           gx=st.integers(1, 9), gy=st.integers(1, 9),
+           tbin=st.sampled_from([0.0, 50.0, 37.5]))
+    @example(points=[(0.0, 0.0, 50.0), (1.0, 1.0, 50.0), (1.0, 0.0, 1.0)],
+             gx=8, gy=6, tbin=50.0)
+    def test_matches_per_fixation_grid_cell(self, points, gx, gy, tbin):
+        sp = Scanpath(2, 5, [Fixation(x, y, d) for x, y, d in points])
+        expected = []
+        for x, y, d in points:
+            row, col = divmod(grid_cell(x, y, gy, gx), gx)
+            reps = math.ceil(max(d / tbin, 1.0)) if tbin > 0 else 1
+            expected.extend([col * gy + row] * reps)
+        assert quantize(sp, (gx, gy), tbin) == expected
+
+    def test_value_pairs_equal_the_three_batches(self):
+        rng = np.random.default_rng(12)
+        paths = [random_scanpath(rng, observer_id=k) for k in range(5)]
+        paths.append(Scanpath(0, 9, [Fixation(1.0, 0.0, 80.0)]))
+        pairs = [(paths[i], paths[j]) for i in range(6) for j in range(6)]
+        sms, mms, seds = value_pairs(pairs)
+        np.testing.assert_array_equal(sms, scanmatch_pairs(pairs))
+        np.testing.assert_array_equal(seds, sed_pairs(pairs))
+        assert mms == multimatch_pairs(pairs)
+
+    def test_token_cap_names_the_fixation_in_its_own_scanpath(self):
+        # 9,000 tokens before it in the batch, 6,000 in its own scanpath
+        long = Scanpath(0, 0, [Fixation(0.5, 0.5, 50.0 * 9_000)])
+        huge = Scanpath(3, 4, [Fixation(0.2, 0.2, 50.0 * 6_000),
+                               Fixation(0.4, 0.4, 50.0 * 3_000),
+                               Fixation(0.6, 0.6, 50.0 * 2_000)])
+        with pytest.raises(ValueError, match=r"fixation 2 of image 3 observer 4: "
+                                             r"duration 100000.0 ms at sm_tbin 50.0"):
+            scanmatch_pairs([(long, huge)])
+
+    def test_first_faulty_scanpath_in_pair_order_is_named(self):
+        good = Scanpath(0, 0, [Fixation(0.5, 0.5, 100.0)])
+        far = Scanpath(1, 1, [Fixation(0.5, 0.5, 100.0), Fixation(0.5, 1.5, 100.0)])
+        empty = Scanpath(2, 2, [])
+        with pytest.raises(ValueError, match="fixation 1 of image 1 observer 1"):
+            value_pairs([(good, far), (empty, good)])
+        with pytest.raises(ValueError, match=r"empty scanpath \(image 2, observer 2\)"):
+            value_pairs([(good, empty), (far, good)])
 
 
 class TestScanMatch:

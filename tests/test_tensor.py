@@ -55,6 +55,27 @@ class TestForward:
         np.testing.assert_allclose(matmul(w, a).data, naive_matmul(w, a), rtol=1e-12)
         np.testing.assert_allclose(matmul(v, v).data, naive_matmul(v, v), rtol=1e-12)
 
+    def test_stacked_matmul_is_each_slice_product(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=(3, 4, 5))
+        out = matmul(a, b).data
+        assert out.shape == (3, 2, 5)
+        for s in range(3):
+            np.testing.assert_allclose(out[s], naive_matmul(a[s], b[s]), rtol=1e-12)
+
+    def test_stacked_matmul_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"matmul.*\(3, 2, 4\).*\(2, 4, 5\)"):
+            matmul(np.ones((3, 2, 4)), np.ones((2, 4, 5)))
+        with pytest.raises(ShapeError, match=r"matmul.*\(3, 2, 4\).*\(3, 3, 5\)"):
+            matmul(np.ones((3, 2, 4)), np.ones((3, 3, 5)))
+        with pytest.raises(ShapeError, match=r"matmul.*\(3, 2, 4\).*\(4, 5\)"):
+            matmul(np.ones((3, 2, 4)), np.ones((4, 5)))
+        with pytest.raises(ShapeError, match=r"matmul.*\(2, 4\).*\(3, 4, 5\)"):
+            matmul(np.ones((2, 4)), np.ones((3, 4, 5)))
+        with pytest.raises(ShapeError, match=r"matmul.*\(4,\).*\(3, 4, 5\)"):
+            matmul(np.ones(4), np.ones((3, 4, 5)))
+
     def test_forward_identical_with_and_without_tape(self):
         rng = np.random.default_rng(11)
         w = Tensor(rng.normal(size=(4, 4)), trainable=True)
