@@ -36,6 +36,7 @@ from .scanpath import Fixation, Scanpath, cell_center, grid_cell
 from .tensor import (
     Tensor,
     concat,
+    linear,
     lstm,
     mean,
     narrow,
@@ -44,7 +45,6 @@ from .tensor import (
     softmax,
     softplus,
     tanh,
-    transpose,
     tsum,
 )
 
@@ -251,7 +251,7 @@ class ScanpathModel:
         one_hots = self.one_hots(observer_ids)
         if not self.config.uses_embedding:
             return Tensor(np.zeros((len(one_hots), self.config.observer_dim)))
-        return Tensor(one_hots) @ transpose(self.params["W_u"])
+        return linear(Tensor(one_hots), self.params["W_u"])
 
     # -- forward pieces --------------------------------------------------
     #
@@ -281,11 +281,11 @@ class ScanpathModel:
         """
         p = self.params
         cells = self.config.cells
-        scores = E_flat @ transpose(p["W_eu"])
+        scores = linear(E_flat, p["W_eu"])
         batch = 1
         if u is not None:
             batch = u.shape[0]
-            scores = scores + reshape(u @ transpose(p["W_mu"]), (batch, 1, -1))
+            scores = scores + reshape(linear(u, p["W_mu"]), (batch, 1, -1))
         pre = reshape(tanh(scores), (batch * cells, -1))
         return softmax(reshape(pre @ p["w_eu"], (batch, cells)), axis=1)
 
@@ -315,13 +315,13 @@ class ScanpathModel:
             return glimpse @ p["W_fi"] + p["b_fi"]
         rowsum = Tensor(E_flat.data.sum(axis=1) * (0.5 / cfg.channels))
         spatial = (maps + _each_step(m_u, rows)) * rowsum
-        u_s = relu(spatial @ transpose(p["W_hs"]) + p["b_hs"])
+        u_s = relu(linear(spatial, p["W_hs"], p["b_hs"]))
         guided = _each_step(m_u @ E_flat, rows)
         pooled = concat([glimpse, guided * (1.0 / cfg.cells)], axis=1)
-        u_c = relu(pooled @ transpose(p["W_hc"]) + p["b_hc"])
+        u_c = relu(linear(pooled, p["W_hc"], p["b_hc"]))
         if u is not None:
-            u_s = u_s + _each_step(u @ transpose(p["W_us"]), rows)
-            u_c = u_c + _each_step(u @ transpose(p["W_uc"]), rows)
+            u_s = u_s + _each_step(linear(u, p["W_us"]), rows)
+            u_c = u_c + _each_step(linear(u, p["W_uc"]), rows)
         return reshape(mean(u_s, axis=1), (rows, 1)) * u_c
 
     def initial_state(self, batch: int) -> DecoderState:
@@ -349,7 +349,7 @@ class ScanpathModel:
         if cfg.uses_one_hot:
             identity = np.tile(self.one_hots(observer_ids), (steps, 1))
             X = concat([X, Tensor(identity)], axis=1)
-        Z = X @ transpose(p["W_ih"]) + p["b_lstm"]
+        Z = linear(X, p["W_ih"], p["b_lstm"])
         seq = lstm(reshape(Z, (steps, batch, 4 * h)), p["W_hh"], state.carry)
         carry = reshape(narrow(seq, 0, steps - 1, 1), (batch, 2 * h))
         H = reshape(narrow(seq, 2, 0, h), (steps * batch, h))
@@ -380,20 +380,20 @@ class ScanpathModel:
         rows = H.shape[0]
         maps = cfg.semantic_channels
         if not cfg.enable_fp:
-            logits = H @ transpose(p["W_fp"]) + p["b_fp"]
+            logits = linear(H, p["W_fp"], p["b_fp"])
             return (logits, Tensor(np.ones((rows, 1))),
                     Tensor(np.zeros((rows, cfg.channels))))
         n = rows * maps
-        A = reshape(H @ transpose(p["W_a"]) + p["b_a"], (n, cfg.cells))
-        queries = reshape(H @ transpose(p["W_q"]) + p["b_q"],
+        A = reshape(linear(H, p["W_a"], p["b_a"]), (n, cfg.cells))
+        queries = reshape(linear(H, p["W_q"], p["b_q"]),
                           (n, cfg.channels))
-        S = A + queries @ transpose(E_flat)
+        S = A + linear(queries, E_flat)
         V = (S @ E_flat) * (1.0 / cfg.cells)
-        scores = V @ transpose(p["W_b"])
+        scores = linear(V, p["W_b"])
         if u is not None:
             batch = u.shape[0]
             per_map = reshape(scores, (rows // batch, batch, maps, -1))
-            code = reshape(u @ transpose(p["W_um"]), (batch, 1, -1))
+            code = reshape(linear(u, p["W_um"]), (batch, 1, -1))
             scores = reshape(per_map + code, (n, -1))
         beta = softmax(reshape(tanh(scores) @ p["w_b"], (rows, maps)),
                        axis=1)
@@ -408,7 +408,7 @@ class ScanpathModel:
         """Gaussian parameters (mu, var), one entry per row of H, of the
         log duration in ms."""
         rows = H.shape[0]
-        v = H @ transpose(self.params["W_dur"]) + self.params["b_dur"]
+        v = linear(H, self.params["W_dur"], self.params["b_dur"])
         mu = reshape(narrow(v, 1, 0, 1), (rows,))
         var = softplus(reshape(narrow(v, 1, 1, 1), (rows,))) + VAR_FLOOR
         return mu, var

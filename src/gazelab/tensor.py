@@ -11,8 +11,10 @@ Conventions
 * All values are ``np.float64``; integer or float input is promoted on entry.
 * Ops run eagerly. Under an active :class:`Tape` they also append nodes to
   the tape; outside a tape they are plain numpy calls and produce identical
-  values.
-* A tape is single-owner. Concurrent training requires independent tapes.
+  values, and ``concat`` and ``lstm`` set up no gradient functions.
+* Each thread has its own stack of open tapes, so an op is recorded only on
+  a tape its own thread opened. A tape is single-owner; concurrent training
+  requires independent tapes.
 * Each primitive passes ``_trace`` one gradient function per operand,
   mapping the output gradient to that operand's contribution. A node keeps
   the functions of its traced operands only, and each function closes over
@@ -20,6 +22,7 @@ Conventions
   suffices).
 * The fused ``lstm`` runs B sequences at once, on a (T, B, 4h) input with a
   (B, 2h) carry, so a batch of scanpaths is one node as one scanpath is.
+  ``linear`` is a weight layer ``x @ w.T + b`` as one node.
 """
 
 from __future__ import annotations
@@ -41,18 +44,15 @@ class DomainError(ValueError):
     """Raised when operand values leave a primitive's domain (e.g. a zero divisor)."""
 
 
-_STATE = threading.local()
+class _TapeStacks(threading.local):
+    """Each thread's stack of open tapes, innermost last: a tape opened in
+    one thread is invisible to primitives run by another."""
+
+    def __init__(self):
+        self.tapes: list = []
 
 
-def _tape_stack() -> list:
-    if not hasattr(_STATE, "stack"):
-        _STATE.stack = []
-    return _STATE.stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_OPEN = _TapeStacks()
 
 
 def _as_array(value) -> np.ndarray:
@@ -115,7 +115,7 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     op: str
     parents: tuple
@@ -146,11 +146,11 @@ class Tape:
         if self._entered:
             raise RuntimeError("a Tape cannot be entered twice")
         self._entered = True
-        _tape_stack().append(self)
+        _OPEN.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _OPEN.tapes.pop()
         return False
 
     def _leaf_id(self, t: Tensor) -> int:
@@ -206,17 +206,25 @@ def _trace(op: str, out: np.ndarray, inputs: Sequence[Tensor], *vjps) -> Tensor:
     work.
     """
     result = Tensor(out)
-    tape = _active_tape()
-    if tape is None:
+    tapes = _OPEN.tapes
+    if not tapes:
         return result
-    traced = [(tape._leaf_id(t), vjp) for t, vjp in zip(inputs, vjps)
-              if t.trainable or (t._tape_token is tape._token and t.node is not None)]
-    if not traced:
+    tape = tapes[-1]
+    token = tape._token
+    parents, kept = [], []
+    for t, vjp in zip(inputs, vjps):
+        if t._tape_token is token and t.node is not None:  # recorded here
+            parents.append(t.node)
+        elif t.trainable:
+            parents.append(tape._leaf_id(t))
+        else:
+            continue
+        kept.append(vjp)
+    if not parents:
         return result
-    parents, kept = zip(*traced)
     result.node = len(tape.nodes)
-    tape.nodes.append(_Node(op, parents, kept))
-    result._tape_token = tape._token
+    tape.nodes.append(_Node(op, tuple(parents), tuple(kept)))
+    result._tape_token = token
     return result
 
 
@@ -321,6 +329,8 @@ def matmul(a, b) -> Tensor:
     out = av @ bv
 
     def vjp_a(g):
+        if bv.ndim == 1:  # each row of the gradient is g_i * b, an outer product
+            return np.multiply.outer(g, bv)
         a2, b2 = _as_matrices(av, bv)
         return (g.reshape(len(a2), b2.shape[1]) @ b2.T).reshape(av.shape)
 
@@ -331,12 +341,31 @@ def matmul(a, b) -> Tensor:
     return _trace("matmul", out, (a, b), vjp_a, vjp_b)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expects a 2-D operand, got {a.data.shape}")
-    out = a.data.T  # a view: matmul hands it to BLAS as transposed, uncopied
-    return _trace("transpose", out, (a,), lambda g: g.T)
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w.T + b`` of rows x (n, k), weights w (m, k) and an optional
+    bias b (m,), as one node.
+
+    The weights' gradient is ``(x.T @ g).T``, a transposed view, not
+    ``g.T @ x``: OpenBLAS gives the two different last bits for some
+    shapes (k = 257, for one), and this form keeps every gradient equal to
+    that of ``x @ w.T`` written as a ``matmul`` of a transposed view.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    xv, wv = x.data, w.data
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise ShapeError(f"linear: needs x (n, k) and w (m, k), got {xv.shape} and {wv.shape}")
+    out = xv @ wv.T
+    if b is None:
+        return _trace("linear", out, (x, w),
+                      lambda g: g @ wv, lambda g: (xv.T @ g).T)
+    b = as_tensor(b)
+    if b.data.shape != (wv.shape[0],):
+        raise ShapeError(f"linear: bias must be {(wv.shape[0],)} for w {wv.shape}, "
+                         f"got {b.data.shape}")
+    out += b.data
+    sb = b.data.shape
+    return _trace("linear", out, (x, w, b),
+                  lambda g: g @ wv, lambda g: (xv.T @ g).T, lambda g: _unbroadcast(g, sb))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +394,8 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(
             "concat: shapes " + ", ".join(str(p.data.shape) for p in parts) + f" on axis {axis}"
         ) from exc
+    if not _OPEN.tapes:
+        return Tensor(out)
     bounds = [0, *accumulate(p.data.shape[axis] for p in parts)]
     return _trace("concat", out, parts,
                   *(itemgetter(_slicer(nd, axis, lo, hi)) for lo, hi in zip(bounds, bounds[1:])))
@@ -505,32 +536,61 @@ def lstm(z, w_hh, state) -> Tensor:
         hidden = act[:, 3 * h:] * np.tanh(cell)
         out[t, :, :h] = hidden
         out[t, :, h:] = cell
+    if not _OPEN.tapes:
+        return Tensor(out)
     memo = [None, None]  # the output gradient last seen and its three gradients
 
     def bptt(g):
         if memo[0] is not g:
-            prev = np.concatenate([sv[None], out[:-1]])  # carry entering each step
-            tanh_c = np.tanh(out[:, :, h:])
-            dz = np.empty((steps, batch, 4 * h))
-            dh = np.zeros((batch, h))
-            dc = np.zeros((batch, h))
-            for t in range(steps - 1, -1, -1):
-                i, f = acts[t, :, :h], acts[t, :, h:2 * h]
-                gg, o = acts[t, :, 2 * h:3 * h], acts[t, :, 3 * h:]
-                dh = g[t, :, :h] + dh
-                dc = g[t, :, h:] + dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-                dz[t, :, :h] = dc * gg * i * (1.0 - i)
-                dz[t, :, h:2 * h] = dc * prev[t, :, h:] * f * (1.0 - f)
-                dz[t, :, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
-                dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
-                dh = dz[t] @ wv
-                dc = dc * f
-            dw = dz.reshape(-1, 4 * h).T @ prev[:, :, :h].reshape(-1, h)
-            memo[:] = g, (dz, dw, np.concatenate([dh, dc], axis=1))
+            memo[:] = g, _lstm_bptt(g, sv, wv, out, acts)
         return memo[1]
 
     return _trace("lstm", out, (z, w_hh, state),
                   lambda g: bptt(g)[0], lambda g: bptt(g)[1], lambda g: bptt(g)[2])
+
+
+def _lstm_bptt(g, sv, wv, out, acts) -> tuple:
+    """Gradients of ``lstm``'s pre-activations, ``w_hh`` and carry for the
+    output gradient g, by backpropagation through time.
+
+    All four gates of step t take one expression,
+    ``dz[t] = ((d * k1[t]) * k2[t]) * k3[t]`` with d = [dc, dc, dc, dh],
+    k1 = [g, c_prev, i, tanh c], k2 = [i, f, 1 - g^2, o] and
+    k3 = [1 - i, 1 - f, 1, 1 - o]. Each gate multiplies its factors in
+    the order of a gate-by-gate loop, and the g gate's third factor is an
+    exact 1, so the result equals that loop's to the bit
+    (``tests/support.py::loop_lstm_bptt``). The factors do not depend on
+    the gradient, so they are built for all steps before the loop, which
+    does about a dozen array operations a step.
+    """
+    steps, batch, h2 = out.shape
+    h = h2 // 2
+    prev = np.concatenate([sv[None], out[:-1]])  # carry entering each step
+    tanh_c = np.tanh(out[:, :, h:])
+    i, f = acts[:, :, :h], acts[:, :, h:2 * h]
+    gg, o = acts[:, :, 2 * h:3 * h], acts[:, :, 3 * h:]
+    k1 = np.concatenate([gg, prev[:, :, h:], i, tanh_c], axis=2)
+    k2 = np.concatenate([i, f, 1.0 - gg * gg, o], axis=2)
+    k3 = np.concatenate([1.0 - i, 1.0 - f, np.ones_like(gg), 1.0 - o], axis=2)
+    dtanh = 1.0 - tanh_c * tanh_c
+    dz = np.empty((steps, batch, 4 * h))
+    d = np.empty((batch, 4, h))  # [dc, dc, dc, dh] per sequence
+    flat_d = d.reshape(batch, 4 * h)
+    dh = np.zeros((batch, h))
+    dc = np.zeros((batch, h))
+    for t in range(steps - 1, -1, -1):
+        dh = g[t, :, :h] + dh
+        dc = g[t, :, h:] + dc + dh * o[t] * dtanh[t]
+        d[:, :3] = dc[:, None]
+        d[:, 3] = dh
+        dzt = dz[t]
+        np.multiply(flat_d, k1[t], out=dzt)
+        dzt *= k2[t]
+        dzt *= k3[t]
+        dh = dzt @ wv
+        dc = dc * f[t]
+    dw = dz.reshape(-1, 4 * h).T @ prev[:, :, :h].reshape(-1, h)
+    return dz, dw, np.concatenate([dh, dc], axis=1)
 
 
 def softmax_nll(logits, targets) -> Tensor:
@@ -600,7 +660,7 @@ DIFFERENTIABLE_PRIMITIVES: dict[str, Callable] = {
     "mul": mul,
     "div": div,
     "matmul": matmul,
-    "transpose": transpose,
+    "linear": linear,
     "concat": concat,
     "narrow": narrow,
     "reshape": reshape,

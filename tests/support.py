@@ -28,6 +28,7 @@ from gazelab.tensor import (
     concat,
     div,
     gaussian_nll,
+    linear,
     lstm,
     matmul,
     mean,
@@ -40,7 +41,6 @@ from gazelab.tensor import (
     softplus,
     sub,
     tanh,
-    transpose,
     tsum,
 )
 
@@ -137,10 +137,14 @@ def primitive_grad_cases(seed: int) -> dict:
         lambda a=a, b=b, rd=rd, a3=a3, b3=b3, rd3=rd3: rd(matmul(a, b)) + rd3(matmul(a3, b3)),
         {"a": a, "b": b, "a3": a3, "b3": b3})
 
-    seed_case("transpose")
-    m, n = dims()
-    x, rd = t((m, n)), reader((n, m))
-    cases["transpose"] = (lambda x=x, rd=rd: rd(transpose(x)), {"x": x})
+    seed_case("linear")
+    n, k, m = dims(3)
+    x, w, b = t((n, k)), t((m, k)), t((m,))
+    rd, rd_bare = reader((n, m)), reader((n, m))
+    cases["linear"] = (
+        lambda x=x, w=w, b=b, rd=rd, rd_bare=rd_bare:
+            rd(linear(x, w, b)) + rd_bare(linear(x, w)),
+        {"x": x, "w": w, "b": b})
 
     seed_case("concat")
     m, n = dims()
@@ -218,6 +222,44 @@ def primitive_grad_cases(seed: int) -> dict:
     missing = set(DIFFERENTIABLE_PRIMITIVES) - set(cases)
     assert not missing, f"gradient-check cases missing for primitives: {sorted(missing)}"
     return cases
+
+
+# ---------------------------------------------------------------------------
+# LSTM backward oracle
+
+
+def loop_lstm_bptt(z, w_hh, state, out, g) -> tuple:
+    """Gradients (dz, dw_hh, dstate) of ``lstm(z, w_hh, state)``, whose
+    output is ``out``, for the output gradient g: backpropagation through
+    time with each gate's gradient written out step by step.
+
+    The gate activations are recomputed from the carries in ``out`` with
+    the engine's logistic form 0.5 * (1 + tanh(x / 2)), so they are the
+    forward pass's values to the bit.
+    """
+    steps, batch, h4 = z.shape
+    h = h4 // 4
+    prev = np.concatenate([state[None], out[:-1]])  # carry entering each step
+    tanh_c = np.tanh(out[:, :, h:])
+    dz = np.empty((steps, batch, 4 * h))
+    dh = np.zeros((batch, h))
+    dc = np.zeros((batch, h))
+    for t in range(steps - 1, -1, -1):
+        a = z[t] + prev[t, :, :h] @ w_hh.T
+        i = 0.5 * (1.0 + np.tanh(0.5 * a[:, :h]))
+        f = 0.5 * (1.0 + np.tanh(0.5 * a[:, h:2 * h]))
+        gg = np.tanh(a[:, 2 * h:3 * h])
+        o = 0.5 * (1.0 + np.tanh(0.5 * a[:, 3 * h:]))
+        dh = g[t, :, :h] + dh
+        dc = g[t, :, h:] + dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+        dz[t, :, :h] = dc * gg * i * (1.0 - i)
+        dz[t, :, h:2 * h] = dc * prev[t, :, h:] * f * (1.0 - f)
+        dz[t, :, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
+        dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
+        dh = dz[t] @ w_hh
+        dc = dc * f
+    dw = dz.reshape(-1, 4 * h).T @ prev[:, :, :h].reshape(-1, h)
+    return dz, dw, np.concatenate([dh, dc], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +433,12 @@ def loop_classify_group_loocv(features, labels, hidden=16, epochs=200,
         Wt = Tensor(weights[:, None])
         for _ in range(epochs):
             with Tape() as tape:
-                H = tanh(matmul(Xt, transpose(params["W1"])) + params["b1"])
+                H = tanh(linear(Xt, params["W1"], params["b1"]))
                 Z = matmul(H, params["W2"]) + params["b2"]
                 loss = tsum(Wt * (softplus(Z) - Yt * Z)) / float(train.sum())
             opt.step(tape.gradients(loss))
         h = tanh(matmul(params["W1"], Tensor(Xz[fold])) + params["b1"])
-        z = matmul(transpose(params["W2"]), h) + params["b2"]
+        z = matmul(params["W2"].data.T, h) + params["b2"]
         prob = float((0.5 * (1.0 + np.tanh(0.5 * z.data)))[0])
         predictions.append(classes[int(prob >= 0.5)])
         probabilities.append(prob)

@@ -1,6 +1,7 @@
 """Engine tests: primitive forwards vs oracles, backprop, tape, Adam."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gazelab.analysis as analysis
+import gazelab.tensor as tensor_mod
 import gazelab.train as train_mod
 from gazelab.model import ModelConfig, ScanpathModel
-from gazelab.optim import Adam
+from gazelab.optim import BLOCK, Adam
 from gazelab.synthetic import build_corpus, smoke_config
 from gazelab.tensor import (
     DIFFERENTIABLE_PRIMITIVES,
@@ -23,6 +25,7 @@ from gazelab.tensor import (
     concat,
     gaussian_nll,
     grad_check,
+    linear,
     lstm,
     matmul,
     mul,
@@ -34,7 +37,18 @@ from gazelab.tensor import (
     tsum,
 )
 
-from support import PerArrayAdam, naive_matmul, primitive_grad_cases
+from support import (
+    PerArrayAdam,
+    loop_lstm_bptt,
+    naive_matmul,
+    primitive_grad_cases,
+)
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == \
+        np.ascontiguousarray(expected).tobytes()
 
 
 class TestForward:
@@ -75,6 +89,50 @@ class TestForward:
             matmul(np.ones((2, 4)), np.ones((3, 4, 5)))
         with pytest.raises(ShapeError, match=r"matmul.*\(4,\).*\(3, 4, 5\)"):
             matmul(np.ones(4), np.ones((3, 4, 5)))
+
+    # (n, k, m); an odd k in the hundreds is where BLAS gives g.T @ x and
+    # (x.T @ g).T different bytes
+    @pytest.mark.parametrize("n, k, m", [(1, 1, 1), (3, 4, 5), (64, 257, 64),
+                                         (4, 257, 1024)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_equals_numpy_composition_byte_for_byte(self, n, k, m,
+                                                           bias):
+        rng = np.random.default_rng([n, k, m])
+        x = Tensor(rng.normal(size=(n, k)), trainable=True)
+        w = Tensor(rng.normal(size=(m, k)), trainable=True)
+        b = Tensor(rng.normal(size=m), trainable=True) if bias else None
+        g = rng.normal(size=(n, m))
+        with Tape() as tape:
+            out = linear(x, w, b)
+            loss = tsum(mul(out, g))  # hands linear the gradient g exactly
+        grads = tape.gradients(loss)
+        value = x.data @ w.data.T
+        if bias:
+            value = value + b.data
+            assert_same_bytes(grads[b], g.sum(0))
+        assert_same_bytes(out.data, value)
+        assert_same_bytes(grads[x], g @ w.data)
+        assert_same_bytes(grads[w], (x.data.T @ g).T)
+
+    def test_linear_shape_errors_name_linear(self):
+        with pytest.raises(ShapeError, match=r"linear.*\(2, 3\).*\(4, 2\)"):
+            linear(np.ones((2, 3)), np.ones((4, 2)))
+        with pytest.raises(ShapeError, match=r"linear.*\(3,\).*\(4, 3\)"):
+            linear(np.ones(3), np.ones((4, 3)))
+        with pytest.raises(ShapeError, match=r"linear.*\(4,\).*\(5,\)"):
+            linear(np.ones((2, 3)), np.ones((4, 3)), np.ones(5))
+
+    def test_matmul_vector_right_operand_gradient_is_outer_product(self):
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=(4, 3)), trainable=True)
+        v = Tensor(rng.normal(size=3), trainable=True)
+        row = Tensor(rng.normal(size=3), trainable=True)
+        g = rng.normal(size=4)
+        with Tape() as tape:
+            loss = tsum(mul(matmul(a, v), g)) + tsum(mul(matmul(row, v), 2.0))
+        grads = tape.gradients(loss)
+        np.testing.assert_array_equal(grads[a], np.outer(g, v.data))
+        np.testing.assert_array_equal(grads[row], 2.0 * v.data)
 
     def test_forward_identical_with_and_without_tape(self):
         rng = np.random.default_rng(11)
@@ -171,6 +229,41 @@ class TestTape:
         node = tape.nodes[out.node]
         assert (node.op, node.parents, len(node.vjps)) == ("matmul", (w.node,), 1)
 
+    def test_tape_of_another_thread_is_invisible(self):
+        # each thread keeps its own stack of open tapes
+        opened, release = threading.Event(), threading.Event()
+        tapes = []
+
+        def hold_a_tape():
+            with Tape() as tape:
+                tapes.append(tape)
+                opened.set()
+                release.wait(10.0)
+
+        worker = threading.Thread(target=hold_a_tape)
+        worker.start()
+        try:
+            assert opened.wait(10.0)
+            w = Tensor(np.ones(3), trainable=True)
+            out = tsum(mul(w, 2.0))
+            assert out.node is None and w.node is None
+            assert tapes[0].nodes == []
+        finally:
+            release.set()
+            worker.join(10.0)
+        assert not worker.is_alive()
+
+    def test_untaped_concat_and_lstm_build_no_gradient_functions(self,
+                                                                 monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gradient work with no tape active")
+
+        for name in ("_slicer", "itemgetter", "_lstm_bptt", "_trace"):
+            monkeypatch.setattr(tensor_mod, name, refuse)
+        assert concat([np.ones((2, 3)), np.zeros((1, 3))]).shape == (3, 3)
+        assert lstm(np.zeros((2, 1, 4)), np.zeros((4, 1)),
+                    np.zeros((1, 2))).shape == (2, 1, 2)
+
     def test_second_gradients_call_rejected(self):
         x = Tensor(np.ones(2), trainable=True)
         with Tape() as tape:
@@ -197,6 +290,30 @@ class TestFusedPrimitives:
             row = lstm(z[t:t + 1], w_hh, state)
             np.testing.assert_array_equal(row.data[0], whole[t])
             state = reshape(narrow(row, 0, 0, 1), (batch, 2 * h))
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.integers(1, 13), batch=st.integers(1, 5),
+           h=st.integers(1, 8), halves=st.sampled_from(["h", "c", "both"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lstm_gradients_equal_step_by_step_loop(self, steps, batch, h,
+                                                    halves, seed):
+        rng = np.random.default_rng(seed)
+        z = Tensor(rng.normal(scale=2.0, size=(steps, batch, 4 * h)),
+                   trainable=True)
+        w_hh = Tensor(rng.normal(size=(4 * h, h)), trainable=True)
+        state = Tensor(rng.normal(size=(batch, 2 * h)), trainable=True)
+        g = rng.normal(size=(steps, batch, 2 * h))
+        if halves == "h":
+            g[:, :, h:] = 0.0
+        elif halves == "c":
+            g[:, :, :h] = 0.0
+        with Tape() as tape:
+            out = lstm(z, w_hh, state)
+            loss = tsum(mul(out, g))  # hands lstm the gradient g exactly
+        grads = tape.gradients(loss)
+        expected = loop_lstm_bptt(z.data, w_hh.data, state.data, out.data, g)
+        for operand, want in zip((z, w_hh, state), expected):
+            assert_same_bytes(grads[operand], want)
 
     def test_lstm_gradient_same_traced_alone_or_together(self):
         # the three operands share one backward pass; tracing fewer of them
@@ -422,6 +539,29 @@ class TestAdam:
         for name in shapes:
             np.testing.assert_array_equal(params[name].data,
                                           oracle.params[name], err_msg=name)
+
+    def test_blocked_update_matches_per_array_oracle_bit_for_bit(self):
+        # three blocks, a scaled parameter across the first block edge, an
+        # unscaled one across the second, and a 0-d parameter
+        rng = np.random.default_rng(17)
+        shapes = {"a": (BLOCK - 5,), "b": (), "c": (100, 200),
+                  "d": (BLOCK + 7,)}
+        start = {name: rng.normal(size=shape)
+                 for name, shape in shapes.items()}
+        scale = {"c": 10.0}
+        params = {name: Tensor(x.copy(), trainable=True)
+                  for name, x in start.items()}
+        assert 2 * BLOCK < sum(x.size for x in start.values())
+        opt = Adam(params, lr=1e-2, weight_decay=5e-3, lr_scale=scale)
+        oracle = PerArrayAdam({name: x.copy() for name, x in start.items()},
+                              lr=1e-2, weight_decay=5e-3, lr_scale=scale)
+        for _ in range(5):
+            grads = {name: rng.normal(size=shape)
+                     for name, shape in shapes.items()}
+            opt.step({params[name]: g for name, g in grads.items()})
+            oracle.step(grads)
+        for name in shapes:
+            assert_same_bytes(params[name].data, oracle.params[name])
 
     def test_parameters_become_views_of_one_buffer(self):
         params = {"w": Tensor(np.arange(6.0).reshape(2, 3), trainable=True),
