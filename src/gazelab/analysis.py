@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import Adam
+from .scanpath import grid_cells
 from .synthetic import CATEGORIES
 from .tensor import Tape, Tensor, matmul, softplus, tanh, tsum
 
@@ -74,8 +75,11 @@ def roi_stats(scanpaths, scenes) -> RoiStats:
         latencies.setdefault(obs, {cat: [] for cat in CATEGORIES})
         elapsed = 0.0
         first_hit: dict[str, float] = {}
-        for fix in sp.fixations:
-            cat = scene.category_at(fix.x, fix.y)
+        xy = sp.xy()
+        codes = scene.roi_mask.flat[grid_cells(xy[:, 0], xy[:, 1],
+                                               *scene.roi_mask.shape)]
+        for fix, code in zip(sp.fixations, codes):
+            cat = CATEGORIES[code]
             counts[obs][cat] += 1
             durations[obs][cat].append(fix.dur_ms)
             first_hit.setdefault(cat, elapsed)

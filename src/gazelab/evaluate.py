@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scanmatch, multimatch and string_edit_distance stay importable here
+# perfbench probes scanmatch, multimatch and string_edit_distance here
 from .metrics import (  # noqa: F401
     MetricConfig,
     multimatch,
@@ -40,7 +40,7 @@ from .metrics import (  # noqa: F401
     string_edit_distance,
     value_pairs,
 )
-from .scanpath import grid_cell
+from .scanpath import grid_cells
 
 log = logging.getLogger(__name__)
 
@@ -231,11 +231,10 @@ class SaliencyMap:
     grid: np.ndarray
 
 
-def _bin_fixations(fixations, height: int, width: int) -> np.ndarray:
-    counts = np.zeros(height * width)
-    for fix in fixations:
-        counts[grid_cell(fix.x, fix.y, height, width)] += 1.0
-    return counts.reshape(height, width)
+def _cells(fixations, height: int, width: int) -> np.ndarray:
+    """Each fixation's row-major cell (``scanpath.grid_cells``)."""
+    xy = np.array([(f.x, f.y) for f in fixations], dtype=np.float64)
+    return grid_cells(xy[:, 0], xy[:, 1], height, width)
 
 
 def build_saliency(fixations, sigma: float | None = None,
@@ -256,7 +255,9 @@ def build_saliency(fixations, sigma: float | None = None,
         sigma = width / 16.0
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    counts = _bin_fixations(fixations, height, width)
+    counts = np.bincount(_cells(fixations, height, width),
+                         minlength=height * width).astype(np.float64)
+    counts = counts.reshape(height, width)
     radius = int(np.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -289,11 +290,6 @@ class SaliencyScores:
 
 
 KLD_EPS = 1e-7
-
-
-def _fix_cells(fixations, height, width):
-    return [divmod(grid_cell(f.x, f.y, height, width), width)
-            for f in fixations]
 
 
 def _auc_from_values(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -342,11 +338,9 @@ def saliency_metrics(pred: SaliencyMap, gt_fixations, gt_map: SaliencyMap,
     else:
         cc = float(np.corrcoef(p.ravel(), g.ravel())[0, 1])
 
-    cells = _fix_cells(gt_fixations, height, width)
-    unique_cells = sorted(set(cells))
+    cells = _cells(gt_fixations, height, width)
     fix_mask = np.zeros((height, width), dtype=bool)
-    for row, col in unique_cells:
-        fix_mask[row, col] = True
+    fix_mask.flat[cells] = True
     auc = _auc_from_values(p[fix_mask], p[~fix_mask])
 
     if p_std == 0.0:
@@ -354,12 +348,11 @@ def saliency_metrics(pred: SaliencyMap, gt_fixations, gt_map: SaliencyMap,
         nss = 0.0
     else:
         z = (p - p.mean()) / p_std
-        nss = float(np.mean([z[row, col] for row, col in cells]))
+        nss = float(np.mean(z.flat[cells]))
 
     other = list(other_fixations)
     if other:
-        neg_cells = _fix_cells(other, height, width)
-        neg_vals = np.array([p[r, c] for r, c in neg_cells])
+        neg_vals = p.flat[_cells(other, height, width)]
         sauc = _auc_from_values(p[fix_mask], neg_vals)
     else:
         sauc = float("nan")

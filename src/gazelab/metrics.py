@@ -23,7 +23,7 @@ and ``sed_pairs`` score many scanpath pairs with one call to it.
 ``multimatch_pairs`` aligns many MultiMatch pairs in one anti-diagonal
 sweep of their padded min-cost tables and one traceback. Each batch
 reads and validates its distinct scanpaths once and bins their fixations
-in one array expression; ``value_pairs`` shares that read among all three
+in one ``grid_cells`` call; ``value_pairs`` shares that read among all three
 metrics. ``scanmatch``, ``multimatch``, ``string_edit_distance``,
 ``nw_score`` and ``align_minimum_cost`` are batches of one. All functions
 are pure.
@@ -31,12 +31,11 @@ are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scanpath import Scanpath
+from .scanpath import Scanpath, grid_cells, read_fixations
 
 
 @dataclass
@@ -74,12 +73,9 @@ MAX_SCANPATH_TOKENS = 10_000
 
 @dataclass
 class _ReadPairs:
-    """The distinct scanpaths of a batch of pairs, each validated once.
-
-    ``rows`` holds every distinct scanpath's (x, y, dur_ms) fixations, one
-    scanpath after another in first-seen order, ``sizes`` their counts,
-    and ``first[p]`` and ``second[p]`` index pair p's two scanpaths.
-    """
+    """The distinct scanpaths of a batch of pairs in first-seen order, with
+    their ``read_fixations`` rows and sizes; ``first[p]`` and ``second[p]``
+    index pair p's two scanpaths."""
 
     paths: list
     sizes: np.ndarray
@@ -89,11 +85,8 @@ class _ReadPairs:
 
 
 def _read_pairs(pairs) -> _ReadPairs:
-    """Read and validate each distinct scanpath of ``pairs`` once.
-
-    A fault raises the ValueError of ``Scanpath.validate`` or of an empty
-    scanpath, for the first faulty scanpath in pair order.
-    """
+    """Read and validate each distinct scanpath of ``pairs`` once, with
+    ``read_fixations``'s errors for the first faulty scanpath in pair order."""
     slot: dict[int, int] = {}
     paths, first, second = [], [], []
     for a, b in pairs:
@@ -103,17 +96,7 @@ def _read_pairs(pairs) -> _ReadPairs:
                 paths.append(sp)
         first.append(slot[id(a)])
         second.append(slot[id(b)])
-    sizes = np.array([len(sp) for sp in paths], dtype=np.intp)
-    rows = np.array([(f.x, f.y, f.dur_ms) for sp in paths for f in sp.fixations],
-                    dtype=np.float64).reshape(-1, 3)
-    xy, dur = rows[:, :2], rows[:, 2]
-    if not (sizes.all() and ((xy >= 0.0) & (xy <= 1.0)).all()
-            and ((dur > 0.0) & (dur < math.inf)).all()):
-        for sp in paths:
-            if len(sp) == 0:
-                raise ValueError(
-                    f"empty scanpath (image {sp.image_id}, observer {sp.observer_id})")
-            sp.validate()
+    rows, sizes = read_fixations(paths)
     return _ReadPairs(paths, sizes, rows, np.array(first, dtype=np.intp),
                       np.array(second, dtype=np.intp))
 
@@ -124,9 +107,8 @@ def _tokens(read: _ReadPairs, grid: tuple[int, int], tbin: float) -> list[np.nda
         return []
     gx, gy = grid
     x, y, dur = read.rows.T
-    # grid_cell's rule, closed upper edge included, in column-major ids
-    tokens = (np.minimum((x * gx).astype(np.intp), gx - 1) * gy
-              + np.minimum((y * gy).astype(np.intp), gy - 1))
+    # column-major ids col * gy + row: the row-major ids of the transposed grid
+    tokens = grid_cells(y, x, gx, gy)
     reps = np.maximum(dur / tbin, 1.0) if tbin > 0 else np.ones_like(dur)
     # a fixation past the cap is refused below, so its count is clipped to
     # stay an integer
@@ -149,7 +131,7 @@ def _tokens(read: _ReadPairs, grid: tuple[int, int], tbin: float) -> list[np.nda
 def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> list[int]:
     """Token string of fixations binned onto a Gx x Gy grid, column-major ids.
 
-    Cells follow ``grid_cell`` with Gy rows and Gx columns; the token id is
+    Cells follow ``grid_cells`` with Gy rows and Gx columns; the token id is
     ``col * Gy + row``. With ``tbin > 0`` each fixation token is repeated
     ``ceil(dur / tbin)`` times, so longer fixations occupy more of the
     string; a string longer than ``MAX_SCANPATH_TOKENS`` raises ValueError.

@@ -23,7 +23,7 @@ the in-house tensor engine, so the same code path serves training (under a
 tape) and inference. It has a batch axis of B observers on one image: a
 training batch is recorded in one pass, and all observers of an image are
 predicted in one free-running rollout. Grid cells follow
-``scanpath.grid_cell``.
+``scanpath.grid_cells``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scanpath import Fixation, Scanpath, cell_center, grid_cell
+from .scanpath import Fixation, Scanpath, cell_center, grid_cells, read_fixations
+from .scanpath import grid_cell  # noqa: F401  (perfbench imports it from here)
 from .tensor import (
     Tensor,
     concat,
@@ -444,33 +445,28 @@ class ScanpathModel:
         return state, logits, mu, var
 
     def teacher_forced_batch(self, E: np.ndarray, observer_ids,
-                             gts) -> tuple[Tensor, Tensor, Tensor]:
+                             cells: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
         """Stacked (logits (T * B, HW), mu (T * B,), var (T * B,)) with
         ground-truth feedback for B scanpaths of one length T on one image,
         from one pass of the step core.
 
-        Row t * B + b is step t of ``gts[b]``, read as observer
-        ``observer_ids[b]``. Step t sees the one-hot map of the ground-truth
-        fixation t-1 (the learned initial map at t=0), and the fixations
-        before t feed the inhibition of return, so the outputs at step t
-        depend only on fixations before t.
+        ``cells[t, b]`` is the ground-truth cell of step t of scanpath b,
+        read as observer ``observer_ids[b]``; output row t * B + b is that
+        step. Step t sees the one-hot map of ground-truth fixation t-1 (the
+        learned initial map at t=0), and the fixations before t feed the
+        inhibition of return, so step t depends only on fixations before t.
         """
         cfg = self.config
-        batch, steps = len(gts), len(gts[0])
-        if len(observer_ids) != batch or any(len(gt) != steps for gt in gts):
+        steps, batch = cells.shape
+        if len(observer_ids) != batch:
             raise ValueError(
-                f"a teacher-forced pass needs one observer per ground truth "
-                f"and one length, got observers {list(observer_ids)} and "
-                f"lengths {[len(gt) for gt in gts]}")
+                f"a teacher-forced pass needs one observer per ground truth, "
+                f"got observers {list(observer_ids)} for {batch} ground truths")
         if steps > cfg.max_steps:
             raise ValueError(
                 f"ground truth length {steps} exceeds max_steps "
                 f"{cfg.max_steps}")
-        for gt in gts:
-            gt.validate()
         context = self._context(E, observer_ids)
-        cells = np.array([[grid_cell(f.x, f.y, cfg.height, cfg.width)
-                           for f in gt.fixations] for gt in gts]).T
         forced = np.zeros((steps, batch, cfg.cells))
         forced[np.arange(steps)[:, None], np.arange(batch), cells] = 1.0
         visited = (np.cumsum(forced, axis=0) - forced).reshape(-1, cfg.cells)
@@ -482,20 +478,17 @@ class ScanpathModel:
                                          self.initial_state(batch))
         return logits, mu, var
 
-    def teacher_forced(self, E: np.ndarray, observer_id: int,
-                       gt: Scanpath) -> tuple[Tensor, Tensor, Tensor]:
-        """``teacher_forced_batch`` of one scanpath: (logits (T, HW),
-        mu (T,), var (T,))."""
-        return self.teacher_forced_batch(E, [observer_id], [gt])
-
     def rollout_teacher_forced(self, E: np.ndarray, observer_id: int,
                                gt: Scanpath) -> list[tuple[Tensor, Tensor, Tensor]]:
-        """Per-step (m_t, mu_t, var_t) of ``teacher_forced``, m_t the
-        length-HW softmax map."""
-        logits, mu, var = self.teacher_forced(E, observer_id, gt)
+        """Per-step (m_t, mu_t, var_t) of ``teacher_forced_batch`` on one
+        scanpath, m_t the length-HW softmax map."""
+        rows, _ = read_fixations([gt])
+        cfg = self.config
+        cells = grid_cells(rows[:, 0], rows[:, 1], cfg.height, cfg.width)
+        logits, mu, var = self.teacher_forced_batch(E, [observer_id],
+                                                    cells[:, None])
         maps = softmax(logits, axis=1)
-        cells = self.config.cells
-        return [(reshape(narrow(maps, 0, t, 1), (cells,)),
+        return [(reshape(narrow(maps, 0, t, 1), (cfg.cells,)),
                  reshape(narrow(mu, 0, t, 1), ()),
                  reshape(narrow(var, 0, t, 1), ())) for t in range(len(gt))]
 

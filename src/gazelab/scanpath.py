@@ -49,19 +49,47 @@ class Scanpath:
                 )
 
 
-def grid_cell(x: float, y: float, height: int, width: int) -> int:
-    """Row-major index ``row * width + col`` of the cell holding (x, y).
+def read_fixations(scanpaths) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sizes): the (F, 3) (x, y, dur_ms) fixation rows of
+    ``scanpaths``, one after another, and each one's count, checked by one
+    array test. A fault raises the ValueError of an empty scanpath or of
+    ``Scanpath.validate`` for the first faulty scanpath."""
+    sizes = np.array([len(sp) for sp in scanpaths], dtype=np.intp)
+    rows = np.array([(f.x, f.y, f.dur_ms) for sp in scanpaths for f in sp.fixations],
+                    dtype=np.float64).reshape(-1, 3)
+    xy, dur = rows[:, :2], rows[:, 2]
+    if not (sizes.all() and ((xy >= 0.0) & (xy <= 1.0)).all()
+            and ((dur > 0.0) & (dur < math.inf)).all()):
+        for sp in scanpaths:
+            if len(sp) == 0:
+                raise ValueError(
+                    f"empty scanpath (image {sp.image_id}, observer {sp.observer_id})")
+            sp.validate()
+    return rows, sizes
+
+
+def grid_cells(x, y, height: int, width: int) -> np.ndarray:
+    """Row-major indices ``row * width + col`` of the cells holding the
+    points (x[i], y[i]).
 
     The unit square splits into ``height`` rows and ``width`` columns:
     row = floor(y * height) and col = floor(x * width), with the closed
     upper edge (a coordinate of exactly 1) folded into the last row or
-    column. Coordinates outside [0, 1] raise ValueError.
+    column. A coordinate outside [0, 1] or NaN raises ValueError naming the
+    first such point.
     """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"grid_cell: coordinates ({x}, {y}) outside [0, 1]")
-    col = min(int(x * width), width - 1)
-    row = min(int(y * height), height - 1)
-    return row * width + col
+    xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    inside = (xs >= 0.0) & (xs <= 1.0) & (ys >= 0.0) & (ys <= 1.0)
+    if not inside.all():
+        i = int(inside.argmin())
+        raise ValueError(f"grid_cell: coordinates ({x[i]}, {y[i]}) outside [0, 1]")
+    return (np.minimum((ys * height).astype(np.intp), height - 1) * width
+            + np.minimum((xs * width).astype(np.intp), width - 1))
+
+
+def grid_cell(x: float, y: float, height: int, width: int) -> int:
+    """``grid_cells`` of one point."""
+    return int(grid_cells([x], [y], height, width)[0])
 
 
 def cell_center(index: int, height: int, width: int) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scanpath import Fixation, Scanpath, cell_center, grid_cell
+from .scanpath import Fixation, Scanpath, cell_center
 
 CATEGORIES = ("background", "nonsocial", "social")
 BACKGROUND, NONSOCIAL, SOCIAL = 0, 1, 2
@@ -112,10 +112,6 @@ class SyntheticScene:
     @property
     def grid(self) -> tuple[int, int]:
         return self.E.shape[1], self.E.shape[2]
-
-    def category_at(self, x: float, y: float) -> str:
-        h, w = self.roi_mask.shape
-        return CATEGORIES[self.roi_mask.flat[grid_cell(x, y, h, w)]]
 
 
 @dataclass

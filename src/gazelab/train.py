@@ -27,7 +27,7 @@ from .model import (
     ablation_config,
 )
 from .optim import Adam
-from .scanpath import Scanpath, grid_cell
+from .scanpath import Scanpath, grid_cells, read_fixations
 from .tensor import Tape, Tensor, gaussian_nll, softmax_nll
 
 # Adam moves an entry by at most about lr per update, so a default run (15
@@ -66,47 +66,33 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
 
 
-def _step_major(gts, values) -> np.ndarray:
-    """``values(gt)`` of scanpaths of one length, row t * B + b holding
-    step t of ``gts[b]``, the row order of a teacher-forced pass."""
-    if len({len(gt) for gt in gts}) != 1:
-        raise ValueError(
-            f"scanpaths of one pass must share a length, got "
-            f"{[len(gt) for gt in gts]}")
-    for gt in gts:
-        gt.validate()
-    return np.array([values(gt) for gt in gts]).T.ravel()
+def position_loss(logits: Tensor, cells: np.ndarray) -> Tensor:
+    """Mean over rows r of -log softmax(logits_r)[cells[r]].
 
-
-def position_loss(logits: Tensor, gts, height: int, width: int) -> Tensor:
-    """Mean over rows of -log softmax(logits_r)[ground-truth cell].
-
-    ``logits`` is (T * B, HW), the rows of a teacher-forced pass over the
-    scanpaths ``gts`` of one length T; the loss is one fused
+    ``logits`` is (T * B, HW), the rows of a teacher-forced pass, and
+    ``cells`` the ground-truth cell of each row; the loss is one fused
     ``softmax_nll`` node.
     """
-    fixations = sum(len(gt) for gt in gts)
-    if logits.shape[0] != fixations:
+    if logits.shape[0] != len(cells):
         raise ValueError(
-            f"got {logits.shape[0]} step maps for {fixations} ground-truth "
+            f"got {logits.shape[0]} step maps for {len(cells)} ground-truth "
             "fixations")
-    cells = _step_major(gts, lambda gt: [grid_cell(f.x, f.y, height, width)
-                                         for f in gt.fixations])
     return softmax_nll(logits, cells)
 
 
-def duration_loss(mu: Tensor, var: Tensor, gts) -> Tensor:
+def duration_loss(mu: Tensor, var: Tensor, log_durations: np.ndarray) -> Tensor:
     """Mean Gaussian NLL of log durations under per-row (mu, var).
 
-    ``mu`` and ``var`` hold one entry per row of a teacher-forced pass over
-    the scanpaths ``gts``; the loss is one fused ``gaussian_nll`` node.
+    ``mu`` and ``var`` hold one entry per row of a teacher-forced pass and
+    ``log_durations`` the ground truth's; the loss is one fused
+    ``gaussian_nll`` node.
     """
-    fixations = sum(len(gt) for gt in gts)
+    fixations = len(log_durations)
     if mu.shape != (fixations,) or var.shape != (fixations,):
         raise ValueError(
             f"got duration parameters of shapes {mu.shape} and {var.shape} "
             f"for {fixations} ground-truth fixations")
-    return gaussian_nll(mu, var, np.log(_step_major(gts, Scanpath.durations)))
+    return gaussian_nll(mu, var, log_durations)
 
 
 def batch_loss(model: ScanpathModel, E: np.ndarray, items,
@@ -114,7 +100,8 @@ def batch_loss(model: ScanpathModel, E: np.ndarray, items,
     """Mean teacher-forced loss over the items [(observer_id, gt), ...] of
     one image; returns (total, position, duration).
 
-    The items of one length are recorded as one pass of the step core, so a
+    The items of one length are read once (``read_fixations``, one
+    ``grid_cells`` call) and recorded as one pass of the step core, so a
     batch adds no tape nodes per item. Items of different lengths make one
     pass per length, each weighted by its share of the items, so every
     item counts as much as in a mean of per-item losses.
@@ -122,14 +109,19 @@ def batch_loss(model: ScanpathModel, E: np.ndarray, items,
     by_length: dict[int, list] = {}
     for observer_id, gt in items:
         by_length.setdefault(len(gt), []).append((observer_id, gt))
+    cfg = model.config
     pos = dur = 0.0
-    for group in by_length.values():
-        ids, gts = [obs for obs, _ in group], [gt for _, gt in group]
-        logits, mu, var = model.teacher_forced_batch(E, ids, gts)
+    for steps, group in by_length.items():
+        rows, _ = read_fixations([gt for _, gt in group])
+        # step-major: row t * B + b is step t of scanpath b
+        cells = grid_cells(rows[:, 0], rows[:, 1], cfg.height,
+                           cfg.width).reshape(-1, steps).T
+        log_durations = np.log(rows[:, 2].reshape(-1, steps).T.ravel())
+        logits, mu, var = model.teacher_forced_batch(
+            E, [obs for obs, _ in group], cells)
         share = len(group) / len(items)
-        pos = pos + position_loss(logits, gts, model.config.height,
-                                  model.config.width) * share
-        dur = dur + duration_loss(mu, var, gts) * share
+        pos = pos + position_loss(logits, cells.ravel()) * share
+        dur = dur + duration_loss(mu, var, log_durations) * share
     return pos + dur * duration_weight, pos, dur
 
 

@@ -451,6 +451,25 @@ def loop_classify_group_loocv(features, labels, hidden=16, epochs=200,
 
 
 # ---------------------------------------------------------------------------
+# grid oracle
+
+
+def loop_grid_cell(x: float, y: float, height: int, width: int) -> int:
+    """Row-major cell of (x, y) on a height x width grid of the unit square,
+    written out: floor each scaled coordinate, then fold the closed upper
+    edge (a coordinate of exactly 1) into the last row or column."""
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"grid_cell: coordinates ({x}, {y}) outside [0, 1]")
+    row = math.floor(y * height)
+    col = math.floor(x * width)
+    if row == height:
+        row = height - 1
+    if col == width:
+        col = width - 1
+    return row * width + col
+
+
+# ---------------------------------------------------------------------------
 # alignment oracles
 
 

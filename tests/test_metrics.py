@@ -25,11 +25,12 @@ from gazelab.metrics import (
     substitution_matrix,
     value_pairs,
 )
-from gazelab.scanpath import Fixation, Scanpath, grid_cell
+from gazelab.scanpath import Fixation, Scanpath
 
 from support import (
     brute_force_nw,
     enumerate_monotone_pairings,
+    loop_grid_cell,
     loop_multimatch,
     naive_levenshtein,
     plain_levenshtein,
@@ -118,7 +119,7 @@ class TestBatchedQuantize:
         sp = Scanpath(2, 5, [Fixation(x, y, d) for x, y, d in points])
         expected = []
         for x, y, d in points:
-            row, col = divmod(grid_cell(x, y, gy, gx), gx)
+            row, col = divmod(loop_grid_cell(x, y, gy, gx), gx)
             reps = math.ceil(max(d / tbin, 1.0)) if tbin > 0 else 1
             expected.extend([col * gy + row] * reps)
         assert quantize(sp, (gx, gy), tbin) == expected

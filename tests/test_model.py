@@ -16,7 +16,7 @@ from gazelab.model import (
 )
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.tensor import Tape, Tensor, grad_check, reshape
-from gazelab.train import batch_loss, duration_loss, rollout_loss
+from gazelab.train import batch_loss, rollout_loss
 from support import naive_matmul, reference_rollout
 
 
@@ -456,8 +456,7 @@ class TestDurationHead:
         gt = path_at_cells([0, 3, 1], cfg, dur=240.0)
 
         def f():
-            _, mu, var = model.teacher_forced(E, 1, gt)
-            return duration_loss(mu, var, [gt])
+            return rollout_loss(model, E, 1, gt)[2]
 
         head = {"W_dur": model.params["W_dur"],
                 "b_dur": model.params["b_dur"]}
@@ -676,11 +675,11 @@ class TestBatchAxis:
         cfg = tiny_config()
         model = ScanpathModel(cfg)
         E = random_E(cfg)
-        (_, a), (_, b) = self.items(cfg, [3, 2])
-        with pytest.raises(ValueError, match="one length"):
-            model.teacher_forced_batch(E, [0, 1], [a, b])
+        # a pass takes (T, B) cells, so its B scanpaths share one length
         with pytest.raises(ValueError, match="one observer per"):
-            model.teacher_forced_batch(E, [0], [a, a])
+            model.teacher_forced_batch(E, [0], np.zeros((3, 2), dtype=int))
+        with pytest.raises(ValueError, match="max_steps"):
+            model.teacher_forced_batch(E, [0], np.zeros((5, 1), dtype=int))
         with pytest.raises(ValueError, match="seeds"):
             model.sample_scanpaths(E, [0, 1], [0], n_steps=2)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gazelab.metrics import scanmatch
+from gazelab.scanpath import grid_cells
 from gazelab.synthetic import (
+    CATEGORIES,
     CorpusConfig,
     build_corpus,
     generate_profiles,
@@ -226,8 +228,10 @@ class TestSignal:
         for scene in scenes:
             for p in profiles:
                 sp = sample_gt_scanpath(p, scene, 6, [7, 3, scene.id, p.id])
-                for f in sp.fixations:
-                    counts[scene.category_at(f.x, f.y)] += 1
+                xy = sp.xy()
+                for code in scene.roi_mask.flat[grid_cells(
+                        xy[:, 0], xy[:, 1], *scene.roi_mask.shape)]:
+                    counts[CATEGORIES[code]] += 1
         total = sum(counts.values())
         for category, count in counts.items():
             assert count / total > 0.05, f"{category} under 5%"

@@ -11,6 +11,7 @@ from gazelab.model import ModelConfig, ScanpathModel, ablation_config, cell_cent
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import build_corpus, smoke_config
 from gazelab.tensor import Tensor
+import gazelab.train as train_module
 from gazelab.train import (
     ABLATION_VARIANTS,
     TrainConfig,
@@ -42,71 +43,89 @@ def path_at(cells, height, width, durs, image_id=0, observer_id=0):
                     fixations=fixes)
 
 
+def tiny_model():
+    """A model on a 3 x 4 grid and a constant scene for it."""
+    cfg = ModelConfig(n_observers=3, height=3, width=4, channels=2,
+                      observer_dim=2, hidden=3, semantic_channels=1,
+                      max_steps=4)
+    return ScanpathModel(cfg), np.ones((2, 3, 4))
+
+
 class TestPositionLoss:
     def test_uniform_maps(self):
         hw = 12
-        gt = path_at([0, 5, 11], 3, 4, [200.0] * 3)
-        loss = position_loss(Tensor(np.zeros((3, hw))), [gt], 3, 4)
+        loss = position_loss(Tensor(np.zeros((3, hw))), np.array([0, 5, 11]))
         assert float(loss.data) == pytest.approx(np.log(hw), rel=1e-9)
 
     def test_perfect_prediction(self):
         hw = 12
-        gt = path_at([2, 7, 9], 3, 4, [200.0] * 3)
         logits = np.zeros((3, hw))
         logits[[0, 1, 2], [2, 7, 9]] = 50.0
-        loss = position_loss(Tensor(logits), [gt], 3, 4)
+        loss = position_loss(Tensor(logits), np.array([2, 7, 9]))
         assert abs(float(loss.data)) < 1e-11
 
     def test_matches_hand_sum(self):
         rng = np.random.default_rng(0)
         hw = 12
         cells = [3, 1, 10, 4]
-        gt = path_at(cells, 3, 4, [200.0] * 4)
         logits = rng.normal(scale=2.0, size=(4, hw))
-        loss = position_loss(Tensor(logits), [gt], 3, 4)
+        loss = position_loss(Tensor(logits), np.array(cells))
         maps = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         expect = np.mean([-np.log(m[c]) for m, c in zip(maps, cells)])
         assert float(loss.data) == pytest.approx(expect, abs=1e-12)
 
-    def test_rows_are_step_major(self):
-        # row t * B + b of a pass is step t of scanpath b
-        rng = np.random.default_rng(3)
-        a = path_at([3, 1, 10], 3, 4, [200.0] * 3)
-        b = path_at([0, 7, 4], 3, 4, [200.0] * 3, observer_id=1)
-        logits = rng.normal(size=(6, 12))
-        both = position_loss(Tensor(logits), [a, b], 3, 4)
-        each = [position_loss(Tensor(logits[k::2]), [gt], 3, 4)
-                for k, gt in enumerate((a, b))]
-        assert float(both.data) == pytest.approx(
-            (float(each[0].data) + float(each[1].data)) / 2, abs=1e-12)
-        with pytest.raises(ValueError, match="share a length"):
-            position_loss(Tensor(logits[:5]), [a, path_at([0, 1], 3, 4,
-                                                          [200.0] * 2)], 3, 4)
+    def test_rows_are_step_major(self, monkeypatch):
+        # batch_loss hands both losses row t * B + b = step t of scanpath b,
+        # one pass per length
+        a = path_at([3, 1, 10], 3, 4, [200.0, 300.0, 400.0])
+        b = path_at([0, 7, 4], 3, 4, [210.0, 310.0, 410.0], observer_id=1)
+        c = path_at([0, 1], 3, 4, [220.0, 320.0], observer_id=2)
+        seen = []
+
+        def seen_position_loss(logits, cells):
+            seen.append(cells.tolist())
+            return position_loss(logits, cells)
+
+        def seen_duration_loss(mu, var, log_durations):
+            seen.append(log_durations.tolist())
+            return duration_loss(mu, var, log_durations)
+
+        monkeypatch.setattr(train_module, "position_loss", seen_position_loss)
+        monkeypatch.setattr(train_module, "duration_loss", seen_duration_loss)
+        train_module.batch_loss(*tiny_model(), [(0, a), (2, c), (1, b)])
+        assert seen == [[3, 0, 1, 7, 10, 4],
+                        np.log([200.0, 210.0, 300.0, 310.0, 400.0,
+                                410.0]).tolist(),
+                        [0, 1],
+                        np.log([220.0, 320.0]).tolist()]
 
     def test_length_mismatch_rejected(self):
-        gt = path_at([0, 1], 3, 4, [200.0] * 2)
         with pytest.raises(ValueError, match="maps"):
-            position_loss(Tensor(np.zeros((1, 12))), [gt], 3, 4)
+            position_loss(Tensor(np.zeros((1, 12))), np.array([0, 1]))
 
     def test_out_of_bounds_fixation_rejected(self):
-        gt = Scanpath(image_id=0, observer_id=0,
-                      fixations=(Fixation(0.5, 1.2, 100.0),))
-        with pytest.raises(ValueError):
-            position_loss(Tensor(np.zeros((1, 12))), [gt], 3, 4)
+        # the losses take the cells of batch_loss's checked read
+        model, E = tiny_model()
+        good = path_at([0, 1], 3, 4, [200.0] * 2)
+        bad = Scanpath(image_id=0, observer_id=1,
+                       fixations=(Fixation(0.5, 0.5, 100.0),
+                                  Fixation(0.5, 1.2, 100.0)))
+        with pytest.raises(ValueError) as err:
+            train_module.batch_loss(model, E, [(0, good), (1, bad)])
+        assert str(err.value) == ("fixation 1 of image 0 observer 1: "
+                                  "coordinates (0.5, 1.2) outside [0, 1]")
 
 
 class TestDurationLoss:
     def test_zero_residual_unit_variance(self):
-        gt = path_at([0, 1], 2, 2, [300.0, 120.0])
         loss = duration_loss(Tensor(np.log([300.0, 120.0])),
-                             Tensor(np.ones(2)), [gt])
+                             Tensor(np.ones(2)), np.log([300.0, 120.0]))
         assert float(loss.data) == pytest.approx(HALF_LOG_2PI, abs=1e-12)
 
     def test_doubling_variance_adds_half_log_two(self):
-        gt = path_at([0], 2, 2, [250.0])
         mu = Tensor(np.log([250.0]))
-        base = duration_loss(mu, Tensor([1.0]), [gt])
-        doubled = duration_loss(mu, Tensor([2.0]), [gt])
+        base = duration_loss(mu, Tensor([1.0]), np.log([250.0]))
+        doubled = duration_loss(mu, Tensor([2.0]), np.log([250.0]))
         assert float(doubled.data) - float(base.data) == pytest.approx(
             0.5 * np.log(2.0), abs=1e-12)
 
@@ -115,17 +134,54 @@ class TestDurationLoss:
         durs = rng.uniform(80.0, 900.0, 5)
         mus = rng.normal(5.5, 0.5, 5)
         variances = rng.uniform(0.2, 2.0, 5)
-        gt = path_at(range(5), 4, 4, durs)
-        loss = duration_loss(Tensor(mus), Tensor(variances), [gt])
+        loss = duration_loss(Tensor(mus), Tensor(variances), np.log(durs))
         expect = np.mean(
             0.5 * (np.log(2 * np.pi) + np.log(variances) +
                    (np.log(durs) - mus) ** 2 / variances))
         assert float(loss.data) == pytest.approx(expect, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
-        gt = path_at([0], 2, 2, [100.0])
         with pytest.raises(ValueError, match="duration parameters"):
-            duration_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)), [gt])
+            duration_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)),
+                          np.log([100.0]))
+
+
+class TestBatchRead:
+    # batch_loss reads each length group once: one array check, one
+    # grid_cells call, and Scanpath.validate only to word an error
+
+    def test_bad_duration_rejected(self):
+        model, E = tiny_model()
+        bad = Scanpath(0, 2, (Fixation(0.5, 0.5, float("nan")),))
+        with pytest.raises(ValueError) as err:
+            train_module.batch_loss(model, E, [(2, bad)])
+        assert str(err.value) == ("fixation 0 of image 0 observer 2: "
+                                  "duration nan not positive and finite")
+
+    def test_empty_ground_truth_rejected(self):
+        model, E = tiny_model()
+        with pytest.raises(ValueError) as err:
+            train_module.batch_loss(model, E, [(0, Scanpath(0, 0, []))])
+        assert str(err.value) == "empty scanpath (image 0, observer 0)"
+
+    def test_one_check_and_one_binning_per_length(self, monkeypatch):
+        calls = {"grid_cells": 0, "validate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(train_module, "grid_cells",
+                            counted("grid_cells", train_module.grid_cells))
+        monkeypatch.setattr(Scanpath, "validate",
+                            counted("validate", Scanpath.validate))
+        model, E = tiny_model()
+        items = [(obs, path_at([obs, 5, 11, 2], 3, 4, [200.0 + obs] * 4,
+                               observer_id=obs)) for obs in range(3)]
+        train_module.batch_loss(model, E, items)
+        assert calls == {"grid_cells": 1, "validate": 0}
 
 
 class TestTrainConfig:
