@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import Adam
-from .scanpath import grid_cells
+from .scanpath import grid_cells, read_fixations
 from .synthetic import CATEGORIES
 from .tensor import Tape, Tensor, matmul, softplus, tanh, tsum
 
@@ -59,45 +59,54 @@ def roi_stats(scanpaths, scenes) -> RoiStats:
     Proportions are fixation counts per category over the observer's total;
     they sum to one. Latency to a category is the sum of durations of the
     fixations preceding the first one inside it, zero when the scanpath
-    starts there.
+    starts there. Every scanpath is read once (``read_fixations``), and
+    the fixations on scenes of one mask shape are binned by one
+    ``grid_cells`` call; each mean runs over its values in scanpath order.
     """
     scene_by_id = {scene.id: scene for scene in scenes}
-    counts: dict[int, dict[str, int]] = {}
-    durations: dict[int, dict[str, list]] = {}
-    latencies: dict[int, dict[str, list]] = {}
     for sp in scanpaths:
-        scene = scene_by_id.get(sp.image_id)
-        if scene is None:
+        if sp.image_id not in scene_by_id:
             raise ValueError(f"unknown image id {sp.image_id}")
-        obs = sp.observer_id
-        counts.setdefault(obs, {cat: 0 for cat in CATEGORIES})
-        durations.setdefault(obs, {cat: [] for cat in CATEGORIES})
-        latencies.setdefault(obs, {cat: [] for cat in CATEGORIES})
-        elapsed = 0.0
-        first_hit: dict[str, float] = {}
-        xy = sp.xy()
-        codes = scene.roi_mask.flat[grid_cells(xy[:, 0], xy[:, 1],
-                                               *scene.roi_mask.shape)]
-        for fix, code in zip(sp.fixations, codes):
-            cat = CATEGORIES[code]
-            counts[obs][cat] += 1
-            durations[obs][cat].append(fix.dur_ms)
-            first_hit.setdefault(cat, elapsed)
-            elapsed += fix.dur_ms
-        for cat, latency in first_hit.items():
-            latencies[obs][cat].append(latency)
+    rows, sizes = read_fixations(scanpaths)
+    owner = np.repeat(np.arange(len(scanpaths)), sizes)
+    image = np.array([sp.image_id for sp in scanpaths], dtype=np.intp)[owner]
+    observer = np.array([sp.observer_id for sp in scanpaths],
+                        dtype=np.intp)[owner]
+    dur = rows[:, 2]
+
+    codes = np.empty(len(rows), dtype=np.intp)
+    by_shape: dict[tuple, list] = {}
+    for image_id in np.unique(image).tolist():
+        shape = scene_by_id[image_id].roi_mask.shape
+        by_shape.setdefault(shape, []).append(image_id)
+    for (height, width), ids in by_shape.items():
+        at = np.isin(image, ids)
+        masks = np.stack([scene_by_id[i].roi_mask.ravel() for i in ids])
+        codes[at] = masks[np.searchsorted(ids, image[at]),
+                          grid_cells(rows[at, 0], rows[at, 1], height, width)]
+
+    # time before each fixation, summed in order along its own scanpath
+    elapsed = np.zeros_like(dur)
+    starts = np.cumsum(sizes) - sizes
+    for steps in np.unique(sizes).tolist():
+        at = starts[sizes == steps][:, None] + np.arange(steps)
+        elapsed[at[:, 1:]] = np.cumsum(dur[at], axis=1)[:, :-1]
 
     per_observer = {}
-    for obs in sorted(counts):
-        total = sum(counts[obs].values())
+    for obs in np.unique(observer).tolist():
+        mine = observer == obs
+        total = int(np.count_nonzero(mine))
         stats = {}
-        for cat in CATEGORIES:
-            durs = durations[obs][cat]
-            lats = latencies[obs][cat]
+        for code, cat in enumerate(CATEGORIES):
+            hit = np.flatnonzero(mine & (codes == code))
+            durs = dur[hit]
+            # the first hit of each scanpath; owner ascends with the index
+            _, first = np.unique(owner[hit], return_index=True)
+            lats = elapsed[hit[first]]
             stats[cat] = CategoryStats(
-                proportion=counts[obs][cat] / total,
-                latency_ms=float(np.mean(lats)) if lats else None,
-                mean_duration_ms=float(np.mean(durs)) if durs else None,
+                proportion=len(hit) / total,
+                latency_ms=float(np.mean(lats)) if lats.size else None,
+                mean_duration_ms=float(np.mean(durs)) if durs.size else None,
             )
         per_observer[obs] = stats
     return RoiStats(per_observer=per_observer)

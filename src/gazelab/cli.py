@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,17 +27,19 @@ from .config import (
     ReportRow,
     RunConfig,
     apply_overrides,
+    check_fit,
     emit_report,
     provenance_block,
 )
 from .evaluate import (
-    build_saliency,
+    VALUE_METRICS,
     predict_split,
     rank_eval,
     saliency_report,
     value_eval,
 )
 from .formats import (
+    SPLITS,
     read_checkpoint,
     read_corpus,
     read_json,
@@ -49,9 +52,13 @@ from .formats import (
 from .model import ModelConfig, ScanpathModel
 from .synthetic import build_corpus
 from .tensor import grad_check
-from .train import fine_tune_per_observer, rollout_loss, run_ablation_suite, train
-
-log = logging.getLogger(__name__)
+from .train import (
+    ABLATION_METRICS,
+    fine_tune_per_observer,
+    rollout_loss,
+    run_ablation_suite,
+    train,
+)
 
 
 class _UsageError(Exception):
@@ -67,105 +74,74 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser, seed_required: bool) -> None:
-    parser.add_argument("--config", help="path to a run config JSON file")
-    parser.add_argument("--set", action="append", default=[],
-                        metavar="SECTION.KEY=VALUE",
-                        help="override one config entry (repeatable)")
-    parser.add_argument("--seed", type=int, required=seed_required,
-                        default=None, help="seed for all randomness"
-                        + (" (required)" if seed_required else ""))
-
-
 def build_parser() -> _Parser:
+    # built on every call, so each handler is looked up where perfbench
+    # probes it
+    options = {
+        "--config": dict(help="path to a run config JSON file"),
+        "--set": dict(action="append", default=[],
+                      metavar="SECTION.KEY=VALUE",
+                      help="override one config entry (repeatable)"),
+        "--data": dict(help="corpus directory (default: paths.data_dir)"),
+        "--checkpoint": dict(
+            help="model checkpoint (default: paths.checkpoint)"),
+        "--out": dict(help="output directory (default: paths.out_dir; "
+                           "for gen-data, paths.data_dir)"),
+        "--split": dict(default="test", choices=SPLITS),
+        "--pred": dict(required=True, help="predicted gaze file"),
+        "--mode": dict(default="argmax", choices=("argmax", "sample")),
+        "--variant": dict(default="model", help="report row label"),
+        "--resolution": dict(type=int, default=64,
+                             help="saliency grid side length"),
+        "--threads": dict(type=int, default=1, help="accepted and ignored"),
+        "--eps": dict(type=float, default=1e-5,
+                      help="central-difference step (positive)"),
+        "--tol": dict(type=float, default=1e-4,
+                      help="largest relative error that passes"),
+    }
+    ckpt = ("--data", "--checkpoint", "--out")
+    # (name, handler, --seed required, help, options after the common ones)
+    commands = (
+        ("gen-data", _cmd_gen_data, True, "generate a gaze corpus",
+         ("--out",)),
+        ("train", _cmd_train, True, "train the configured model",
+         ("--data", "--out")),
+        ("finetune", _cmd_finetune, True,
+         "adapt an agnostic model per observer", ckpt),
+        ("predict", _cmd_predict, True, "emit predicted scanpaths",
+         ckpt + ("--split", "--mode")),
+        ("eval-value", _cmd_eval_value, False,
+         "score predictions against ground truth per pair",
+         ("--data", "--pred", "--out", "--split", "--variant", "--threads")),
+        ("eval-rank", _cmd_eval_rank, False,
+         "observer retrieval ranking from a checkpoint",
+         ckpt + ("--split", "--threads")),
+        ("eval-saliency", _cmd_eval_saliency, True,
+         "saliency scores of pooled predictions",
+         ckpt + ("--split", "--resolution")),
+        ("ablate", _cmd_ablate, True,
+         "train and score all six model variants",
+         ("--data", "--out", "--threads")),
+        ("analyze", _cmd_analyze, True,
+         "semantic region statistics and correlations", ckpt + ("--split",)),
+        ("classify", _cmd_classify, True,
+         "group membership from observer features", ckpt),
+        ("grad-check", _cmd_grad_check, True,
+         "numeric gradient probe of the full loss", ("--eps", "--tol")),
+    )
     parser = _Parser(prog="gazelab",
                      description="individualized scanpath prediction lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def command(name, handler, seed_required, help_text):
+    for name, handler, seed_required, help_text, flags in commands:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, seed_required)
+        for flag in ("--config", "--set"):
+            p.add_argument(flag, **options[flag])
+        p.add_argument("--seed", type=int, required=seed_required,
+                       help="seed for all randomness"
+                       + (" (required)" if seed_required else ""))
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("gen-data", _cmd_gen_data, True, "generate a gaze corpus")
-    p.add_argument("--out", help="corpus directory (default: paths.data_dir)")
-
-    p = command("train", _cmd_train, True, "train the configured model")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--out", help="output directory for the checkpoint")
-
-    p = command("finetune", _cmd_finetune, True,
-                "adapt an agnostic model per observer")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--checkpoint", help="base model checkpoint")
-    p.add_argument("--out", help="output directory")
-
-    p = command("predict", _cmd_predict, True, "emit predicted scanpaths")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--checkpoint", help="model checkpoint")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test"))
-    p.add_argument("--mode", default="argmax", choices=("argmax", "sample"))
-
-    p = command("eval-value", _cmd_eval_value, False,
-                "score predictions against ground truth per pair")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--pred", required=True, help="predicted gaze file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test"))
-    p.add_argument("--variant", default="model", help="report row label")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored")
-
-    p = command("eval-rank", _cmd_eval_rank, False,
-                "observer retrieval ranking from a checkpoint")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--checkpoint", help="model checkpoint")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test"))
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored")
-
-    p = command("eval-saliency", _cmd_eval_saliency, True,
-                "saliency scores of pooled predictions")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--checkpoint", help="model checkpoint")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test"))
-    p.add_argument("--resolution", type=int, default=64,
-                   help="saliency grid side length")
-
-    p = command("ablate", _cmd_ablate, True,
-                "train and score all six model variants")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored")
-
-    p = command("analyze", _cmd_analyze, True,
-                "semantic region statistics and correlations")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--checkpoint", help="model checkpoint")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test"))
-
-    p = command("classify", _cmd_classify, True,
-                "group membership from observer features")
-    p.add_argument("--data", help="corpus directory")
-    p.add_argument("--checkpoint", help="model checkpoint")
-    p.add_argument("--out", help="output directory")
-
-    p = command("grad-check", _cmd_grad_check, True,
-                "numeric gradient probe of the full loss")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
-
     return parser
 
 
@@ -181,31 +157,42 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _data_dir(args, cfg: RunConfig) -> str:
-    return args.data or cfg.paths.data_dir
-
-
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out or cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _checkpoint_path(args, cfg: RunConfig) -> str:
-    path = getattr(args, "checkpoint", None) or cfg.paths.checkpoint
+def _load_data(args, cfg: RunConfig):
+    data_dir = args.data or cfg.paths.data_dir
+    corpus = read_corpus(data_dir)
+    if corpus.config != cfg.corpus:
+        raise ValueError(
+            f"corpus at {data_dir} was generated with a different corpus "
+            "config than the one supplied")
+    return corpus
+
+
+def _load_model(args, cfg: RunConfig, corpus) -> ScanpathModel:
+    """The checkpoint's model, refused unless it fits the corpus
+    (``config.check_fit``)."""
+    path = args.checkpoint or cfg.paths.checkpoint
     if path is None:
         raise ValueError(
             "no checkpoint given: pass --checkpoint or set paths.checkpoint")
-    return path
+    model = read_checkpoint(path)
+    try:
+        check_fit(model.config, corpus.config)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return model
 
 
-def _load_data(args, cfg: RunConfig):
-    corpus = read_corpus(_data_dir(args, cfg))
-    if corpus.config != cfg.corpus:
-        raise ValueError(
-            f"corpus at {_data_dir(args, cfg)} was generated with a "
-            "different corpus config than the one supplied")
-    return corpus
+def _report(cfg: RunConfig, rows, seeds: dict, out: Path) -> Path:
+    """Write report.json and report.csv into ``out``; returns the JSON
+    path."""
+    report = MetricReport(rows, provenance_block(cfg, seeds))
+    return emit_report(report, out)["json"]
 
 
 def _cmd_gen_data(args) -> int:
@@ -242,7 +229,7 @@ def _cmd_train(args) -> int:
 def _cmd_finetune(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
-    base = read_checkpoint(_checkpoint_path(args, cfg))
+    base = _load_model(args, cfg, corpus)
     train_cfg = replace(cfg.train, seed=args.seed)
     tuned = fine_tune_per_observer(base, corpus, train_cfg)
     out = _out_dir(args, cfg)
@@ -255,7 +242,7 @@ def _cmd_finetune(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
-    model = read_checkpoint(_checkpoint_path(args, cfg))
+    model = _load_model(args, cfg, corpus)
     preds = predict_split(model, corpus, args.split, mode=args.mode,
                           seed=args.seed)
     out = _out_dir(args, cfg)
@@ -274,54 +261,47 @@ def _cmd_eval_value(args) -> int:
                             threads=args.threads)
     except ValueError as err:
         raise ValueError(f"{args.pred}: {err}") from None
-    rows = [ReportRow(args.variant, args.split, name, result.means[name],
-                      result.stderr[name]) for name in ("sm", "mm", "sed")]
-    report = MetricReport(rows, provenance_block(cfg, {}))
-    paths = emit_report(report, _out_dir(args, cfg))
-    print(f"sm {result.means['sm']:.4f}  mm {result.means['mm']:.4f}  "
-          f"sed {result.means['sed']:.4f}; report at {paths['json']}")
+    path = _report(cfg, [ReportRow(args.variant, args.split, name,
+                                   result.means[name], result.stderr[name])
+                         for name in VALUE_METRICS], {}, _out_dir(args, cfg))
+    print("  ".join(f"{name} {result.means[name]:.4f}"
+                    for name in VALUE_METRICS) + f"; report at {path}")
     return 0
 
 
 def _cmd_eval_rank(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
-    model = read_checkpoint(_checkpoint_path(args, cfg))
+    model = _load_model(args, cfg, corpus)
     preds = predict_split(model, corpus, args.split)
     result = rank_eval(preds, corpus.scanpaths[args.split], cfg.metric,
                        threads=args.threads)
     rows = [ReportRow("model", args.split, "mrr", result.mrr)]
     for k, value in sorted(result.recall_at.items()):
         rows.append(ReportRow("model", args.split, f"r_at_{k}", value))
-    report = MetricReport(rows, provenance_block(cfg, {}))
-    paths = emit_report(report, _out_dir(args, cfg))
+    path = _report(cfg, rows, {}, _out_dir(args, cfg))
     print(f"mrr {result.mrr:.4f}  r@1 {result.recall_at[1]:.1f}  "
-          f"r@5 {result.recall_at[5]:.1f}; report at {paths['json']}")
+          f"r@5 {result.recall_at[5]:.1f}; report at {path}")
     return 0
 
 
 def _cmd_eval_saliency(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
-    model = read_checkpoint(_checkpoint_path(args, cfg))
+    model = _load_model(args, cfg, corpus)
     preds = predict_split(model, corpus, args.split)
-    gt = corpus.scanpaths[args.split]
-    resolution = (args.resolution, args.resolution)
-    scores = saliency_report(preds, gt, resolution=resolution,
+    scores = saliency_report(preds, corpus.scanpaths[args.split],
+                             resolution=(args.resolution, args.resolution),
                              seed=args.seed)
     out = _out_dir(args, cfg)
-    by_image: dict[int, list] = {}
-    for sp in preds:
-        by_image.setdefault(sp.image_id, []).extend(sp.fixations)
-    for image_id, fixations in sorted(by_image.items()):
-        sal = build_saliency(fixations, resolution=resolution)
+    for image_id, sal in scores["maps"].items():
         write_pgm(sal.grid, out / f"saliency_{image_id}.pgm")
-    rows = [ReportRow("model", args.split, name, value)
-            for name, value in sorted(scores["means"].items())]
-    report = MetricReport(rows, provenance_block(cfg, {"shuffle": args.seed}))
-    paths = emit_report(report, out)
-    print(f"nss {scores['means']['nss']:.4f}  cc {scores['means']['cc']:.4f}"
-          f"  auc {scores['means']['auc']:.4f}; report at {paths['json']}")
+    means = scores["means"]
+    path = _report(cfg, [ReportRow("model", args.split, name, value)
+                         for name, value in sorted(means.items())],
+                   {"shuffle": args.seed}, out)
+    print(f"nss {means['nss']:.4f}  cc {means['cc']:.4f}"
+          f"  auc {means['auc']:.4f}; report at {path}")
     return 0
 
 
@@ -329,27 +309,24 @@ def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
     train_cfg = replace(cfg.train, seed=args.seed)
-    rows_raw, _ = run_ablation_suite(
+    entries, _ = run_ablation_suite(
         corpus, train_cfg, cfg.model, cfg.metric,
         threads=args.threads)
-    rows = []
-    for entry in rows_raw:
-        for name in ("sm", "mm", "sed", "mrr", "r_at_1", "r_at_5"):
-            rows.append(ReportRow(entry["variant"], "test", name,
-                                  entry[name]))
-    report = MetricReport(rows, provenance_block(cfg, {"train": args.seed}))
-    paths = emit_report(report, _out_dir(args, cfg))
-    for entry in rows_raw:
+    path = _report(cfg, [ReportRow(entry["variant"], "test", name,
+                                   entry[name])
+                         for entry in entries for name in ABLATION_METRICS],
+                   {"train": args.seed}, _out_dir(args, cfg))
+    for entry in entries:
         print(f"{entry['variant']:>9}: sm {entry['sm']:.4f}  "
               f"mrr {entry['mrr']:.4f}  r@1 {entry['r_at_1']:.1f}")
-    print(f"report at {paths['json']}")
+    print(f"report at {path}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
-    model = read_checkpoint(_checkpoint_path(args, cfg))
+    model = _load_model(args, cfg, corpus)
     preds = predict_split(model, corpus, args.split)
     groups = {p.id: p.group for p in corpus.profiles}
     report = semantic_report(preds, corpus.scanpaths[args.split],
@@ -366,7 +343,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _load_config(args)
     corpus = _load_data(args, cfg)
-    model = read_checkpoint(_checkpoint_path(args, cfg))
+    model = _load_model(args, cfg, corpus)
     features = extract_observer_features(model)
     groups = {p.id: p.group for p in corpus.profiles}
     labels = [groups[f.observer_id] for f in features]
@@ -382,11 +359,10 @@ def _cmd_classify(args) -> int:
                                                 result.probabilities)],
     }
     (out / "classify.json").write_text(json.dumps(detail, indent=2) + "\n")
-    report = MetricReport(
-        [ReportRow("full", "all", "accuracy", result.accuracy)],
-        provenance_block(cfg, {"classifier": args.seed}))
-    paths = emit_report(report, out)
-    print(f"loocv accuracy {result.accuracy:.1f}%; report at {paths['json']}")
+    path = _report(cfg, [ReportRow("full", "all", "accuracy",
+                                   result.accuracy)],
+                   {"classifier": args.seed}, out)
+    print(f"loocv accuracy {result.accuracy:.1f}%; report at {path}")
     return 0
 
 
@@ -401,6 +377,11 @@ def _cmd_grad_check(args) -> int:
     from .scanpath import Fixation, Scanpath
     import numpy as np
 
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ValueError(f"--eps must be positive and finite, got {args.eps}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(
+            f"--tol must be nonnegative and finite, got {args.tol}")
     config = ModelConfig(**PROBE_CONFIG)
     model = ScanpathModel(config, seed=args.seed)
     rng = np.random.default_rng([args.seed, 5])

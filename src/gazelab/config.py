@@ -93,6 +93,21 @@ def coerce_section(cls, data: dict, name: str):
     return cls(**kwargs)
 
 
+def check_fit(model: ModelConfig, corpus: CorpusConfig) -> None:
+    """Raise ValueError unless a model of config ``model`` can read a
+    corpus of config ``corpus``: the observer count and the scene tensors'
+    height, width and channels agree, and a scanpath fits in
+    ``max_steps``."""
+    for name in ("n_observers", "height", "width", "channels"):
+        m, c = getattr(model, name), getattr(corpus, name)
+        if m != c:
+            raise ValueError(f"model/corpus mismatch on {name}: {m} != {c}")
+    if corpus.scanpath_len > model.max_steps:
+        raise ValueError(
+            f"corpus scanpath_len {corpus.scanpath_len} exceeds "
+            f"model max_steps {model.max_steps}")
+
+
 @dataclass
 class PathsConfig:
     """Filesystem locations; checkpoint is optional until training ran."""
@@ -117,20 +132,7 @@ class RunConfig:
                  ("paths", PathsConfig))
 
     def __post_init__(self):
-        # the model consumes corpus tensors; catch mismatches at load time
-        pairs = (("n_observers", self.model.n_observers,
-                  self.corpus.n_observers),
-                 ("height", self.model.height, self.corpus.height),
-                 ("width", self.model.width, self.corpus.width),
-                 ("channels", self.model.channels, self.corpus.channels))
-        for name, m, c in pairs:
-            if m != c:
-                raise ValueError(
-                    f"model/corpus mismatch on {name}: {m} != {c}")
-        if self.corpus.scanpath_len > self.model.max_steps:
-            raise ValueError(
-                f"corpus scanpath_len {self.corpus.scanpath_len} exceeds "
-                f"model max_steps {self.model.max_steps}")
+        check_fit(self.model, self.corpus)
 
     def to_dict(self) -> dict:
         return {name: dataclasses.asdict(getattr(self, name))
@@ -147,13 +149,6 @@ class RunConfig:
         kwargs = {name: coerce_section(section_cls, data.get(name, {}), name)
                   for name, section_cls in cls._SECTIONS}
         return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def apply_overrides(data: dict, assignments) -> dict:

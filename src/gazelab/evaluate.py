@@ -369,7 +369,8 @@ def saliency_report(preds, gt, resolution=(64, 64), sigma: float | None = None,
 
     Fixations are pooled over observers per image on both sides. For each
     image, sAUC negatives come from the ground-truth fixations of up to
-    ``n_shuffle`` other images chosen by the seed.
+    ``n_shuffle`` other images chosen by the seed. ``maps`` holds the
+    predicted map of every predicted image, scored or not.
     """
     pred_by_image: dict[int, list] = {}
     for sp in preds:
@@ -377,6 +378,9 @@ def saliency_report(preds, gt, resolution=(64, 64), sigma: float | None = None,
     gt_by_image: dict[int, list] = {}
     for sp in gt:
         gt_by_image.setdefault(sp.image_id, []).extend(sp.fixations)
+    maps = {image_id: build_saliency(fixations, sigma=sigma,
+                                     resolution=resolution)
+            for image_id, fixations in sorted(pred_by_image.items())}
     images = sorted(set(pred_by_image) & set(gt_by_image))
     rows = {}
     rng = np.random.default_rng([int(seed), 31])
@@ -387,16 +391,14 @@ def saliency_report(preds, gt, resolution=(64, 64), sigma: float | None = None,
         shuffle_fix = []
         for idx in chosen:
             shuffle_fix.extend(gt_by_image[others[int(idx)]])
-        pred_map = build_saliency(pred_by_image[image_id], sigma=sigma,
-                                  resolution=resolution)
         gt_map = build_saliency(gt_by_image[image_id], sigma=sigma,
                                 resolution=resolution)
-        rows[image_id] = saliency_metrics(pred_map, gt_by_image[image_id],
+        rows[image_id] = saliency_metrics(maps[image_id], gt_by_image[image_id],
                                           gt_map, shuffle_fix)
     means = {}
     for name in ("cc", "auc", "nss", "sauc", "kld", "sim"):
         values = [getattr(rows[i], name) for i in images]
         finite = [v for v in values if np.isfinite(v)]
         means[name] = float(np.mean(finite)) if finite else float("nan")
-    return {"per_image": rows, "means": means,
+    return {"per_image": rows, "means": means, "maps": maps,
             "degenerate": any(rows[i].degenerate for i in images)}

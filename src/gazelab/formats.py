@@ -511,20 +511,3 @@ def write_pgm(grid, path) -> None:
     h, w = g.shape
     header = f"P5\n{w} {h}\n255\n".encode()
     Path(path).write_bytes(header + scaled.astype(np.uint8).tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a PGM written by write_pgm (binary 8-bit, single header)."""
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValueError(f"{path}: not an 8-bit binary PGM")
-    size = parts[1].split()
-    if len(size) != 2 or not all(v.isdigit() for v in size):
-        raise ValueError(f"{path}: bad size line {parts[1]!r}, expected "
-                         "width and height as two nonnegative integers")
-    w, h = int(size[0]), int(size[1])
-    pixels = np.frombuffer(parts[3][:w * h], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
-    return pixels.reshape(h, w).astype(float)

@@ -131,9 +131,6 @@ class ObserverProfile:
         if self.log_dur_sd <= 0:
             raise ValueError(f"profile {self.id}: log_dur_sd must be > 0")
 
-    def social_preference(self, config: CorpusConfig) -> float:
-        return float(self.channel_pref[: config.n_social_channels].mean())
-
 
 def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(H, W) grids of x and y cell-center coordinates in [0,1]."""

@@ -689,7 +689,8 @@ class GradCheckReport:
     passed: bool = True
 
     def worst(self) -> float:
-        return max(self.max_rel_err.values(), default=0.0)
+        """The largest error; NaN if any error is NaN."""
+        return float(np.max(list(self.max_rel_err.values()), initial=0.0))
 
 
 def grad_check(
@@ -703,7 +704,7 @@ def grad_check(
     ``f`` must be deterministic and rebuild its graph from the current
     parameter values on every call. Relative error uses the denominator
     max(|analytic|, |numeric|, 1), so the check stays meaningful where
-    central differences bottom out in roundoff.
+    central differences bottom out in roundoff. A non-finite error fails.
     """
     with Tape() as tape:
         loss = f()
@@ -713,7 +714,7 @@ def grad_check(
         a = analytic.get(p)
         if a is None:
             a = np.zeros_like(p.data)
-        worst = 0.0
+        errors = []
         for idx in np.ndindex(p.data.shape):
             orig = p.data[idx]
             p.data[idx] = orig + eps
@@ -723,10 +724,10 @@ def grad_check(
             p.data[idx] = orig
             numeric = (up - down) / (2.0 * eps)
             ai = float(a[idx])
-            err = abs(ai - numeric) / max(abs(ai), abs(numeric), 1.0)
-            if err > worst:
-                worst = err
+            errors.append(abs(ai - numeric) / max(abs(ai), abs(numeric), 1.0))
+        # np.max keeps a NaN, which no comparison with tol would catch
+        worst = float(np.max(errors, initial=0.0))
         report.max_rel_err[name] = worst
-        if worst > tol:
+        if not worst <= tol:
             report.passed = False
     return report

@@ -9,18 +9,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from gazelab.analysis import (
     COMPARE_TOL,
+    CategoryStats,
     CorrelationResult,
     GroupCompareResult,
     LoocvResult,
     ObserverFeature,
+    RoiStats,
     _average_ranks,
 )
 from gazelab.optim import Adam
+from gazelab.synthetic import CATEGORIES
 from gazelab.tensor import (
     DIFFERENTIABLE_PRIMITIVES,
     Tape,
@@ -467,6 +471,51 @@ def loop_grid_cell(x: float, y: float, height: int, width: int) -> int:
     if col == width:
         col = width - 1
     return row * width + col
+
+
+def loop_roi_stats(scanpaths, scenes) -> RoiStats:
+    """``analysis.roi_stats`` of valid scanpaths, one fixation at a time:
+    each fixation's cell by ``loop_grid_cell``, the elapsed time summed as
+    the scanpath goes, and each mean over its values in scanpath order."""
+    scene_by_id = {scene.id: scene for scene in scenes}
+    fixations: dict[int, list] = {}  # observer -> [(category, dur_ms)]
+    latencies: dict[int, dict[str, list]] = {}
+    for sp in scanpaths:
+        mask = scene_by_id[sp.image_id].roi_mask
+        obs = sp.observer_id
+        fixations.setdefault(obs, [])
+        latencies.setdefault(obs, {cat: [] for cat in CATEGORIES})
+        elapsed, first_hit = 0.0, {}
+        for fix in sp.fixations:
+            cell = loop_grid_cell(fix.x, fix.y, *mask.shape)
+            cat = CATEGORIES[mask.flat[cell]]
+            fixations[obs].append((cat, fix.dur_ms))
+            first_hit.setdefault(cat, elapsed)
+            elapsed += fix.dur_ms
+        for cat, latency in first_hit.items():
+            latencies[obs][cat].append(latency)
+    per_observer = {}
+    for obs in sorted(fixations):
+        stats = {}
+        for cat in CATEGORIES:
+            durs = [dur for c, dur in fixations[obs] if c == cat]
+            lats = latencies[obs][cat]
+            stats[cat] = CategoryStats(
+                proportion=len(durs) / len(fixations[obs]),
+                latency_ms=float(np.mean(lats)) if lats else None,
+                mean_duration_ms=float(np.mean(durs)) if durs else None)
+        per_observer[obs] = stats
+    return RoiStats(per_observer=per_observer)
+
+
+def read_pgm(path) -> np.ndarray:
+    """The pixels of a PGM written by ``formats.write_pgm`` (binary 8-bit,
+    one header), as floats."""
+    magic, size, maxval, pixels = Path(path).read_bytes().split(b"\n", 3)
+    assert (magic, maxval) == (b"P5", b"255")
+    w, h = map(int, size.split())
+    assert len(pixels) == w * h
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gazelab import analysis
 from gazelab.analysis import (
     ObserverFeature,
     _average_ranks,
@@ -27,6 +28,7 @@ from gazelab.tensor import Tensor
 from support import (
     loop_classify_group_loocv,
     loop_group_compare,
+    loop_roi_stats,
     loop_spearman_rho,
     scalar_welch_t,
 )
@@ -127,6 +129,52 @@ class TestRoiStats:
         stats = roi_stats([path(0, 0, [(0.5, 0.5, 100.0)])], [scene])
         with pytest.raises(ValueError, match="unknown category"):
             stats.proportions("faces")
+
+    @pytest.mark.parametrize("fixations, message", [
+        ([], "empty scanpath (image 0, observer 0)"),
+        ([(0.5, 0.5, 100.0), (0.5, 0.5, -3.0)],
+         "fixation 1 of image 0 observer 0: duration -3.0 not positive and "
+         "finite"),
+    ], ids=["empty", "negative-duration"])
+    def test_faulty_scanpath_rejected(self, fixations, message):
+        with pytest.raises(ValueError) as err:
+            roi_stats([path(0, 0, [(0.5, 0.5, 100.0)]), path(0, 0, fixations)],
+                      [grid_scene(0, [[0]])])
+        assert str(err.value) == message
+
+    def test_one_grid_cells_call_per_mask_shape(self, small_corpus,
+                                                monkeypatch):
+        calls = []
+        original = analysis.grid_cells
+
+        def counting(*args):
+            calls.append(args[2:])
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "grid_cells", counting)
+        wide = grid_scene(99, [[0, 1, 2]])
+        gt = small_corpus.scanpaths["test"] + [
+            path(99, 0, [(0.9, 0.5, 100.0)])]
+        roi_stats(gt, small_corpus.scenes + [wide])
+        shape = small_corpus.scenes[0].roi_mask.shape
+        assert sorted(calls) == sorted([shape, (1, 3)])
+
+    def test_matches_fixation_loop(self, small_corpus):
+        # scanpaths of several lengths, on masks of two shapes, with every
+        # observer missing some category
+        rng = np.random.default_rng(7)
+        scenes = small_corpus.scenes + [grid_scene(99, [[0, 1], [2, 0],
+                                                        [1, 1]])]
+        paths = list(small_corpus.scanpaths["train"])
+        for k in range(30):
+            n = int(rng.integers(1, 7))
+            paths.append(path(int(rng.choice([99, scenes[0].id])),
+                              int(rng.integers(0, 6)),
+                              [(float(rng.uniform()), float(rng.uniform()),
+                                float(rng.uniform(50.0, 400.0)))
+                               for _ in range(n)]))
+        rng.shuffle(paths)
+        assert roi_stats(paths, scenes) == loop_roi_stats(paths, scenes)
 
     def test_generator_group_gap_recovered(self):
         cfg = CorpusConfig()

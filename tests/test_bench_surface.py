@@ -35,13 +35,16 @@ def load_by_path(name, path):
     return module
 
 
-def probe_sites():
-    probes = load_by_path("perfbench_probes", PERFBENCH / "probes.py")
+def load_probes():
+    return load_by_path("perfbench_probes", PERFBENCH / "probes.py")
+
+
+def probe_sites(probes=None):
     gz = SimpleNamespace(
         cli=gazelab.cli, evaluate=gazelab.evaluate, formats=gazelab.formats,
         metrics=gazelab.metrics, model=gazelab.model, optim=gazelab.optim,
         tensor=gazelab.tensor, train=gazelab.train)
-    return probes.gazelab_sites(gz)
+    return (probes or load_probes()).gazelab_sites(gz)
 
 
 def test_every_probe_site_resolves():
@@ -75,3 +78,38 @@ def gazelab_imports():
 def test_every_from_import_resolves(name):
     module, attr = name.split(": ")[1].rsplit(".", 1)
     assert hasattr(importlib.import_module(module), attr), name
+
+
+def test_cli_reaches_every_stage_clock(tmp_path):
+    # the stage clocks time the benchmark's end-to-end rates; a command
+    # that stops calling a stage where perfbench probes it reads 0 there
+    module = load_probes()
+    probes = module.Probes(probe_sites(module))
+    smoke = str(ROOT / "configs" / "smoke.json")
+    data, out = str(tmp_path / "data"), tmp_path / "out"
+    common = ["--config", smoke, "--set", "train.epochs=1",
+              "--data", data]
+    pipeline = [
+        ["gen-data", "--config", smoke, "--seed", "0", "--out", data],
+        ["train", *common, "--seed", "0", "--out", str(out)],
+        ["predict", *common, "--seed", "0", "--out", str(out),
+         "--checkpoint", str(out / "checkpoint.json")],
+        ["eval-value", *common, "--threads", "1", "--out", str(out),
+         "--pred", str(out / "predictions_test.jsonl")],
+        ["eval-rank", *common, "--threads", "1", "--out", str(out),
+         "--checkpoint", str(out / "checkpoint.json")],
+    ]
+    probes.install(traced=False)
+    try:
+        for argv in pipeline:
+            assert gazelab.cli.main(argv) == 0, argv
+        before = {stage: units for stage, (_, units) in probes.clock.items()}
+        assert gazelab.cli.main(["ablate", *common, "--seed", "0",
+                                 "--threads", "1",
+                                 "--out", str(tmp_path / "ablate")]) == 0
+        after = {stage: units for stage, (_, units) in probes.clock.items()}
+    finally:
+        probes.uninstall()
+    assert sorted(before) == ["predict", "rank", "train", "value"]
+    assert all(units > 0 for units in before.values()), before
+    assert all(after[stage] > before[stage] for stage in before), after

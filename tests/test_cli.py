@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main() in process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gazelab.cli import main
+from gazelab.cli import build_parser, main
 from gazelab.config import read_report_csv
 from gazelab.formats import read_scanpaths
 from gazelab.scanpath import Fixation, Scanpath
@@ -157,6 +158,74 @@ class TestUsage:
 
     def test_bad_flag_exit_1(self, capsys):
         assert main(["train", "--seed", "0", "--bogus"]) == 1
+
+
+SPLIT = ("--split", "test", ("train", "val", "test"), False, None)
+THREADS = ("--threads", 1, None, False, int)
+
+
+def common(seed_required):
+    return [("--config", None, None, False, None),
+            ("--set", [], None, False, None),
+            ("--seed", None, None, seed_required, int)]
+
+
+# every command's options in order, as (flag, default, choices, required,
+# type); perfbench passes --threads to eval-value, eval-rank and ablate
+COMMAND_OPTIONS = {
+    "gen-data": common(True) + [("--out", None, None, False, None)],
+    "train": common(True) + [("--data", None, None, False, None),
+                             ("--out", None, None, False, None)],
+    "finetune": common(True) + [("--data", None, None, False, None),
+                                ("--checkpoint", None, None, False, None),
+                                ("--out", None, None, False, None)],
+    "predict": common(True) + [
+        ("--data", None, None, False, None),
+        ("--checkpoint", None, None, False, None),
+        ("--out", None, None, False, None), SPLIT,
+        ("--mode", "argmax", ("argmax", "sample"), False, None)],
+    "eval-value": common(False) + [
+        ("--data", None, None, False, None),
+        ("--pred", None, None, True, None),
+        ("--out", None, None, False, None), SPLIT,
+        ("--variant", "model", None, False, None), THREADS],
+    "eval-rank": common(False) + [
+        ("--data", None, None, False, None),
+        ("--checkpoint", None, None, False, None),
+        ("--out", None, None, False, None), SPLIT, THREADS],
+    "eval-saliency": common(True) + [
+        ("--data", None, None, False, None),
+        ("--checkpoint", None, None, False, None),
+        ("--out", None, None, False, None), SPLIT,
+        ("--resolution", 64, None, False, int)],
+    "ablate": common(True) + [("--data", None, None, False, None),
+                              ("--out", None, None, False, None), THREADS],
+    "analyze": common(True) + [("--data", None, None, False, None),
+                               ("--checkpoint", None, None, False, None),
+                               ("--out", None, None, False, None), SPLIT],
+    "classify": common(True) + [("--data", None, None, False, None),
+                                ("--checkpoint", None, None, False, None),
+                                ("--out", None, None, False, None)],
+    "grad-check": common(True) + [("--eps", 1e-5, None, False, float),
+                                  ("--tol", 1e-4, None, False, float)],
+}
+
+
+def test_every_command_keeps_its_options():
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(COMMAND_OPTIONS)
+    for name, expected in COMMAND_OPTIONS.items():
+        options = [(action.option_strings[0], action.default,
+                    None if action.choices is None else tuple(action.choices),
+                    action.required, action.type)
+                   for action in commands[name]._actions
+                   if not isinstance(action, argparse._HelpAction)]
+        assert options == expected, name
+        assert all(len(action.option_strings) == 1
+                   for action in commands[name]._actions
+                   if not isinstance(action, argparse._HelpAction)), name
 
 
 class TestValidationErrors:
@@ -573,6 +642,67 @@ class TestCorruptedCorpus:
         assert code == 0 or (code == 2 and str(path) in err)
 
 
+SIX_OBSERVERS = ["--set", "corpus.n_observers=6", "--set", "corpus.n_group_a=3",
+                 "--set", "model.n_observers=6"]
+CHECKPOINT_COMMANDS = ("predict", "finetune", "eval-rank", "eval-saliency",
+                       "analyze", "classify")
+
+
+def smoke_checkpoint(path, **changes):
+    """An untrained smoke-config model with ``changes``, written to ``path``."""
+    from gazelab.formats import write_checkpoint
+    from gazelab.model import ModelConfig, ScanpathModel
+    model = json.loads(Path(SMOKE).read_text())["model"]
+    write_checkpoint(ScanpathModel(ModelConfig(**{**model, **changes}),
+                                   seed=0), path)
+    return str(path)
+
+
+class TestCheckpointFit:
+    """Every command that reads a checkpoint refuses one that does not fit
+    its corpus, by ``RunConfig``'s rule, naming the checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def six_data(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("six") / "data"
+        assert main(["gen-data", "--config", SMOKE, *SIX_OBSERVERS,
+                     "--seed", "0", "--out", str(data)]) == 0
+        return str(data)
+
+    @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+    def test_fewer_observers_than_corpus_exit_2(self, workspace, six_data,
+                                                tmp_path, capsys, command):
+        code = main([command, "--config", SMOKE, *SIX_OBSERVERS,
+                     "--seed", "0", "--data", six_data,
+                     "--checkpoint", workspace["ckpt"],
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {workspace['ckpt']}: model/corpus mismatch on "
+                "n_observers: 4 != 6") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+    def test_more_observers_than_corpus_exit_2(self, workspace, tmp_path,
+                                               capsys, command):
+        ckpt = smoke_checkpoint(tmp_path / "six.json", n_observers=6)
+        code = main([command, "--config", SMOKE, "--seed", "0",
+                     "--data", workspace["data"], "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {ckpt}: model/corpus mismatch on n_observers: "
+                "6 != 4") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+    def test_too_few_steps_exit_2(self, workspace, tmp_path, capsys,
+                                  command):
+        ckpt = smoke_checkpoint(tmp_path / "short.json", max_steps=3)
+        code = main([command, "--config", SMOKE, "--seed", "0",
+                     "--data", workspace["data"], "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {ckpt}: corpus scanpath_len 4 exceeds model "
+                "max_steps 3") in capsys.readouterr().err
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -721,6 +851,16 @@ class TestGradCheck:
     def test_probe_passes(self, capsys):
         assert main(["grad-check", "--seed", "0"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"),
+        ("--eps", "inf"), ("--tol", "-1"), ("--tol", "nan"),
+        ("--tol", "inf")])
+    def test_meaningless_setting_exit_2(self, capsys, flag, value):
+        assert main(["grad-check", "--seed", "0", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be" in captured.err
+        assert "PASS" not in captured.out
 
     def test_loose_tolerance_still_passes(self, capsys):
         assert main(["grad-check", "--seed", "1", "--tol", "0.01"]) == 0

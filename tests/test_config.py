@@ -38,7 +38,7 @@ class TestRunConfig:
             "corpus": {"n_scenes": 12},
             "paths": {"out_dir": "runs/x"},
         })
-        again = RunConfig.from_json(cfg.to_json())
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
         assert again.metric.sm_grid == (4, 4)
         assert again.metric.aspect == (16.0, 9.0)
@@ -106,8 +106,8 @@ class TestValueKinds:
                                    "metric": {"aspect": [4, 3]}})
         assert cfg.train.lr == 1 and isinstance(cfg.train.lr, int)
         assert cfg.metric.aspect == (4, 3)
-        assert config_hash(cfg) == config_hash(RunConfig.from_json(
-            cfg.to_json()))
+        assert config_hash(cfg) == config_hash(RunConfig.from_dict(
+            json.loads(json.dumps(cfg.to_dict()))))
 
     def test_checkpoint_may_be_null_or_string(self):
         assert RunConfig.from_dict(

@@ -14,7 +14,6 @@ from gazelab.formats import (
     read_checkpoint,
     read_corpus,
     read_observers,
-    read_pgm,
     read_scanpaths,
     read_scenes,
     write_checkpoint,
@@ -32,6 +31,8 @@ from gazelab.model import (
 )
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import CorpusConfig, build_corpus, smoke_config
+
+from support import read_pgm
 
 
 def random_scanpaths(n, seed):
@@ -675,19 +676,6 @@ class TestPgm:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):
             write_pgm(np.zeros((2, 2, 2)), tmp_path / "x.pgm")
-
-    def test_bad_size_line_names_file(self, tmp_path):
-        path = tmp_path / "map.pgm"
-        path.write_bytes(b"P5\n5 x\n255\n" + bytes(25))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: bad size")):
-            read_pgm(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "map.pgm"
-        write_pgm(np.ones((5, 5)), path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ValueError, match="truncated"):
-            read_pgm(path)
 
 
 def json_paths(node, prefix=()):

@@ -59,12 +59,17 @@ def test_out_of_range_coordinates_rejected(x, y):
         lambda: build_saliency([good, bad], resolution=(HEIGHT, WIDTH)),
         lambda: saliency_metrics(smap, [good, bad], smap),
         lambda: saliency_metrics(smap, [good], smap, [good, bad]),
-        lambda: roi_stats([Scanpath(0, 0, [good, bad])], [marked_scene(0, 0)]),
     ]
     for case in cases:
         with pytest.raises(ValueError) as err:
             case()
         assert str(err.value) == f"grid_cell: coordinates ({x}, {y}) outside [0, 1]"
+    # roi_stats reads whole scanpaths, so it names the fixation as
+    # read_fixations does
+    with pytest.raises(ValueError) as err:
+        roi_stats([Scanpath(0, 0, [good, bad])], [marked_scene(0, 0)])
+    assert str(err.value) == (f"fixation 1 of image 0 observer 0: coordinates "
+                              f"({x}, {y}) outside [0, 1]")
 
 
 def test_negative_saliency_fixation_rejected():

@@ -69,8 +69,9 @@ class TestProfiles:
     def test_social_preference_margin(self):
         cfg = CorpusConfig()
         profiles = generate_profiles(cfg, 0)
-        a = np.mean([p.social_preference(cfg) for p in profiles if p.group == "A"])
-        b = np.mean([p.social_preference(cfg) for p in profiles if p.group == "B"])
+        k = cfg.n_social_channels
+        a = np.mean([p.channel_pref[:k].mean() for p in profiles if p.group == "A"])
+        b = np.mean([p.channel_pref[:k].mean() for p in profiles if p.group == "B"])
         assert b - a >= 0.3
 
     def test_pairwise_distinct(self):

@@ -439,6 +439,13 @@ class TestGradCheck:
         assert report.passed
         assert report.worst() < 1e-10
 
+    def test_nan_error_fails(self):
+        p = Tensor(np.ones(3), trainable=True)
+        c = Tensor(np.array([np.nan, 1.0, 1.0]))
+        report = grad_check(lambda: tsum(mul(p, c)), {"p": p})
+        assert not report.passed
+        assert np.isnan(report.max_rel_err["p"]) and np.isnan(report.worst())
+
     def test_report_shape(self):
         x = Tensor(np.ones(2), trainable=True)
         report = grad_check(lambda: tsum(mul(x, x)), {"x": x}, eps=1e-5, tol=1e-4)
