@@ -419,6 +419,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(
+                f"--seed must be a nonnegative integer, got {args.seed}")
         return args.handler(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -237,6 +237,11 @@ def _cells(fixations, height: int, width: int) -> np.ndarray:
     return grid_cells(xy[:, 0], xy[:, 1], height, width)
 
 
+# the most cells a saliency map may have: 2**24 float64 cells are 128 MiB,
+# and a map is binned, smoothed twice and normalized in arrays of its size
+MAX_SALIENCY_CELLS = 1 << 24
+
+
 def build_saliency(fixations, sigma: float | None = None,
                    resolution=(64, 64)) -> SaliencyMap:
     """Gaussian-smoothed fixation density at the given (height, width).
@@ -251,6 +256,9 @@ def build_saliency(fixations, sigma: float | None = None,
     height, width = int(resolution[0]), int(resolution[1])
     if height < 1 or width < 1:
         raise ValueError(f"resolution must be at least 1x1, got {height}x{width}")
+    if height * width > MAX_SALIENCY_CELLS:
+        raise ValueError(f"resolution {height}x{width} has more than "
+                         f"{MAX_SALIENCY_CELLS} cells")
     if sigma is None:
         sigma = width / 16.0
     if sigma <= 0:

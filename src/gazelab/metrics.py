@@ -35,7 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scanpath import Scanpath, grid_cells, read_fixations
+from .scanpath import Scanpath, cell_centers, grid_cells, read_fixations
+
+
+# the most bins a ScanMatch or string-edit grid may have. Each metric
+# builds a dense (bins x bins) substitution matrix, and ScanMatch's
+# pairwise center differences take twice that: at 4096 bins (64 x 64) the
+# matrix is 128 MiB.
+MAX_GRID_BINS = 4096
 
 
 @dataclass
@@ -57,6 +64,10 @@ class MetricConfig:
     def __post_init__(self):
         if self.sm_grid[0] < 1 or self.sm_grid[1] < 1 or self.sed_grid[0] < 1 or self.sed_grid[1] < 1:
             raise ValueError(f"metric grids must be at least 1x1, got {self.sm_grid} and {self.sed_grid}")
+        for name in ("sm_grid", "sed_grid"):
+            gx, gy = getattr(self, name)
+            if gx * gy > MAX_GRID_BINS:
+                raise ValueError(f"{name} {gx}x{gy} has {gx * gy} bins, more than {MAX_GRID_BINS}")
         if self.sm_tbin < 0:
             raise ValueError(f"sm_tbin must be >= 0, got {self.sm_tbin}")
         if self.sm_gap > 0:
@@ -139,18 +150,11 @@ def quantize(sp: Scanpath, grid: tuple[int, int], tbin: float = 0.0) -> list[int
     return _tokens(_read_pairs([(sp, sp)]), grid, tbin)[0].tolist()
 
 
-def _bin_centers(grid: tuple[int, int], aspect: tuple[float, float]) -> np.ndarray:
-    gx, gy = grid
-    aw, ah = aspect
-    cols, rows = np.divmod(np.arange(gx * gy), gy)
-    cx = (cols + 0.5) * aw / gx
-    cy = (rows + 0.5) * ah / gy
-    return np.stack([cx, cy], axis=1)
-
-
 def substitution_matrix(grid: tuple[int, int], aspect: tuple[float, float]) -> np.ndarray:
     """Pairwise substitution scores, 1 on the diagonal, -1 at opposite corners."""
-    centers = _bin_centers(grid, aspect)
+    # the column-major bins are the row-major cells of the transposed grid
+    # on the transposed screen, whose (y, x) centers swap back to (x, y)
+    centers = cell_centers(*grid, aspect[::-1])[:, ::-1]
     diff = centers[:, None, :] - centers[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
     d_max = d[0, -1] if d.shape[0] > 1 else 1.0

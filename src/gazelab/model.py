@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scanpath import Fixation, Scanpath, cell_center, grid_cells, read_fixations
-from .scanpath import grid_cell  # noqa: F401  (perfbench imports it from here)
+from .scanpath import (DUR_CLAMP_MS, Fixation, Scanpath, cell_centers,
+                       grid_cells, read_fixations)
+from .scanpath import cell_center, grid_cell  # noqa: F401  (perfbench imports both from here)
 from .tensor import (
     Tensor,
     concat,
@@ -51,7 +52,6 @@ from .tensor import (
 
 OBSERVER_MODES = ("embedding", "one_hot_concat")
 
-DUR_CLAMP_MS = (50.0, 5000.0)
 VAR_FLOOR = 1e-4
 # a hundredth of the unit scale the codes reach in training: fresh codes
 # differ, but too little for the network to learn to read them
@@ -507,7 +507,7 @@ class ScanpathModel:
         ``sample`` draws the cell from m_t and the duration log-normally.
         Observer b draws from its own stream ``default_rng(seeds[b])``, so
         its scanpath does not depend on which observers share the rollout.
-        Durations are clamped to [50, 5000] ms.
+        Durations are clamped to ``DUR_CLAMP_MS``.
         """
         cfg = self.config
         steps = cfg.max_steps if n_steps is None else int(n_steps)
@@ -542,11 +542,10 @@ class ScanpathModel:
                                                 np.sqrt(var.data[b]))
             visited[np.arange(batch), cells[t]] += 1.0
         durs = np.clip(np.exp(log_durs), *DUR_CLAMP_MS)
+        rows = np.dstack([cell_centers(cfg.height, cfg.width)[cells], durs])
         return [Scanpath(image_id=image_id, observer_id=int(observer_id),
-                         fixations=tuple(
-                             Fixation(*cell_center(int(cell), cfg.height,
-                                                   cfg.width), float(dur))
-                             for cell, dur in zip(cells[:, b], durs[:, b])))
+                         fixations=tuple(Fixation(*row)
+                                         for row in rows[:, b].tolist()))
                 for b, observer_id in enumerate(observer_ids)]
 
     def sample_scanpath(self, E: np.ndarray, observer_id: int,

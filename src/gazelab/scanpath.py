@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the generator and the model clamp each drawn fixation duration to this, in ms
+DUR_CLAMP_MS = (50.0, 5000.0)
+
 
 @dataclass(frozen=True)
 class Fixation:
@@ -92,8 +95,21 @@ def grid_cell(x: float, y: float, height: int, width: int) -> int:
     return int(grid_cells([x], [y], height, width)[0])
 
 
+def cell_centers(height: int, width: int,
+                 extent: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
+    """(H*W, 2) centers of the row-major cells ``row * width + col`` on a
+    screen of size ``extent``: ((col + 0.5) * extent[0] / width,
+    (row + 0.5) * extent[1] / height); on the unit square ``grid_cells``
+    inverts it."""
+    rows, cols = np.divmod(np.arange(height * width), width)
+    return np.stack([(cols + 0.5) * extent[0] / width,
+                     (rows + 0.5) * extent[1] / height], axis=1)
+
+
 def cell_center(index: int, height: int, width: int) -> tuple[float, float]:
-    """Normalized (x, y) center of row-major cell ``index``:
-    ((col + 0.5) / width, (row + 0.5) / height)."""
-    row, col = divmod(int(index), width)
-    return (col + 0.5) / width, (row + 0.5) / height
+    """``cell_centers`` of one cell on the unit square. An index that is
+    not an integer in [0, height * width) raises ValueError."""
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < height * width):
+        raise ValueError(f"cell index {index} is not an integer in "
+                         f"[0, {height * width}) of the {height}x{width} grid")
+    return tuple(cell_centers(height, width)[index].tolist())

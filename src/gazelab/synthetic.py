@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scanpath import Fixation, Scanpath, cell_center
+from .scanpath import DUR_CLAMP_MS, Fixation, Scanpath, cell_centers
 
 CATEGORIES = ("background", "nonsocial", "social")
 BACKGROUND, NONSOCIAL, SOCIAL = 0, 1, 2
@@ -132,21 +132,9 @@ class ObserverProfile:
             raise ValueError(f"profile {self.id}: log_dur_sd must be > 0")
 
 
-def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H, W) grids of x and y cell-center coordinates in [0,1]."""
-    xs = (np.arange(width) + 0.5) / width
-    ys = (np.arange(height) + 0.5) / height
-    return np.meshgrid(xs, ys)
-
-
-def center_bias_map(height: int, width: int, sigma: float) -> np.ndarray:
-    """Unnormalized Gaussian bump at the screen center, peak 1."""
-    gx, gy = cell_centers(height, width)
-    return np.exp(-(((gx - 0.5) ** 2) + ((gy - 0.5) ** 2)) / (2.0 * sigma**2))
-
-
-def _gaussian_bump(height, width, cx, cy, sigma, amp=1.0) -> np.ndarray:
-    gx, gy = cell_centers(height, width)
+def _gaussian_bump(centers, cx, cy, sigma, amp=1.0) -> np.ndarray:
+    """Gaussian of peak ``amp`` at (cx, cy) on each row of ``cell_centers``."""
+    gx, gy = centers[:, 0], centers[:, 1]
     return amp * np.exp(-(((gx - cx) ** 2) + ((gy - cy) ** 2)) / (2.0 * sigma**2))
 
 
@@ -168,6 +156,7 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
     """One scene from its own child seed; see generate_scenes."""
     rng = np.random.default_rng([_as_seed(seed), 0, scene_id])
     h, w, c = config.height, config.width, config.channels
+    centers = cell_centers(h, w)
     E = np.zeros((c, h, w))
     for ch in range(config.n_social_channels + config.n_nonsocial_channels, c):
         E[ch] = _smooth_field(rng, h, w, BACKGROUND_LEVEL)
@@ -196,13 +185,14 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
             if (cx - 0.5) ** 2 + (cy - 0.5) ** 2 >= BLOB_CENTER_GAP**2:
                 break
         amp = float(rng.uniform(*BLOB_AMP))
-        E[channel] += _gaussian_bump(h, w, cx, cy, sigma, amp)
+        E[channel] += _gaussian_bump(centers, cx, cy, sigma, amp).reshape(h, w)
         blobs.append(Blob(channel, category, cx, cy, sigma, amp))
 
     roi_mask = np.zeros((h, w), dtype=np.int64)
     strongest = np.zeros((h, w))
     for blob in blobs:
-        value = _gaussian_bump(h, w, blob.cx, blob.cy, blob.sigma, blob.amp)
+        value = _gaussian_bump(centers, blob.cx, blob.cy, blob.sigma,
+                               blob.amp).reshape(h, w)
         owned = (value >= 0.5 * blob.amp) & (value > strongest)
         roi_mask[owned] = blob.category
         strongest = np.maximum(strongest, np.where(owned, value, 0.0))
@@ -267,11 +257,13 @@ def priority_map(
 ) -> np.ndarray:
     """Spatial softmax of preference-weighted features with bias terms.
 
-    P = softmax((sum_c pref_c E_c + center_bias CB - ior_strength IOR) / temp).
+    P = softmax((sum_c pref_c E_c + center_bias CB - ior_strength IOR) / temp),
+    CB the Gaussian of peak 1 at the screen center.
     """
     h, w = scene.grid
     drive = np.tensordot(profile.channel_pref, scene.E, axes=1)
-    drive = drive + profile.center_bias * center_bias_map(h, w, CENTER_SIGMA)
+    bias = _gaussian_bump(cell_centers(h, w), 0.5, 0.5, CENTER_SIGMA)
+    drive = drive + profile.center_bias * bias.reshape(h, w)
     if ior is not None:
         drive = drive - profile.ior_strength * ior
     logits = drive / profile.temp
@@ -289,22 +281,23 @@ def sample_gt_scanpath(
 
     Each fixation adds a Gaussian inhibition bump at its cell, so revisits
     are suppressed in proportion to ior_strength. Fixations land on cell
-    centers; durations are log-normal draws clamped to [50, 5000] ms.
+    centers; durations are log-normal draws clamped to DUR_CLAMP_MS.
     """
     if T < 1:
         raise ValueError("scanpath length must be >= 1")
     rng = np.random.default_rng(seed)
     h, w = scene.grid
+    centers = cell_centers(h, w)
     ior = np.zeros((h, w))
     fixations = []
     for _ in range(T):
         p = priority_map(profile, scene, ior)
         idx = int(rng.choice(h * w, p=p.reshape(-1)))
-        x, y = cell_center(idx, h, w)
+        x, y = centers[idx].tolist()
         dur = float(np.exp(rng.normal(profile.log_dur_mean, profile.log_dur_sd)))
-        dur = float(np.clip(dur, 50.0, 5000.0))
+        dur = float(np.clip(dur, *DUR_CLAMP_MS))
         fixations.append(Fixation(x, y, dur))
-        ior = ior + _gaussian_bump(h, w, x, y, IOR_SIGMA)
+        ior = ior + _gaussian_bump(centers, x, y, IOR_SIGMA).reshape(h, w)
     return Scanpath(scene.id, profile.id, fixations)
 
 

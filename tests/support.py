@@ -473,6 +473,36 @@ def loop_grid_cell(x: float, y: float, height: int, width: int) -> int:
     return row * width + col
 
 
+def oracle_cell_centers(height: int, width: int,
+                        extent: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
+    """(H*W, 2) centers of the row-major cells of a height x width grid over
+    a screen extent[0] wide and extent[1] high, by the package's three
+    former cell-center forms.
+
+    ScanMatch's bin centers serve every extent: its column-major bins
+    ``col * gy + row`` of a gx x gy grid are the row-major cells of this
+    grid for gx = height and gy = width, with x and y swapped. On the unit
+    square the generator's ``np.meshgrid`` grids and the samplers'
+    ``divmod`` form must give the same floats, or AssertionError.
+    """
+    gx, gy, aw, ah = height, width, extent[1], extent[0]
+    cols, rows = np.divmod(np.arange(gx * gy), gy)
+    bins = np.stack([(cols + 0.5) * aw / gx, (rows + 0.5) * ah / gy], axis=1)
+    table = bins[:, ::-1]
+    if tuple(extent) == (1.0, 1.0):
+        xs = (np.arange(width) + 0.5) / width
+        ys = (np.arange(height) + 0.5) / height
+        grid_x, grid_y = np.meshgrid(xs, ys)
+        sampled = []
+        for index in range(height * width):
+            row, col = divmod(index, width)
+            sampled.append(((col + 0.5) / width, (row + 0.5) / height))
+        assert np.array_equal(np.stack([grid_x.ravel(), grid_y.ravel()], 1),
+                              table)
+        assert np.array_equal(np.array(sampled).reshape(-1, 2), table)
+    return table
+
+
 def loop_roi_stats(scanpaths, scenes) -> RoiStats:
     """``analysis.roi_stats`` of valid scanpaths, one fixation at a time:
     each fixation's cell by ``loop_grid_cell``, the elapsed time summed as

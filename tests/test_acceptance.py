@@ -343,10 +343,9 @@ def social_proportions(paths, scenes):
 
 
 @pytest.mark.xfail(
-    reason="the semantic maps' channel weights are read from the decoder "
-           "state, which the observer code reaches only through the "
-           "feature-integration input, so per-observer social proportions "
-           "stay flat instead of tracking the generating preferences; see "
+    reason="training stops too early: at the suite's 15 epochs the full "
+           "model's social-proportion rho is 0.513 (p 0.0886), and after 45 "
+           "epochs the unchanged model passes at training seeds 1-3; see "
            "Known limitations in the README")
 def test_08_semantic_recovery(suite):
     gt_prop = social_proportions(suite.corpus.scanpaths["test"],

@@ -376,7 +376,8 @@ class TestValidationErrors:
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("override", [
-        "metric.aspect=[0,0]", "metric.aspect=[-4,3]", "metric.sm_gap=5"])
+        "metric.aspect=[0,0]", "metric.aspect=[-4,3]", "metric.sm_gap=5",
+        "metric.sm_grid=[100000,100000]", "metric.sed_grid=[100000,100000]"])
     def test_meaningless_metric_setting_exit_2(self, workspace, tmp_path,
                                                capsys, override):
         pred = str(Path(workspace["data"]) / "gaze_test.jsonl")
@@ -396,6 +397,27 @@ class TestValidationErrors:
         assert code == 2
         assert "resolution must be at least 1x1, got 0x0" in \
             capsys.readouterr().err
+
+    def test_oversized_saliency_resolution_exit_2(self, workspace, tmp_path,
+                                                  capsys):
+        code = main(["eval-saliency", "--config", SMOKE, "--seed", "0",
+                     "--resolution", "10000000", "--data", workspace["data"],
+                     "--checkpoint", workspace["ckpt"],
+                     "--out", str(tmp_path / "sal")])
+        assert code == 2
+        assert "error: resolution 10000000x10000000 has more than " in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys,
+                                  command):
+        # refused before the command reads or writes anything
+        monkeypatch.chdir(tmp_path)
+        extra = ["--pred", "p.jsonl"] if command == "eval-value" else []
+        assert main([command, "--seed", "-1"] + extra) == 2
+        assert capsys.readouterr().err == \
+            "error: --seed must be a nonnegative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["n_social_channels",
                                      "n_nonsocial_channels", "scanpath_len"])

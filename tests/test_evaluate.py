@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gazelab.evaluate import (
+    MAX_SALIENCY_CELLS,
     SaliencyMap,
     build_saliency,
     expected_random_mrr,
@@ -290,6 +291,15 @@ class TestBuildSaliency:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero fixations"):
             build_saliency([])
+
+    def test_resolution_past_cell_bound_rejected(self):
+        # 10**14 cells outgrow any 64-bit address space; refused before
+        # an allocation is tried
+        with pytest.raises(ValueError) as err:
+            build_saliency([Fixation(0.5, 0.5, 100.0)],
+                           resolution=(10**7, 10**7))
+        assert str(err.value) == ("resolution 10000000x10000000 has more "
+                                  f"than {MAX_SALIENCY_CELLS} cells")
 
     def test_default_sigma_is_width_over_16(self):
         fixes = [Fixation(0.3, 0.4, 100.0)]

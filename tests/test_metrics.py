@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelab.metrics import (
+    MAX_GRID_BINS,
     MAX_SCANPATH_TOKENS,
     MetricConfig,
     _align_batch,
@@ -50,6 +51,23 @@ def random_scanpath(rng, n=None, image_id=0, observer_id=0):
 
 def path_from(points, dur=100.0):
     return Scanpath(0, 0, [Fixation(x, y, dur) for x, y in points])
+
+
+class TestMetricConfig:
+    @pytest.mark.parametrize("name", ["sm_grid", "sed_grid"])
+    @pytest.mark.parametrize("grid", [(MAX_GRID_BINS + 1, 1),
+                                      (100_000, 100_000)])
+    def test_grid_past_bin_bound_rejected(self, name, grid):
+        # refused before a (bins x bins) matrix is built
+        with pytest.raises(ValueError) as err:
+            MetricConfig(**{name: grid})
+        assert str(err.value) == (f"{name} {grid[0]}x{grid[1]} has "
+                                  f"{grid[0] * grid[1]} bins, more than "
+                                  f"{MAX_GRID_BINS}")
+
+    @pytest.mark.parametrize("name", ["sm_grid", "sed_grid"])
+    def test_grid_at_bin_bound_accepted(self, name):
+        assert getattr(MetricConfig(**{name: (64, 64)}), name) == (64, 64)
 
 
 class TestQuantize:

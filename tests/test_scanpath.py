@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 
 from gazelab.analysis import roi_stats
 from gazelab.evaluate import build_saliency, saliency_metrics
-from gazelab.metrics import quantize
+from gazelab.metrics import quantize, substitution_matrix
 from gazelab.scanpath import (
     Fixation,
     Scanpath,
     cell_center,
+    cell_centers,
     grid_cell,
     grid_cells,
     read_fixations,
 )
 from gazelab.synthetic import BACKGROUND, SOCIAL, SyntheticScene
 
-from support import loop_grid_cell
+from support import loop_grid_cell, oracle_cell_centers
 
 # powers of two, so k / n * n is exactly k and every edge is hit exactly
 HEIGHT, WIDTH = 4, 8
@@ -82,6 +83,42 @@ def test_cell_center_inverts_grid_cell():
     for index in range(HEIGHT * WIDTH):
         x, y = cell_center(index, HEIGHT, WIDTH)
         assert grid_cell(x, y, HEIGHT, WIDTH) == index
+
+
+@pytest.mark.parametrize("index", [-1, 16, 5.7, 5.0, "5", None])
+def test_cell_center_refuses_index_off_the_grid(index):
+    with pytest.raises(ValueError) as err:
+        cell_center(index, 4, 4)
+    assert str(err.value) == \
+        f"cell index {index} is not an integer in [0, 16) of the 4x4 grid"
+
+
+class TestCellCenters:
+    @pytest.mark.parametrize("height, width", [(1, 1), (4, 8), (8, 4),
+                                               (3, 5), (7, 1), (12, 12),
+                                               (16, 16)])
+    def test_unit_square_matches_former_forms(self, height, width):
+        table = cell_centers(height, width)
+        assert table.shape == (height * width, 2)
+        assert np.array_equal(table, oracle_cell_centers(height, width))
+        cells = np.arange(height * width)
+        assert grid_cells(table[:, 0], table[:, 1], height, width).tolist() \
+            == cells.tolist()
+        assert [cell_center(k, height, width) for k in cells] == \
+            [tuple(xy) for xy in table.tolist()]
+
+    @pytest.mark.parametrize("grid, aspect", [((8, 6), (4.0, 3.0)),
+                                              ((5, 5), (4.0, 3.0)),
+                                              ((7, 3), (1.3, 2.9))])
+    def test_scanmatch_screen_matches_former_form(self, grid, aspect):
+        # ScanMatch's column-major bins are the transposed grid's cells
+        (gx, gy), (aw, ah) = grid, aspect
+        table = cell_centers(gx, gy, (ah, aw))
+        assert np.array_equal(table, oracle_cell_centers(gx, gy, (ah, aw)))
+        bins = table[:, ::-1]
+        d = np.sqrt(((bins[:, None, :] - bins[None, :, :]) ** 2).sum(axis=2))
+        assert np.array_equal(substitution_matrix(grid, aspect),
+                              1.0 - 2.0 * d / d[0, -1])
 
 
 # coordinates with both closed edges, 0 and 1, drawn often
