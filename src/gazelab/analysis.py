@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -351,20 +351,23 @@ def classify_group_loocv(features, labels, hidden: int = 16,
         "W2": Tensor(np.stack(W2), trainable=True),
         "b2": Tensor(np.zeros((n, 1, 1)), trainable=True),
     }
+
+    def forward(rows) -> Tensor:
+        """Each fold's logits of its own (n, k, dim) rows."""
+        H = tanh(matmul(rows, params["W1"]) + params["b1"])
+        return matmul(H, params["W2"]) + params["b2"]
+
     opt = Adam(params, lr=lr, weight_decay=0.0)
     Xt = Tensor((X[train] - mu) / sd)
     Yt = Tensor(y_train[:, :, None])
     Wt = Tensor(weights[:, :, None])
     for _ in range(epochs):
         with Tape() as tape:
-            H = tanh(matmul(Xt, params["W1"]) + params["b1"])
-            Z = matmul(H, params["W2"]) + params["b2"]
+            Z = forward(Xt)
             # stable bernoulli NLL: softplus(z) - y z = -log p(y | z)
             loss = tsum(Wt * (softplus(Z) - Yt * Z)) / float(n - 1)
         opt.step(tape.gradients(loss))
-    fit = {name: t.data for name, t in params.items()}
-    held = (X[:, None, :] - mu) / sd
-    z = np.tanh(held @ fit["W1"] + fit["b1"]) @ fit["W2"] + fit["b2"]
+    z = forward((X[:, None, :] - mu) / sd).data
     # the logistic function in the tanh form the engine's gates use
     probabilities = (0.5 * (1.0 + np.tanh(0.5 * z))).ravel().tolist()
     predictions = [classes[int(prob >= 0.5)] for prob in probabilities]
@@ -373,12 +376,6 @@ def classify_group_loocv(features, labels, hidden: int = 16,
                                       zip(predictions, truth)]))
     return LoocvResult(accuracy=accuracy, predictions=predictions,
                        probabilities=probabilities, classes=classes)
-
-
-def _stats_dict(stats: CategoryStats) -> dict:
-    return {"proportion": stats.proportion,
-            "latency_ms": stats.latency_ms,
-            "mean_duration_ms": stats.mean_duration_ms}
 
 
 def semantic_report(predictions, ground_truth, scenes, groups=None,
@@ -394,9 +391,9 @@ def semantic_report(predictions, ground_truth, scenes, groups=None,
     observers = sorted(gt_stats.per_observer)
     report: dict = {
         "observers": observers,
-        "ground_truth": {obs: {cat: _stats_dict(s[cat]) for cat in CATEGORIES}
+        "ground_truth": {obs: {cat: asdict(s[cat]) for cat in CATEGORIES}
                          for obs, s in gt_stats.per_observer.items()},
-        "predicted": {obs: {cat: _stats_dict(s[cat]) for cat in CATEGORIES}
+        "predicted": {obs: {cat: asdict(s[cat]) for cat in CATEGORIES}
                       for obs, s in pred_stats.per_observer.items()},
         "correlations": {},
     }

@@ -21,10 +21,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .evaluate import SALIENCY_METRICS
 from .metrics import MetricConfig
 from .model import ModelConfig
 from .synthetic import CorpusConfig
-from .train import TrainConfig
+from .train import ABLATION_METRICS, TrainConfig
 
 
 def is_integer(value) -> bool:
@@ -202,13 +203,10 @@ def version_string() -> str:
     return f"v{__version__}"
 
 
-METRIC_VOCABULARY = frozenset({
-    "sm", "mm", "sed",
-    "mrr", "r_at_1", "r_at_5",
-    "cc", "auc", "nss", "sauc", "kld", "sim",
-    "loss_pos", "loss_dur", "loss_total",
-    "accuracy", "rho", "p_value", "t_stat",
-})
+# the metric names a report row may carry: the scores of an ablation row
+# (value and ranking), of a saliency map, and the classifier's accuracy
+METRIC_VOCABULARY = frozenset(ABLATION_METRICS + SALIENCY_METRICS
+                              + ("accuracy",))
 
 CSV_COLUMNS = ("variant", "split", "metric", "value", "stderr")
 

@@ -45,6 +45,8 @@ from .scanpath import grid_cells
 log = logging.getLogger(__name__)
 
 VALUE_METRICS = ("sm", "mm", "sed")
+# the scores of one saliency map
+SALIENCY_METRICS = ("cc", "auc", "nss", "sauc", "kld", "sim")
 
 
 def _index_by_pair(preds) -> dict:
@@ -68,7 +70,7 @@ def predict_split(model, corpus, split: str, n_steps: int | None = None,
     """
     observers = sorted({sp.observer_id for sp in corpus.scanpaths[split]})
     if n_steps is None:
-        n_steps = len(corpus.scanpaths[split][0])
+        n_steps = corpus.config.scanpath_len
     preds = []
     for image_id in corpus.split_ids[split]:
         seeds = [[int(seed), 21, int(image_id), int(observer_id)]
@@ -291,11 +293,6 @@ class SaliencyScores:
     sim: float
     degenerate: bool = False
 
-    def as_dict(self) -> dict:
-        return {"cc": self.cc, "auc": self.auc, "nss": self.nss,
-                "sauc": self.sauc, "kld": self.kld, "sim": self.sim,
-                "degenerate": self.degenerate}
-
 
 KLD_EPS = 1e-7
 
@@ -404,7 +401,7 @@ def saliency_report(preds, gt, resolution=(64, 64), sigma: float | None = None,
         rows[image_id] = saliency_metrics(maps[image_id], gt_by_image[image_id],
                                           gt_map, shuffle_fix)
     means = {}
-    for name in ("cc", "auc", "nss", "sauc", "kld", "sim"):
+    for name in SALIENCY_METRICS:
         values = [getattr(rows[i], name) for i in images]
         finite = [v for v in values if np.isfinite(v)]
         means[name] = float(np.mean(finite)) if finite else float("nan")

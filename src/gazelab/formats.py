@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -119,41 +119,30 @@ def write_scanpaths(scanpaths, path) -> None:
 
 
 def read_scanpaths(path) -> list:
+    """Scanpaths of a gaze file; each record's fixations must pass
+    ``Scanpath.validate``, whose error follows the file and line."""
     lines = _read_lines(path)
     _check_header(path, lines, GAZE_FORMAT)
     scanpaths = []
     for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{lineno}"
         record = _parse_json(path, line, lineno)
-        _require_keys(f"{path}:{lineno}", record,
-                      ("image_id", "observer_id", "fixations"))
-        if not isinstance(record["fixations"], list) or \
-                not record["fixations"]:
-            raise ValueError(
-                f"{path}:{lineno}: fixations must be a nonempty list")
-        fixations = []
-        for entry in record["fixations"]:
-            if not isinstance(entry, list) or len(entry) != 3 or \
-                    not all(is_finite_number(v) for v in entry):
-                raise ValueError(
-                    f"{path}:{lineno}: fixation must be [x, y, dur_ms] "
-                    f"of finite numbers, got {entry!r}")
-            x, y, dur = (float(v) for v in entry)
-            if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-                raise ValueError(
-                    f"{path}:{lineno}: coordinate out of [0,1]: "
-                    f"({x}, {y})")
-            if dur <= 0.0:
-                raise ValueError(
-                    f"{path}:{lineno}: non-positive duration {dur}")
-            fixations.append(Fixation(x, y, dur))
+        _require_keys(where, record, ("image_id", "observer_id", "fixations"))
         for key in ("image_id", "observer_id"):
             if not is_integer(record[key]):
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be a JSON integer, "
-                    f"got {record[key]!r}")
-        scanpaths.append(Scanpath(image_id=record["image_id"],
-                                  observer_id=record["observer_id"],
-                                  fixations=fixations))
+                raise ValueError(f"{where}: {key} must be a JSON integer, "
+                                 f"got {record[key]!r}")
+        rows = _numeric_array(f"{where}: fixations", record["fixations"])
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"{where}: fixations must be a nonempty list "
+                             "of [x, y, dur_ms] triples")
+        sp = Scanpath(record["image_id"], record["observer_id"],
+                      [Fixation(*row) for row in rows.tolist()])
+        try:
+            sp.validate()
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+        scanpaths.append(sp)
     return scanpaths
 
 
@@ -169,19 +158,25 @@ def write_scenes(scenes, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _numeric_array(path, lineno: int, key: str, value, kinds: str):
-    """``value`` as an array whose dtype kind is one of ``kinds``."""
+def _numeric_array(where: str, value, integers: bool = False) -> np.ndarray:
+    """``value``, a number or a list nested to equal lengths, as a float64
+    array. Each number must be a JSON integer, or a float unless
+    ``integers``, and finite as a float64; a bool is no number. ``where``
+    names the value in the error."""
+    what = "integers" if integers else "finite numbers"
+    leaves = value if isinstance(value, list) else [value]
+    # NumPy would read true as 1 and "1.5" as 1.5; the type scan of each
+    # level refuses them
+    while (kinds := set(map(type, leaves))) == {list}:
+        leaves = list(chain.from_iterable(leaves))
     try:
-        arr = np.asarray(value)
-        # NumPy reads true as 1; the scan of the entries' types refuses it
-        has_bool = bool in set(map(type, np.array(value, dtype=object).flat))
-    except (ValueError, OverflowError):
-        arr = None  # ragged nesting
-    if arr is None or arr.dtype.kind not in kinds or has_bool:
-        what = "integers" if kinds == "iu" else "numbers"
-        raise ValueError(f"{path}:{lineno}: {key} must be a nested list of "
-                         f"{what} of equal lengths")
-    return arr
+        if kinds <= ({int} if integers else {int, float}):
+            array = np.array(value, dtype=float)
+            if np.isfinite(array).all():
+                return array
+    except (ValueError, OverflowError):  # ragged, beyond the float range
+        pass
+    raise ValueError(f"{where} must be a nested list of {what} of equal lengths")
 
 
 _BLOB_KEYS = tuple(f.name for f in dataclasses.fields(Blob))
@@ -226,15 +221,15 @@ def read_scenes(path, shape: tuple | None = None) -> list:
         if not is_integer(record["id"]):
             raise ValueError(f"{path}:{lineno}: id must be a JSON integer, "
                              f"got {record['id']!r}")
-        E = _numeric_array(path, lineno, "E", record["E"], "iuf")
-        if E.ndim != 3 or 0 in E.shape or not np.isfinite(E).all():
+        E = _numeric_array(f"{path}:{lineno}: E", record["E"])
+        if E.ndim != 3 or 0 in E.shape:
             raise ValueError(f"{path}:{lineno}: E must be a nonempty (C, H, W) "
-                             f"array of finite numbers, got shape {E.shape}")
+                             f"array, got shape {E.shape}")
         if shape is not None and E.shape != tuple(shape):
             raise ValueError(f"{path}:{lineno}: E has shape {E.shape}, "
                              f"expected {tuple(shape)}")
-        roi = _numeric_array(path, lineno, "roi_mask", record["roi_mask"],
-                             "iu")
+        roi = _numeric_array(f"{path}:{lineno}: roi_mask", record["roi_mask"],
+                             integers=True)
         if roi.shape != E.shape[1:]:
             raise ValueError(f"{path}:{lineno}: roi_mask has shape "
                              f"{roi.shape}, expected {E.shape[1:]}")
@@ -243,7 +238,7 @@ def read_scenes(path, shape: tuple | None = None) -> list:
                              f"[0, {len(CATEGORIES) - 1}]")
         scenes.append(SyntheticScene(
             id=record["id"],
-            E=E.astype(float),
+            E=E,
             roi_mask=roi.astype(np.int64),
             blobs=_read_blobs(f"{path}:{lineno}", record["blobs"],
                               E.shape[0]),
@@ -290,19 +285,18 @@ def read_observers(path, channels: int | None = None) -> list:
         if not isinstance(record["group"], str):
             raise ValueError(f"{where}.group must be a string, "
                              f"got {record['group']!r}")
-        pref = record["channel_pref"]
-        if not isinstance(pref, list) or \
-                not all(is_finite_number(v) for v in pref) or \
-                (channels is not None and len(pref) != channels):
+        pref = _numeric_array(f"{where}.channel_pref", record["channel_pref"])
+        if pref.ndim != 1 or channels not in (None, len(pref)):
             raise ValueError(f"{where}.channel_pref must be a list of "
-                             f"{channels or 'C'} finite numbers, got {pref!r}")
+                             f"{channels or 'C'} finite numbers, got "
+                             f"{record['channel_pref']!r}")
         for key in _PROFILE_KEYS[3:]:  # the scalar traits
             if not is_finite_number(record[key]):
                 raise ValueError(f"{where}.{key} must be a finite number, "
                                  f"got {record[key]!r}")
         try:
             profiles.append(ObserverProfile(
-                **dict(record, channel_pref=np.asarray(pref, dtype=float))))
+                **dict(record, channel_pref=pref)))
         except ValueError as err:
             raise ValueError(f"{where}: {err}") from None
     return profiles
@@ -357,21 +351,11 @@ def read_checkpoint(path) -> ScanpathModel:
         if tuple(dims) != shape:
             raise ValueError(f"{where} has shape {tuple(dims)}, "
                              f"expected {shape}")
-        values = entry["data"]
+        data = _numeric_array(f"{where}: data", entry["data"])
         size = math.prod(shape)
-        bad = ValueError(f"{where}: data must be a list of {size} finite "
-                         "numbers")
-        # NumPy would read true as 1.0 and "1.5" as 1.5; the type scan
-        # refuses them
-        if not isinstance(values, list) or len(values) != size or \
-                not set(map(type, values)) <= {int, float}:
-            raise bad
-        try:
-            data = np.array(values, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            raise bad from None
-        if not np.isfinite(data).all():
-            raise bad
+        if data.shape != (size,):
+            raise ValueError(f"{where}: data must be a list of {size} finite "
+                             "numbers")
         params[name] = Tensor(data.reshape(shape), trainable=True)
     return ScanpathModel(config, params=params)
 
@@ -468,7 +452,8 @@ def read_corpus(data_dir) -> Corpus:
         raise ValueError(f"{observers_path}: observer ids must be exactly "
                          f"0..{config.n_observers - 1}, one each, got {ids}")
     scanpaths = {split: _read_split(root / gaze[split], split,
-                                    set(splits[split]), set(ids))
+                                    set(splits[split]), set(ids),
+                                    config.scanpath_len)
                  for split in SPLITS}
     split_ids = {split: list(ids) for split, ids in splits.items()}
     return Corpus(config=config, seed=seed, scenes=scenes,
@@ -476,9 +461,11 @@ def read_corpus(data_dir) -> Corpus:
                   scanpaths=scanpaths)
 
 
-def _read_split(path, split: str, image_ids: set, observer_ids: set) -> list:
+def _read_split(path, split: str, image_ids: set, observer_ids: set,
+                length: int) -> list:
     """The gaze records of one split: each on an image of the split, by a
-    known observer, one per (image, observer) pair, and at least one."""
+    known observer, of ``length`` fixations, one per (image, observer)
+    pair, and at least one."""
     scanpaths = read_scanpaths(path)
     if not scanpaths:
         raise ValueError(f"{path}: no gaze records for split {split!r}")
@@ -490,6 +477,9 @@ def _read_split(path, split: str, image_ids: set, observer_ids: set) -> list:
         if sp.observer_id not in observer_ids:
             raise ValueError(f"{path}:{lineno}: observer_id "
                              f"{sp.observer_id} is not in the observers file")
+        if len(sp) != length:
+            raise ValueError(f"{path}:{lineno}: {len(sp)} fixations, but the "
+                             f"manifest's corpus.scanpath_len is {length}")
         key = (sp.image_id, sp.observer_id)
         if key in seen:
             raise ValueError(f"{path}:{lineno}: second record for image "

@@ -31,7 +31,7 @@ are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -311,14 +311,7 @@ class MultiMatchResult:
         self.mean = float(np.mean(dims))
 
     def as_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "length": self.length,
-            "direction": self.direction,
-            "position": self.position,
-            "duration": self.duration,
-            "mean": self.mean,
-        }
+        return asdict(self)
 
 
 def _screen_scale(aspect: tuple[float, float]) -> np.ndarray:

@@ -28,6 +28,7 @@ predicted in one free-running rollout. Grid cells follow
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +60,9 @@ EMBEDDING_INIT_SCALE = 0.01
 # inhibition spreads over the adjacent cells too (at exp(-1/2)), so a
 # revisit one cell away is discouraged along with the fixated cell itself
 IOR_SIGMA_CELLS = 1.0
+# the most parameter values a model may hold: 2**25 float64 values are 256 MiB,
+# and training keeps three more of that size: the gradients and Adam's moments
+MAX_PARAM_VALUES = 1 << 25
 
 
 @dataclass
@@ -92,6 +96,10 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.observer_mode not in OBSERVER_MODES:
             raise ValueError(f"observer_mode must be one of {OBSERVER_MODES}")
+        size = sum(math.prod(shape) for shape in param_shapes(self).values())
+        if size > MAX_PARAM_VALUES:
+            raise ValueError(f"{self} holds {size} parameter values, more than "
+                             f"{MAX_PARAM_VALUES}")
 
     @property
     def cells(self) -> int:

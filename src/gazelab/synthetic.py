@@ -51,6 +51,9 @@ TEMP = 0.16
 TEMP_JITTER = 0.05
 DUR_RANGE = ((150.0, 280.0), (320.0, 640.0))
 LOG_DUR_SD = 0.25
+# the most values a scene's (C, H, W) feature stack may hold: 2**24 float64
+# values are 128 MiB, and every scene is built, written and read whole
+MAX_SCENE_VALUES = 1 << 24
 
 
 @dataclass
@@ -83,6 +86,10 @@ class CorpusConfig:
                 f"need at least one background channel: {self.channels} total, "
                 f"{self.n_social_channels}+{self.n_nonsocial_channels} semantic"
             )
+        size = self.channels * self.height * self.width
+        if size > MAX_SCENE_VALUES:
+            raise ValueError(f"{self} has {size} values per scene, more than "
+                             f"{MAX_SCENE_VALUES}")
         if not 0 < self.n_group_a < self.n_observers:
             raise ValueError(
                 f"group split {self.n_group_a} of {self.n_observers} observers "
@@ -252,26 +259,31 @@ def generate_profiles(config: CorpusConfig, seed) -> list[ObserverProfile]:
     return profiles
 
 
-def priority_map(
-    profile: ObserverProfile, scene: SyntheticScene, ior: np.ndarray | None = None
-) -> np.ndarray:
+def _fixed_drive(profile: ObserverProfile, scene: SyntheticScene,
+                 centers: np.ndarray) -> np.ndarray:
+    """The part of the priority logits that no fixation changes, over the
+    scene's ``cell_centers``; see ``priority_map``."""
+    bias = _gaussian_bump(centers, 0.5, 0.5, CENTER_SIGMA).reshape(scene.grid)
+    drive = np.tensordot(profile.channel_pref, scene.E, axes=1)
+    return drive + profile.center_bias * bias
+
+
+def _inhibited_map(profile: ObserverProfile, drive: np.ndarray, ior) -> np.ndarray:
+    """Spatial softmax of (drive - ior_strength IOR) / temp."""
+    flat = ((drive - profile.ior_strength * ior) / profile.temp).reshape(-1)
+    p = np.exp(flat - flat.max())
+    return (p / p.sum()).reshape(drive.shape)
+
+
+def priority_map(profile: ObserverProfile, scene: SyntheticScene,
+                 ior: np.ndarray | float = 0.0) -> np.ndarray:
     """Spatial softmax of preference-weighted features with bias terms.
 
     P = softmax((sum_c pref_c E_c + center_bias CB - ior_strength IOR) / temp),
     CB the Gaussian of peak 1 at the screen center.
     """
-    h, w = scene.grid
-    drive = np.tensordot(profile.channel_pref, scene.E, axes=1)
-    bias = _gaussian_bump(cell_centers(h, w), 0.5, 0.5, CENTER_SIGMA)
-    drive = drive + profile.center_bias * bias.reshape(h, w)
-    if ior is not None:
-        drive = drive - profile.ior_strength * ior
-    logits = drive / profile.temp
-    flat = logits.reshape(-1)
-    flat = flat - flat.max()
-    p = np.exp(flat)
-    p /= p.sum()
-    return p.reshape(h, w)
+    drive = _fixed_drive(profile, scene, cell_centers(*scene.grid))
+    return _inhibited_map(profile, drive, ior)
 
 
 def sample_gt_scanpath(
@@ -280,18 +292,20 @@ def sample_gt_scanpath(
     """Draw T fixations from the profile's evolving priority map.
 
     Each fixation adds a Gaussian inhibition bump at its cell, so revisits
-    are suppressed in proportion to ior_strength. Fixations land on cell
-    centers; durations are log-normal draws clamped to DUR_CLAMP_MS.
+    are suppressed in proportion to ior_strength; the rest of the map's
+    drive is computed once. Fixations land on cell centers; durations are
+    log-normal draws clamped to DUR_CLAMP_MS.
     """
     if T < 1:
         raise ValueError("scanpath length must be >= 1")
     rng = np.random.default_rng(seed)
     h, w = scene.grid
     centers = cell_centers(h, w)
+    drive = _fixed_drive(profile, scene, centers)
     ior = np.zeros((h, w))
     fixations = []
     for _ in range(T):
-        p = priority_map(profile, scene, ior)
+        p = _inhibited_map(profile, drive, ior)
         idx = int(rng.choice(h * w, p=p.reshape(-1)))
         x, y = centers[idx].tolist()
         dur = float(np.exp(rng.normal(profile.log_dur_mean, profile.log_dur_sd)))

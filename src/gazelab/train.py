@@ -100,7 +100,7 @@ def duration_loss(mu: Tensor, var: Tensor, log_durations: np.ndarray) -> Tensor:
 
 
 def batch_loss(model: ScanpathModel, E: np.ndarray, items,
-               duration_weight: float = 0.1):
+               duration_weight: float = TrainConfig.duration_loss_weight):
     """Mean teacher-forced loss over the items [(observer_id, gt), ...] of
     one image; returns (total, position, duration).
 
@@ -130,7 +130,8 @@ def batch_loss(model: ScanpathModel, E: np.ndarray, items,
 
 
 def rollout_loss(model: ScanpathModel, E: np.ndarray, observer_id: int,
-                 gt: Scanpath, duration_weight: float = 0.1):
+                 gt: Scanpath,
+                 duration_weight: float = TrainConfig.duration_loss_weight):
     """``batch_loss`` of one scanpath; returns (total, position, duration)."""
     return batch_loss(model, E, [(observer_id, gt)], duration_weight)
 
@@ -166,7 +167,8 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
     Adam step; Adam moves the parameters into one flat buffer, so after
     training each ``p.data`` is a view of it. History rows are (epoch,
     position_loss, duration_loss, total), each averaged over the epoch's
-    batches. Deterministic given the corpus and config seeds.
+    batches. Deterministic given the corpus and config seeds. A batch whose
+    loss is not finite, as when a run diverges, raises ValueError.
     """
     opt = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay,
                lr_scale=dict.fromkeys(FAST_PARAMS, FAST_LR_SCALE))
@@ -182,7 +184,7 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
                                              config.duration_loss_weight)
             if not np.isfinite(total.data):
                 observers = [obs for obs, _ in items]
-                raise RuntimeError(
+                raise ValueError(
                     f"non-finite loss at epoch {epoch} batch {index} "
                     f"(image {image_id}, observers {observers})")
             grads = tape.gradients(total)

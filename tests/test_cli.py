@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelab.cli import build_parser, main
-from gazelab.config import read_report_csv
+from gazelab.config import METRIC_VOCABULARY, read_report_csv
 from gazelab.formats import read_scanpaths
 from gazelab.scanpath import Fixation, Scanpath
 
@@ -137,6 +137,18 @@ def _empty_gaze_file(d):
     path = d / "gaze_test.jsonl"
     path.write_text(path.read_text().splitlines()[0] + "\n")
     return "predict", f"{path}: no gaze records for split 'test'"
+
+
+def _doubled_record(split, command):
+    """The first record of a split's gaze file, its fixations doubled past
+    the smoke corpus's scanpath_len of 4."""
+    def case(d):
+        path = d / f"gaze_{split}.jsonl"
+        edit_record(path, 2, lambda r: r.update(fixations=r["fixations"] * 2))
+        return command, (f"{path}:2: 8 fixations, but the manifest's "
+                         "corpus.scanpath_len is 4")
+    case.__name__ = f"_{command}_with_doubled_{split}_record"
+    return case
 
 
 class TestUsage:
@@ -309,8 +321,9 @@ class TestValidationErrors:
                      "--data", workspace["data"], "--pred", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert ":3:" in err and "non-positive duration" in err
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: fixation 0 of image 0 observer 1: duration "
+            "-5.0 not positive and finite\n")
 
     def test_duplicate_prediction_exit_2(self, workspace, tmp_path, capsys):
         from gazelab.formats import write_scanpaths
@@ -407,6 +420,59 @@ class TestValidationErrors:
         assert code == 2
         assert "error: resolution 10000000x10000000 has more than " in \
             capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("cause", ["lr", "scene"])
+    def test_diverging_training_exit_2(self, workspace, tmp_path, capsys,
+                                       command, cause):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        overrides = ["--set", "train.epochs=2"]
+        if cause == "lr":
+            overrides += ["--set", "train.lr=1e10"]
+        else:  # one finite but huge feature value
+            edit_record(data / "scenes.jsonl", 2,
+                        lambda r: r["E"][0][0].__setitem__(0, 1e300))
+        code = main([command, "--config", SMOKE, "--seed", "1", *overrides,
+                     "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at epoch ")
+        assert "Traceback" not in err
+
+    def test_oversized_model_exit_2(self, workspace, tmp_path, capsys):
+        # refused by ModelConfig before any parameter is allocated
+        code = main(["train", "--config", SMOKE, "--seed", "0",
+                     "--set", "model.hidden=10000000",
+                     "--data", workspace["data"],
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "height=12, width=12, channels=6, observer_dim=8, " \
+               "hidden=10000000, " in err
+        assert "parameter values, more than 33554432" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extents, message", [
+        ({"height": 100000, "width": 100000}, "height=100000, width=100000, "),
+        # the model's parameters fit, the scenes do not
+        ({"height": 64, "width": 64, "channels": 4100},
+         "height=64, width=64, channels=4100, n_social_channels=4, "
+         "n_nonsocial_channels=4, scanpath_len=6) has 16793600 values per "
+         "scene, more than 16777216"),
+    ], ids=["extent", "channels"])
+    def test_oversized_corpus_exit_2(self, tmp_path, capsys, extents,
+                                     message):
+        # refused by the configs before any scene is built
+        argv = ["gen-data", "--seed", "0", "--out", str(tmp_path / "data")]
+        for section in ("corpus", "model"):
+            for key, value in extents.items():
+                argv += ["--set", f"{section}.{key}={value}"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("command", COMMAND_OPTIONS)
     def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys,
@@ -523,7 +589,8 @@ class TestValidationErrors:
         _short_observers_file, _observer_id_gap, _duplicate_scene_id,
         _duplicate_gaze_record, _split_image_without_scene,
         _empty_split_in_manifest, _empty_gaze_file, _image_listed_twice,
-        _image_in_two_splits,
+        _image_in_two_splits, _doubled_record("train", "train"),
+        _doubled_record("test", "predict"),
     ], ids=lambda case: case.__name__.strip("_").replace("_", "-"))
     def test_broken_cross_reference_exit_2(self, workspace, tmp_path, capsys,
                                            case):
@@ -867,6 +934,24 @@ class TestPipeline:
         assert variants == {"none", "OE", "OE+FI", "OE+FP", "OE+FI+FP",
                             "one_hot"}
         assert len(rows) == 36
+
+    def test_metric_vocabulary_is_what_the_reports_write(self, workspace,
+                                                         tmp_path):
+        data = ["--config", SMOKE, "--seed", "0", "--data", workspace["data"]]
+        model = data + ["--checkpoint", workspace["ckpt"]]
+        assert main(["predict", *model, "--out", str(tmp_path / "p")]) == 0
+        pred = str(tmp_path / "p" / "predictions_test.jsonl")
+        runs = {"eval-value": data + ["--pred", pred],
+                "eval-rank": model,
+                "eval-saliency": model + ["--resolution", "16"],
+                "classify": model,
+                "ablate": data + ["--set", "train.epochs=1"]}
+        written = set()
+        for command, argv in runs.items():
+            out = tmp_path / command
+            assert main([command, *argv, "--out", str(out)]) == 0
+            written |= {r.metric for r in read_report_csv(out / "report.csv")}
+        assert written == METRIC_VOCABULARY
 
 
 class TestGradCheck:

@@ -1,6 +1,7 @@
 """Evaluation tests: value scoring, ranking, consistency, saliency."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -436,3 +437,16 @@ class TestPredictSplit:
             np.testing.assert_array_equal(got.xy(), want.xy())
             np.testing.assert_allclose(got.durations(), want.durations(),
                                        rtol=1e-12, atol=0)
+
+    def test_steps_follow_corpus_scanpath_len(self):
+        # not the length of the split's first record
+        corpus = build_corpus(smoke_config(), 0)
+        test = list(corpus.scanpaths["test"])
+        test[0] = Scanpath(test[0].image_id, test[0].observer_id,
+                           test[0].fixations[:2])
+        corpus = replace(corpus, scanpaths={**corpus.scanpaths, "test": test})
+        model = ScanpathModel(ModelConfig(
+            n_observers=4, height=8, width=8, channels=6, observer_dim=3,
+            hidden=4, semantic_channels=2, max_steps=4), seed=3)
+        preds = predict_split(model, corpus, "test")
+        assert {len(sp) for sp in preds} == {corpus.config.scanpath_len}

@@ -69,7 +69,10 @@ class TestScanpathFile:
         file = tmp_path / "gaze.jsonl"
         write_scanpaths(paths, file)
         # header is line 1, so the second scanpath sits on line 3
-        with pytest.raises(ValueError, match=r":3:.*non-positive duration"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{file}:3: fixation 0 of image {paths[1].image_id} observer "
+                f"{paths[1].observer_id}: duration -5.0 not positive and "
+                "finite")):
             read_scanpaths(file)
 
     def test_coordinate_out_of_range_names_line(self, tmp_path):
@@ -77,7 +80,10 @@ class TestScanpathFile:
         paths[0].fixations[0] = Fixation(1.5, 0.5, 200.0)
         file = tmp_path / "gaze.jsonl"
         write_scanpaths(paths, file)
-        with pytest.raises(ValueError, match=r":2:.*out of \[0,1\]"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{file}:2: fixation 0 of image {paths[0].image_id} observer "
+                f"{paths[0].observer_id}: coordinates (1.5, 0.5) outside "
+                "[0, 1]")):
             read_scanpaths(file)
 
     def test_malformed_json_names_line(self, tmp_path):
@@ -363,6 +369,15 @@ class TestSceneAndObserverFiles:
         with pytest.raises(ValueError, match=rf"scenes\.jsonl:3: {message}"):
             read_scenes(path)
 
+    def test_integer_beyond_int64_in_E_read_as_float(self, tmp_path,
+                                                     tiny_corpus):
+        # every JSON integer finite as a float64 is a number, however wide
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(tiny_corpus.scenes, path)
+        edit_scene(path, _set_entry("E", (0, 1, 2), 2 ** 64))
+        E = read_scenes(path)[1].E
+        assert E.dtype == np.float64 and E[0, 1, 2] == 2.0 ** 64
+
     def test_scene_shape_checked_against_manifest(self, tmp_path,
                                                   tiny_corpus):
         # 3 of the 6 configured channels and the blobs on them: a valid
@@ -396,7 +411,7 @@ CHECKPOINT_EDITS = [
                  r"parameter W_u: missing keys \['shape'\]",
                  id="shape-missing"),
     pytest.param(_param_value("W_u", 0, "x"),
-                 "parameter W_u: data must be a list of 9 finite numbers",
+                 "parameter W_u: data must be a nested list of finite numbers",
                  id="data-string"),
     pytest.param(_param_value("W_u", 0, None),
                  "parameter W_u: data must be", id="data-null"),
@@ -405,7 +420,7 @@ CHECKPOINT_EDITS = [
     pytest.param(_param_value("W_u", 0, 10 ** 400),
                  "parameter W_u: data must be", id="data-huge-int"),
     pytest.param(_param_value("W_u", 0, float("nan")),
-                 "parameter W_u: data must be a list of 9 finite numbers",
+                 "parameter W_u: data must be a nested list of finite numbers",
                  id="data-nan"),
     pytest.param(lambda doc: doc["params"]["b_dur"]["data"].pop(),
                  "parameter b_dur: data must be a list of 2 finite numbers",
@@ -429,6 +444,17 @@ class TestCheckpoint:
         return ModelConfig(n_observers=3, height=4, width=4, channels=3,
                            observer_dim=3, hidden=6, semantic_channels=2,
                            max_steps=3)
+
+    def test_oversized_config_refused(self, tmp_path):
+        # ModelConfig's bound, before any parameter is read
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(ScanpathModel(self.config(), seed=0), path)
+        payload = json.loads(path.read_text())
+        payload["config"]["hidden"] = 10_000_000
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ModelConfig(")
+                           + r".*hidden=10000000, .* holds \d+ parameter"):
+            read_checkpoint(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
         model = ScanpathModel(self.config(), seed=5)
@@ -604,6 +630,21 @@ class TestCorpusDirectory:
         assert len(loaded.scenes) == len(tiny_corpus.scenes)
         np.testing.assert_array_equal(loaded.scenes[0].E,
                                       tiny_corpus.scenes[0].E)
+
+    @pytest.mark.parametrize("length", [3, 8])
+    def test_record_length_must_match_manifest(self, tmp_path, tiny_corpus,
+                                               length):
+        write_corpus(tiny_corpus, tmp_path / "data")
+        path = tmp_path / "data" / "gaze_val.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["fixations"] = (record["fixations"] * 2)[:length]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: {length} fixations, but the manifest's "
+                "corpus.scanpath_len is 4")):
+            read_corpus(tmp_path / "data")
 
     def test_write_is_deterministic(self, tmp_path, tiny_corpus):
         write_corpus(tiny_corpus, tmp_path / "a")

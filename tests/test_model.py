@@ -53,6 +53,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden"):
             tiny_config(hidden=0)
 
+    def test_parameter_bound(self):
+        # configs only: nothing is allocated. At 64x64 cells W_hs alone
+        # holds 4096**2 values.
+        ModelConfig(height=64, width=64)
+        with pytest.raises(ValueError, match=(
+                r"^ModelConfig\(n_observers=8, height=80, width=80, "
+                r"channels=12, observer_dim=16, hidden=64, .*\) holds "
+                r"42781939 parameter values, more than 33554432$")):
+            ModelConfig(height=80, width=80)
+        with pytest.raises(ValueError, match=r"hidden=10000000, .* holds "):
+            ModelConfig(hidden=10_000_000)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="observer_mode"):
             tiny_config(observer_mode="giant_lookup_table")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gazelab.metrics import scanmatch
-from gazelab.scanpath import grid_cells
+from gazelab.scanpath import DUR_CLAMP_MS, cell_centers, grid_cells
 from gazelab.synthetic import (
     CATEGORIES,
+    IOR_SIGMA,
     CorpusConfig,
     build_corpus,
     generate_profiles,
@@ -159,6 +160,28 @@ class TestSampling:
         durs = sp.durations()
         assert np.all(durs >= 50.0) and np.all(durs <= 5000.0)
 
+    def test_matches_priority_map_per_fixation(self):
+        # the reference: the whole priority map recomputed per fixation,
+        # with the same draws from the same stream
+        cfg = small_config()
+        scene = generate_scene(cfg, 6, 2)
+        centers = cell_centers(cfg.height, cfg.width)
+        for profile in generate_profiles(cfg, 6):
+            rng = np.random.default_rng([6, profile.id])
+            ior = np.zeros((cfg.height, cfg.width))
+            want = []
+            for _ in range(8):
+                p = priority_map(profile, scene, ior).reshape(-1)
+                x, y = centers[int(rng.choice(p.size, p=p))].tolist()
+                dur = float(np.exp(rng.normal(profile.log_dur_mean,
+                                              profile.log_dur_sd)))
+                want.append((x, y, float(np.clip(dur, *DUR_CLAMP_MS))))
+                ior = ior + np.exp(
+                    -((centers[:, 0] - x) ** 2 + (centers[:, 1] - y) ** 2)
+                    / (2.0 * IOR_SIGMA ** 2)).reshape(ior.shape)
+            sp = sample_gt_scanpath(profile, scene, 8, [6, profile.id])
+            assert [(f.x, f.y, f.dur_ms) for f in sp.fixations] == want
+
     def test_deterministic_per_seed(self):
         cfg = small_config()
         scene = generate_scene(cfg, 2, 0)
@@ -197,6 +220,16 @@ class TestCorpus:
             assert a.scanpaths[split] == b.scanpaths[split]
         for sa, sb in zip(a.scenes, b.scenes):
             np.testing.assert_array_equal(sa.E, sb.E)
+
+
+    def test_scene_past_value_bound_rejected(self):
+        # configs only: nothing is allocated
+        CorpusConfig(height=1182, width=1182)  # 16,765,488 values
+        with pytest.raises(ValueError, match=(
+                r"^CorpusConfig\(n_scenes=60, .*height=1183, width=1183, "
+                r"channels=12, .*\) has 16793868 values per scene, more than "
+                r"16777216$")):
+            CorpusConfig(height=1183, width=1183)
 
 
 class TestSignal:

@@ -282,7 +282,7 @@ class TestTrain:
         corpus = build_corpus(corpus_cfg, 0)
         model = ScanpathModel(small_model_config(corpus_cfg), seed=0)
         model.params["W_dur"].data[:] = np.nan
-        with pytest.raises(RuntimeError, match="epoch 0 batch 0"):
+        with pytest.raises(ValueError, match="epoch 0 batch 0"):
             train(model, corpus, TrainConfig(epochs=1))
 
 
