@@ -1,10 +1,12 @@
 """Command-line interface tying the library into reproducible workflows.
 
-Every subcommand reads an optional JSON run configuration plus dotted
-``--set section.key=value`` overrides; stochastic commands require an
-explicit ``--seed`` so no randomness hides in defaults. Exit codes: 0 on
-success, 1 on usage errors, 2 on data or validation errors. A failed
-gradient probe also exits 2.
+A command declares only the flags it reads, and ``main`` loads the run
+config, corpus and checkpoint they name. Every subcommand but
+``grad-check`` reads an optional JSON run configuration plus dotted
+``--set section.key=value`` overrides; a command that takes ``--seed``
+requires it, so no randomness hides in defaults. Exit codes: 0 on success,
+1 on usage errors, 2 on data or validation errors. A failed gradient probe
+also exits 2.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ def build_parser() -> _Parser:
         "--set": dict(action="append", default=[],
                       metavar="SECTION.KEY=VALUE",
                       help="override one config entry (repeatable)"),
+        "--seed": dict(type=int, required=True,
+                       help="seed for all randomness (required)"),
         "--data": dict(help="corpus directory (default: paths.data_dir)"),
         "--checkpoint": dict(
             help="model checkpoint (default: paths.checkpoint)"),
@@ -99,46 +103,45 @@ def build_parser() -> _Parser:
         "--tol": dict(type=float, default=1e-4,
                       help="largest relative error that passes"),
     }
+    run = ("--config", "--set")
+    seeded = run + ("--seed",)
     ckpt = ("--data", "--checkpoint", "--out")
-    # (name, handler, --seed required, help, options after the common ones)
+    # (name, handler, help, options); main loads what the options name
     commands = (
-        ("gen-data", _cmd_gen_data, True, "generate a gaze corpus",
-         ("--out",)),
-        ("train", _cmd_train, True, "train the configured model",
-         ("--data", "--out")),
-        ("finetune", _cmd_finetune, True,
-         "adapt an agnostic model per observer", ckpt),
-        ("predict", _cmd_predict, True, "emit predicted scanpaths",
-         ckpt + ("--split", "--mode")),
-        ("eval-value", _cmd_eval_value, False,
+        ("gen-data", _cmd_gen_data, "generate a gaze corpus",
+         seeded + ("--out",)),
+        ("train", _cmd_train, "train the configured model",
+         seeded + ("--data", "--out")),
+        ("finetune", _cmd_finetune, "adapt an agnostic model per observer",
+         seeded + ckpt),
+        ("predict", _cmd_predict, "emit predicted scanpaths",
+         seeded + ckpt + ("--split", "--mode")),
+        ("eval-value", _cmd_eval_value,
          "score predictions against ground truth per pair",
-         ("--data", "--pred", "--out", "--split", "--variant", "--threads")),
-        ("eval-rank", _cmd_eval_rank, False,
+         run + ("--data", "--pred", "--out", "--split", "--variant",
+                "--threads")),
+        ("eval-rank", _cmd_eval_rank,
          "observer retrieval ranking from a checkpoint",
-         ckpt + ("--split", "--threads")),
-        ("eval-saliency", _cmd_eval_saliency, True,
+         run + ckpt + ("--split", "--threads")),
+        ("eval-saliency", _cmd_eval_saliency,
          "saliency scores of pooled predictions",
-         ckpt + ("--split", "--resolution")),
-        ("ablate", _cmd_ablate, True,
-         "train and score all six model variants",
-         ("--data", "--out", "--threads")),
-        ("analyze", _cmd_analyze, True,
-         "semantic region statistics and correlations", ckpt + ("--split",)),
-        ("classify", _cmd_classify, True,
-         "group membership from observer features", ckpt),
-        ("grad-check", _cmd_grad_check, True,
-         "numeric gradient probe of the full loss", ("--eps", "--tol")),
+         seeded + ckpt + ("--split", "--resolution")),
+        ("ablate", _cmd_ablate, "train and score all six model variants",
+         seeded + ("--data", "--out", "--threads")),
+        ("analyze", _cmd_analyze,
+         "semantic region statistics and correlations",
+         seeded + ckpt + ("--split",)),
+        ("classify", _cmd_classify,
+         "group membership from observer features", seeded + ckpt),
+        ("grad-check", _cmd_grad_check,
+         "numeric gradient probe of the full loss",
+         ("--seed", "--eps", "--tol")),
     )
     parser = _Parser(prog="gazelab",
                      description="individualized scanpath prediction lab")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, handler, seed_required, help_text, flags in commands:
+    for name, handler, help_text, flags in commands:
         p = sub.add_parser(name, help=help_text)
-        for flag in ("--config", "--set"):
-            p.add_argument(flag, **options[flag])
-        p.add_argument("--seed", type=int, required=seed_required,
-                       help="seed for all randomness"
-                       + (" (required)" if seed_required else ""))
         for flag in flags:
             p.add_argument(flag, **options[flag])
         p.set_defaults(handler=handler)
@@ -195,8 +198,7 @@ def _report(cfg: RunConfig, rows, seeds: dict, out: Path) -> Path:
     return emit_report(report, out)["json"]
 
 
-def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gen_data(args, cfg, corpus, model) -> int:
     corpus = build_corpus(cfg.corpus, args.seed)
     out = Path(args.out or cfg.paths.data_dir)
     write_corpus(corpus, out)
@@ -206,9 +208,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
+def _cmd_train(args, cfg, corpus, model) -> int:
     train_cfg = replace(cfg.train, seed=args.seed)
     model = ScanpathModel(cfg.model, seed=args.seed)
     _, history = train(model, corpus, train_cfg)
@@ -226,23 +226,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_finetune(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
-    base = _load_model(args, cfg, corpus)
+def _cmd_finetune(args, cfg, corpus, model) -> int:
     train_cfg = replace(cfg.train, seed=args.seed)
-    tuned = fine_tune_per_observer(base, corpus, train_cfg)
+    tuned = fine_tune_per_observer(model, corpus, train_cfg)
     out = _out_dir(args, cfg)
-    for observer_id, model in sorted(tuned.items()):
-        write_checkpoint(model, out / f"checkpoint_obs{observer_id}.json")
+    for observer_id, copy in sorted(tuned.items()):
+        write_checkpoint(copy, out / f"checkpoint_obs{observer_id}.json")
     print(f"fine-tuned {len(tuned)} observer models into {out}")
     return 0
 
 
-def _cmd_predict(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
-    model = _load_model(args, cfg, corpus)
+def _cmd_predict(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split, mode=args.mode,
                           seed=args.seed)
     out = _out_dir(args, cfg)
@@ -252,9 +246,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_eval_value(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
+def _cmd_eval_value(args, cfg, corpus, model) -> int:
     preds = read_scanpaths(args.pred)
     try:
         result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric,
@@ -269,10 +261,7 @@ def _cmd_eval_value(args) -> int:
     return 0
 
 
-def _cmd_eval_rank(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
-    model = _load_model(args, cfg, corpus)
+def _cmd_eval_rank(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split)
     result = rank_eval(preds, corpus.scanpaths[args.split], cfg.metric,
                        threads=args.threads)
@@ -285,10 +274,7 @@ def _cmd_eval_rank(args) -> int:
     return 0
 
 
-def _cmd_eval_saliency(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
-    model = _load_model(args, cfg, corpus)
+def _cmd_eval_saliency(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split)
     scores = saliency_report(preds, corpus.scanpaths[args.split],
                              resolution=(args.resolution, args.resolution),
@@ -305,9 +291,7 @@ def _cmd_eval_saliency(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
+def _cmd_ablate(args, cfg, corpus, model) -> int:
     train_cfg = replace(cfg.train, seed=args.seed)
     entries, _ = run_ablation_suite(
         corpus, train_cfg, cfg.model, cfg.metric,
@@ -323,10 +307,7 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
-    model = _load_model(args, cfg, corpus)
+def _cmd_analyze(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split)
     groups = {p.id: p.group for p in corpus.profiles}
     report = semantic_report(preds, corpus.scanpaths[args.split],
@@ -340,10 +321,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load_config(args)
-    corpus = _load_data(args, cfg)
-    model = _load_model(args, cfg, corpus)
+def _cmd_classify(args, cfg, corpus, model) -> int:
     features = extract_observer_features(model)
     groups = {p.id: p.group for p in corpus.profiles}
     labels = [groups[f.observer_id] for f in features]
@@ -373,7 +351,7 @@ PROBE_CONFIG = dict(n_observers=2, height=4, width=4, channels=3,
                     max_steps=3)
 
 
-def _cmd_grad_check(args) -> int:
+def _cmd_grad_check(args, cfg, corpus, model) -> int:
     from .scanpath import Fixation, Scanpath
     import numpy as np
 
@@ -419,10 +397,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.seed is not None and args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ValueError(
                 f"--seed must be a nonnegative integer, got {args.seed}")
-        return args.handler(args)
+        cfg = _load_config(args) if "config" in args else None
+        corpus = _load_data(args, cfg) if "data" in args else None
+        model = _load_model(args, cfg, corpus) if "checkpoint" in args \
+            else None
+        return args.handler(args, cfg, corpus, model)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -20,8 +20,8 @@ string-edit distance score every pair of the call in one Needleman-Wunsch
 sweep each, MultiMatch aligns every pair in one batch, and each distinct
 scanpath is validated and binned once for all three
 (``metrics.value_pairs``); ``rank_eval`` ranks all rows at once by
-counting. There is no thread pool; the ``threads`` keywords are accepted
-and ignored.
+counting. There is no thread pool; ``value_eval`` and ``rank_eval`` accept
+a ``threads`` keyword and ignore it, because the benchmark passes it.
 """
 
 from __future__ import annotations
@@ -192,13 +192,12 @@ def rank_eval(preds, gt, config: MetricConfig | None = None,
     return RankingResult(ranks=ranks, mrr=mrr, recall_at=recall)
 
 
-def human_consistency(gt, config: MetricConfig | None = None,
-                      threads: int = 1) -> dict:
+def human_consistency(gt, config: MetricConfig | None = None) -> dict:
     """Leave-one-observer-out inter-observer agreement, grand means.
 
     For each (image, observer), the mean metric between that observer's
     scanpath and every other observer's on the same image. Images with a
-    single observer are skipped with a warning. ``threads`` is ignored.
+    single observer are skipped with a warning.
     """
     config = config or MetricConfig()
     by_image: dict[int, list] = {}

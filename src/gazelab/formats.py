@@ -204,12 +204,16 @@ def _read_blobs(where: str, blobs, channels: int) -> list:
     return [Blob(**blob) for blob in blobs]
 
 
+# the generator writes [0, 6], and S @ E multiplies feature values together
+MAX_FEATURE_MAGNITUDE = 1e100
+
+
 def read_scenes(path, shape: tuple | None = None) -> list:
     """Scenes of a scene file; ``shape`` is the (C, H, W) every E must have.
 
-    E must be a finite 3-D array, roi_mask an (H, W) integer array of
-    ``CATEGORIES`` codes, and each blob an object of the six ``Blob``
-    fields whose channel indexes E.
+    E must be a 3-D array within +-``MAX_FEATURE_MAGNITUDE``, roi_mask an
+    (H, W) integer array of ``CATEGORIES`` codes, and each blob an object
+    of the six ``Blob`` fields whose channel indexes E.
     """
     lines = _read_lines(path)
     _check_header(path, lines, SCENE_FORMAT)
@@ -228,6 +232,9 @@ def read_scenes(path, shape: tuple | None = None) -> list:
         if shape is not None and E.shape != tuple(shape):
             raise ValueError(f"{path}:{lineno}: E has shape {E.shape}, "
                              f"expected {tuple(shape)}")
+        if np.abs(E).max() > MAX_FEATURE_MAGNITUDE:
+            raise ValueError(f"{path}:{lineno}: E entries must lie within "
+                             f"+-{MAX_FEATURE_MAGNITUDE:g}")
         roi = _numeric_array(f"{path}:{lineno}: roi_mask", record["roi_mask"],
                              integers=True)
         if roi.shape != E.shape[1:]:

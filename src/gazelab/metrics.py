@@ -44,6 +44,9 @@ from .scanpath import Scanpath, cell_centers, grid_cells, read_fixations
 # matrix is 128 MiB.
 MAX_GRID_BINS = 4096
 
+# fits any real screen; substitution_matrix squares center differences
+ASPECT_RANGE = (1e-6, 1e6)
+
 
 @dataclass
 class MetricConfig:
@@ -72,8 +75,9 @@ class MetricConfig:
             raise ValueError(f"sm_tbin must be >= 0, got {self.sm_tbin}")
         if self.sm_gap > 0:
             raise ValueError(f"sm_gap must be <= 0, a penalty, got {self.sm_gap}")
-        if min(self.aspect) <= 0:
-            raise ValueError(f"aspect entries must be > 0, got {self.aspect}")
+        lo, hi = ASPECT_RANGE
+        if not all(lo <= a <= hi for a in self.aspect):
+            raise ValueError(f"aspect entries must lie in [{lo:g}, {hi:g}], got {self.aspect}")
 
 
 # the longest duration-expanded token string ScanMatch aligns: 500 s of

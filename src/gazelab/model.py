@@ -549,7 +549,8 @@ class ScanpathModel:
                     log_durs[t, b] = rng.normal(mu.data[b],
                                                 np.sqrt(var.data[b]))
             visited[np.arange(batch), cells[t]] += 1.0
-        durs = np.clip(np.exp(log_durs), *DUR_CLAMP_MS)
+        with np.errstate(over="ignore"):  # an inf duration is clamped too
+            durs = np.clip(np.exp(log_durs), *DUR_CLAMP_MS)
         rows = np.dstack([cell_centers(cfg.height, cfg.width)[cells], durs])
         return [Scanpath(image_id=image_id, observer_id=int(observer_id),
                          fixations=tuple(Fixation(*row)

@@ -168,7 +168,8 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
     training each ``p.data`` is a view of it. History rows are (epoch,
     position_loss, duration_loss, total), each averaged over the epoch's
     batches. Deterministic given the corpus and config seeds. A batch whose
-    loss is not finite, as when a run diverges, raises ValueError.
+    loss is not finite, as when a run diverges, raises ValueError; each
+    step runs with NumPy's floating-point warnings off.
     """
     opt = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay,
                lr_scale=dict.fromkeys(FAST_PARAMS, FAST_LR_SCALE))
@@ -179,16 +180,17 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
         sums = np.zeros(3)
         for index, (image_id, items) in enumerate(batches):
             scene = corpus.scene_by_id(image_id)
-            with Tape() as tape:
-                total, pos, dur = batch_loss(model, scene.E, items,
-                                             config.duration_loss_weight)
-            if not np.isfinite(total.data):
-                observers = [obs for obs, _ in items]
-                raise ValueError(
-                    f"non-finite loss at epoch {epoch} batch {index} "
-                    f"(image {image_id}, observers {observers})")
-            grads = tape.gradients(total)
-            opt.step(grads)
+            # a diverging run ends on the check below, not on NumPy warnings
+            with np.errstate(all="ignore"):
+                with Tape() as tape:
+                    total, pos, dur = batch_loss(model, scene.E, items,
+                                                 config.duration_loss_weight)
+                if not np.isfinite(total.data):
+                    observers = [obs for obs, _ in items]
+                    raise ValueError(
+                        f"non-finite loss at epoch {epoch} batch {index} "
+                        f"(image {image_id}, observers {observers})")
+                opt.step(tape.gradients(total))
             sums += (float(pos.data), float(dur.data), float(total.data))
         means = sums / max(1, len(batches))
         history.append((epoch, means[0], means[1], means[2]))

@@ -21,7 +21,13 @@ The items:
     smoke corpus and of an untrained full model on the default corpus;
   * for each prediction set: the saliency maps and scores, the
     ``semantic_report``, and the value and rank rows;
-  * the LOOCV group classifier on the trained full model's codes.
+  * the LOOCV group classifier on the trained full model's codes;
+  * the smoke pipeline through ``cli.main``: ``train``, ``finetune``,
+    ``predict`` (argmax and sample), ``eval-value``, ``eval-rank``,
+    ``eval-saliency``, ``analyze``, ``classify``, ``ablate`` (one epoch)
+    and ``grad-check`` on the smoke corpus above, one line per written
+    file (``report.json`` with its timestamp and version masked) and one
+    ``cli-exit/<command> <code>`` line per command.
 Pytest does not collect this file.
 """
 
@@ -37,6 +43,7 @@ import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -132,6 +139,42 @@ def prediction_items(name: str, model, corpus, work: Path):
             + [ranking.mrr, sorted(ranking.recall_at.items())])
 
 
+def cli_items(data: Path, work: Path):
+    out = work / "cli"
+    ckpt = out / "train" / "checkpoint.json"
+    pred = out / "predict-argmax" / "predictions_test.jsonl"
+    run = ["--config", SMOKE, "--set", "train.epochs=1",
+           "--set", "train.ft_epochs=1", "--data", data]
+    seed = ["--seed", SEED]
+    commands = {
+        "train": ["train", *run, *seed],
+        "finetune": ["finetune", *run, *seed, "--checkpoint", ckpt],
+        "predict-argmax": ["predict", *run, *seed, "--checkpoint", ckpt],
+        "predict-sample": ["predict", *run, *seed, "--checkpoint", ckpt,
+                           "--mode", "sample"],
+        "eval-value": ["eval-value", *run, "--pred", pred],
+        "eval-rank": ["eval-rank", *run, "--checkpoint", ckpt],
+        "eval-saliency": ["eval-saliency", *run, *seed, "--checkpoint", ckpt,
+                          "--resolution", 16],
+        "analyze": ["analyze", *run, *seed, "--checkpoint", ckpt],
+        "classify": ["classify", *run, *seed, "--checkpoint", ckpt],
+        "ablate": ["ablate", *run, *seed],
+    }
+    for name, argv in commands.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([str(a) for a in argv + ["--out", out / name]])
+        yield f"cli-exit/{name}", code
+        for path in sorted((out / name).iterdir()):
+            content = path.read_bytes()
+            if path.name == "report.json":
+                content = re.sub(rb'"(timestamp|version)": "[^"]*"',
+                                 rb'"\1": "-"', content)
+            yield f"cli/{name}/{path.name}", sha(content)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["grad-check", "--seed", str(SEED)])
+    yield "cli-exit/grad-check", code
+
+
 def items(work: Path):
     configs = {}
     for name, sections in (("eval-long", EVAL_LONG), ("mid", MID)):
@@ -178,6 +221,8 @@ def items(work: Path):
     yield "loocv/smoke-trained", sha(
         [result.accuracy, list(result.predictions),
          [float(p) for p in result.probabilities]])
+
+    yield from cli_items(data["smoke"], work)
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ import itertools
 import json
 import re
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,9 +24,7 @@ from gazelab.analysis import (
 from gazelab.evaluate import (
     expected_random_mrr,
     predict_split,
-    rank_eval,
     saliency_report,
-    value_eval,
 )
 from gazelab.metrics import (
     align_minimum_cost,
@@ -38,16 +36,11 @@ from gazelab.metrics import (
     string_edit_distance,
     substitution_matrix,
 )
-from gazelab.model import (
-    ABLATION_VARIANTS,
-    ModelConfig,
-    ScanpathModel,
-    ablation_config,
-)
+from gazelab.model import ABLATION_VARIANTS, ModelConfig, ScanpathModel
 from gazelab.scanpath import Fixation, Scanpath
 from gazelab.synthetic import CorpusConfig, build_corpus
 from gazelab.tensor import grad_check, reshape, softmax
-from gazelab.train import TrainConfig, rollout_loss, train_variant
+from gazelab.train import TrainConfig, rollout_loss, run_ablation_suite
 
 from support import (
     enumerate_alignment_templates,
@@ -256,43 +249,21 @@ def test_04_metric_identities():
 @dataclass
 class Suite:
     corpus: object
-    rows: dict = field(default_factory=dict)
-    models: dict = field(default_factory=dict)
-    preds: dict = field(default_factory=dict)
-    seconds: dict = field(default_factory=dict)
+    rows: dict  # variant -> its ablation row
+    models: dict
+    seconds: float
 
 
 @pytest.fixture(scope="session")
 def suite():
-    """All six variants trained on the default corpus with one seed; the
-    variants that share a config ("none" and "OE") are trained once."""
+    """All six variants trained on the default corpus with one seed and
+    scored by ``run_ablation_suite``, the protocol ``gazelab ablate``
+    runs."""
     corpus = build_corpus(CorpusConfig(), seed=0)
-    state = Suite(corpus)
-    gt = corpus.scanpaths["test"]
-    train_cfg = TrainConfig()
-    first = {}  # config -> the variant trained for it
-    for variant in ABLATION_VARIANTS:
-        key = astuple(ablation_config(ModelConfig(), variant))
-        if key in first:
-            for part in (state.seconds, state.rows, state.models, state.preds):
-                part[variant] = part[first[key]]
-            continue
-        first[key] = variant
-        t0 = time.monotonic()
-        model = train_variant(variant, corpus, ModelConfig(), train_cfg,
-                              init_seed=train_cfg.seed)
-        preds = predict_split(model, corpus, "test", seed=train_cfg.seed)
-        value = value_eval(preds, gt)
-        ranking = rank_eval(preds, gt)
-        state.seconds[variant] = time.monotonic() - t0
-        state.rows[variant] = {
-            "sm": value.means["sm"], "mm": value.means["mm"],
-            "sed": value.means["sed"], "mrr": ranking.mrr,
-            "r_at_1": ranking.recall_at[1], "r_at_5": ranking.recall_at[5],
-        }
-        state.models[variant] = model
-        state.preds[variant] = preds
-    return state
+    start = time.monotonic()
+    rows, models = run_ablation_suite(corpus, TrainConfig())
+    return Suite(corpus, {row["variant"]: row for row in rows}, models,
+                 time.monotonic() - start)
 
 
 def test_05_individualization_signal(suite):
@@ -301,15 +272,14 @@ def test_05_individualization_signal(suite):
     random_r1 = 100.0 / suite.corpus.config.n_observers
     mrr_gap = abs(agnostic["mrr"]
                   - expected_random_mrr(suite.corpus.config.n_observers))
-    seconds = suite.seconds["OE+FI+FP"] + suite.seconds["none"]
     ok = (full["r_at_1"] >= random_r1 + 10.0
           and full["r_at_1"] >= agnostic["r_at_1"] + 10.0
           and mrr_gap <= 0.05
-          and seconds < 600.0)
+          and suite.seconds < 600.0)
     gate(5, "individualization signal", ok,
          f"full R@1 {full['r_at_1']:.1f} vs random {random_r1:.1f} and "
          f"agnostic {agnostic['r_at_1']:.1f}; agnostic MRR gap "
-         f"{mrr_gap:.4f}; {seconds:.0f}s")
+         f"{mrr_gap:.4f}; {suite.seconds:.0f}s")
 
 
 def test_06_ablation_ordering(suite):
@@ -327,8 +297,9 @@ def test_06_ablation_ordering(suite):
 
 
 def test_07_saliency_direction(suite):
-    scores = saliency_report(suite.preds["OE+FI+FP"],
-                             suite.corpus.scanpaths["test"], seed=0)
+    preds = predict_split(suite.models["OE+FI+FP"], suite.corpus, "test",
+                          seed=TrainConfig().seed)
+    scores = saliency_report(preds, suite.corpus.scanpaths["test"], seed=0)
     nss = scores["means"]["nss"]
     cc = scores["means"]["cc"]
     ok = nss > 0.5 and cc > 0.3

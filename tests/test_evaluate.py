@@ -96,7 +96,6 @@ class TestValueEval:
         assert serial.pairs == threaded.pairs
         assert serial.means == threaded.means
         assert rank_eval(preds, gt, threads=4) == rank_eval(preds, gt)
-        assert human_consistency(gt, threads=4) == human_consistency(gt)
 
 
 class TestRankEval:

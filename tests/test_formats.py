@@ -30,7 +30,14 @@ from gazelab.model import (
     ablation_config,
 )
 from gazelab.scanpath import Fixation, Scanpath
-from gazelab.synthetic import CorpusConfig, build_corpus, smoke_config
+from gazelab.synthetic import (
+    BACKGROUND_LEVEL,
+    BLOB_AMP,
+    BLOB_COUNT,
+    CorpusConfig,
+    build_corpus,
+    smoke_config,
+)
 
 from support import read_pgm
 
@@ -377,6 +384,26 @@ class TestSceneAndObserverFiles:
         edit_scene(path, _set_entry("E", (0, 1, 2), 2 ** 64))
         E = read_scenes(path)[1].E
         assert E.dtype == np.float64 and E[0, 1, 2] == 2.0 ** 64
+
+    def test_huge_feature_value_names_line(self, tmp_path, tiny_corpus):
+        # a finite 1e300 would overflow once the model squares it
+        path = tmp_path / "scenes.jsonl"
+        write_scenes(tiny_corpus.scenes, path)
+        edit_scene(path, _set_entry("E", (0, 1, 2), -1e300))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: E "
+                                             r"entries must lie within "
+                                             r"\+-1e\+100$"):
+            read_scenes(path)
+
+    @pytest.mark.parametrize("config", [smoke_config(), CorpusConfig()],
+                             ids=["smoke", "default"])
+    def test_generated_features_within_bound(self, tmp_path, config):
+        # whatever the seed, an entry is at most the background level or
+        # the sum of every blob's peak: blobs lie on channels without
+        # background
+        assert max(BACKGROUND_LEVEL, BLOB_COUNT[1] * BLOB_AMP[1]) <= 6.0
+        write_corpus(build_corpus(config, 0), tmp_path)
+        assert read_corpus(tmp_path).scenes
 
     def test_scene_shape_checked_against_manifest(self, tmp_path,
                                                   tiny_corpus):

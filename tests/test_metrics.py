@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelab.metrics import (
+    ASPECT_RANGE,
     MAX_GRID_BINS,
     MAX_SCANPATH_TOKENS,
     MetricConfig,
@@ -68,6 +69,21 @@ class TestMetricConfig:
     @pytest.mark.parametrize("name", ["sm_grid", "sed_grid"])
     def test_grid_at_bin_bound_accepted(self, name):
         assert getattr(MetricConfig(**{name: (64, 64)}), name) == (64, 64)
+
+    @pytest.mark.parametrize("aspect", [(1e-200, 1e-200), (1e160, 1e160),
+                                        (4.0, 1e7), (float("nan"), 3.0)])
+    def test_aspect_outside_range_rejected(self, aspect):
+        with pytest.raises(ValueError, match=r"^aspect entries must lie in "
+                                             r"\[1e-06, 1e\+06\]"):
+            MetricConfig(aspect=aspect)
+
+    def test_square_screen_scores_do_not_depend_on_scale_in_range(self):
+        rng = np.random.default_rng(5)
+        a, b = (path_from(rng.uniform(size=(6, 2))) for _ in range(2))
+        scores = [(scanmatch(a, b, MetricConfig(aspect=(s, s))),
+                   multimatch(a, b, MetricConfig(aspect=(s, s))).mean)
+                  for s in (*ASPECT_RANGE, 1.0)]
+        assert np.allclose(scores, scores[-1], rtol=1e-12, atol=0)
 
 
 class TestQuantize:
