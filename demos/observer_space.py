@@ -29,8 +29,7 @@ from gazelab.train import TrainConfig, train_variant
 print("building the benchmark corpus and training (about 30 s)...")
 corpus = build_corpus(CorpusConfig(), seed=0)
 train_cfg = TrainConfig()
-model = train_variant("OE+FI+FP", corpus, ModelConfig(), train_cfg,
-                      init_seed=train_cfg.seed)
+model = train_variant("OE+FI+FP", corpus, ModelConfig(), train_cfg)
 
 gt = corpus.scanpaths["test"]
 preds = predict_split(model, corpus, "test", seed=train_cfg.seed)

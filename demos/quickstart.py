@@ -26,7 +26,7 @@ sizes = {split: len(ids) for split, ids in corpus.split_ids.items()}
 print(f"  scene splits: {sizes}")
 
 print("training the observer-conditioned model...")
-model = train_variant("OE+FI+FP", corpus, model_cfg, train_cfg, init_seed=0)
+model = train_variant("OE+FI+FP", corpus, model_cfg, train_cfg)
 
 print("scoring held-out predictions...")
 preds = predict_split(model, corpus, "test", seed=0)

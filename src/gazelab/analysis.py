@@ -25,6 +25,9 @@ from .tensor import Tape, Tensor, matmul, softplus, tanh, tsum
 log = logging.getLogger(__name__)
 
 COMPARE_TOL = 1e-12
+# the LOOCV perceptron's hidden width and Adam step size
+LOOCV_HIDDEN = 16
+LOOCV_LR = 0.001
 
 
 @dataclass
@@ -295,18 +298,18 @@ class LoocvResult:
     classes: tuple
 
 
-def classify_group_loocv(features, labels, hidden: int = 16,
-                         epochs: int = 200, lr: float = 0.001,
+def classify_group_loocv(features, labels, epochs: int = 200,
                          seed: int = 0) -> LoocvResult:
     """Leave-one-out group classification with a small perceptron.
 
-    Each fold z-scores with training-fold statistics, trains a
-    tanh-hidden, logistic-output network with Adam, and predicts the held
-    out observer. Accuracy is the percent of folds predicted correctly.
+    Each fold z-scores with training-fold statistics, trains a network of
+    ``LOOCV_HIDDEN`` tanh units and a logistic output with Adam, and
+    predicts the held out observer. Accuracy is the percent of folds
+    predicted correctly.
 
     Holding one observer out leaves the training labels imbalanced, so the
     loss reweights classes by inverse frequency; together with the small
-    default learning rate this keeps label-shuffled controls at chance
+    learning rate ``LOOCV_LR`` this keeps label-shuffled controls at chance
     instead of the below-chance drift an interpolating fit produces.
 
     All n folds train as one model: their rows, labels, class weights and
@@ -340,6 +343,7 @@ def classify_group_loocv(features, labels, hidden: int = 16,
         weights = np.where(y_train == 1.0, (n - 1) / (2.0 * n_pos),
                            (n - 1) / (2.0 * n_neg))
     weights = np.where((n_pos > 0) & (n_neg > 0), weights, 1.0)
+    hidden = LOOCV_HIDDEN
     W1, W2 = [], []
     for fold in range(n):
         rng = np.random.default_rng([seed, 43, fold])
@@ -357,7 +361,7 @@ def classify_group_loocv(features, labels, hidden: int = 16,
         H = tanh(matmul(rows, params["W1"]) + params["b1"])
         return matmul(H, params["W2"]) + params["b2"]
 
-    opt = Adam(params, lr=lr, weight_decay=0.0)
+    opt = Adam(params, lr=LOOCV_LR, weight_decay=0.0)
     Xt = Tensor((X[train] - mu) / sd)
     Yt = Tensor(y_train[:, :, None])
     Wt = Tensor(weights[:, :, None])

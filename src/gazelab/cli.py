@@ -32,6 +32,7 @@ from .config import (
     check_fit,
     emit_report,
     provenance_block,
+    write_json,
 )
 from .evaluate import (
     VALUE_METRICS,
@@ -249,8 +250,7 @@ def _cmd_predict(args, cfg, corpus, model) -> int:
 def _cmd_eval_value(args, cfg, corpus, model) -> int:
     preds = read_scanpaths(args.pred)
     try:
-        result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric,
-                            threads=args.threads)
+        result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric)
     except ValueError as err:
         raise ValueError(f"{args.pred}: {err}") from None
     path = _report(cfg, [ReportRow(args.variant, args.split, name,
@@ -263,8 +263,7 @@ def _cmd_eval_value(args, cfg, corpus, model) -> int:
 
 def _cmd_eval_rank(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split)
-    result = rank_eval(preds, corpus.scanpaths[args.split], cfg.metric,
-                       threads=args.threads)
+    result = rank_eval(preds, corpus.scanpaths[args.split], cfg.metric)
     rows = [ReportRow("model", args.split, "mrr", result.mrr)]
     for k, value in sorted(result.recall_at.items()):
         rows.append(ReportRow("model", args.split, f"r_at_{k}", value))
@@ -293,9 +292,7 @@ def _cmd_eval_saliency(args, cfg, corpus, model) -> int:
 
 def _cmd_ablate(args, cfg, corpus, model) -> int:
     train_cfg = replace(cfg.train, seed=args.seed)
-    entries, _ = run_ablation_suite(
-        corpus, train_cfg, cfg.model, cfg.metric,
-        threads=args.threads)
+    entries, _ = run_ablation_suite(corpus, train_cfg, cfg.model, cfg.metric)
     path = _report(cfg, [ReportRow(entry["variant"], "test", name,
                                    entry[name])
                          for entry in entries for name in ABLATION_METRICS],
@@ -314,7 +311,7 @@ def _cmd_analyze(args, cfg, corpus, model) -> int:
                              corpus.scenes, groups=groups, seed=args.seed)
     out = _out_dir(args, cfg)
     path = out / "analysis.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(report, path)
     social = report["correlations"]["social"]
     print(f"social rho {social['rho']:.4f} (p {social['p_value']:.4f}); "
           f"analysis at {path}")

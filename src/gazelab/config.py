@@ -243,16 +243,22 @@ def provenance_block(config: RunConfig, seeds: dict) -> dict:
     }
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys. JSON has no NaN or
+    infinity, so a non-finite number is written as null."""
+    # keys sort in the first pass, where integer keys still sort as numbers
+    strict = json.loads(json.dumps(obj, sort_keys=True),
+                        parse_constant=lambda name: None)
+    Path(path).write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
+
+
 def emit_report(report: MetricReport, out_dir) -> dict:
     """Write report.json and report.csv; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
-    payload = {
-        "rows": [dataclasses.asdict(row) for row in report.rows],
-        "provenance": report.provenance,
-    }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json({"rows": [dataclasses.asdict(row) for row in report.rows],
+                "provenance": report.provenance}, json_path)
     csv_path = out / "report.csv"
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)

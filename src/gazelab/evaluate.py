@@ -47,6 +47,8 @@ log = logging.getLogger(__name__)
 VALUE_METRICS = ("sm", "mm", "sed")
 # the scores of one saliency map
 SALIENCY_METRICS = ("cc", "auc", "nss", "sauc", "kld", "sim")
+# sAUC negatives come from at most this many other images
+SHUFFLE_IMAGES = 10
 
 
 def _index_by_pair(preds) -> dict:
@@ -60,24 +62,24 @@ def _index_by_pair(preds) -> dict:
     return out
 
 
-def predict_split(model, corpus, split: str, n_steps: int | None = None,
-                  mode: str = "argmax", seed: int = 0):
-    """One predicted scanpath per (image, observer) of the split.
+def predict_split(model, corpus, split: str, mode: str = "argmax",
+                  seed: int = 0):
+    """One predicted scanpath per (image, observer) of the split, each
+    ``corpus.config.scanpath_len`` fixations long.
 
     Each image's observers share one free-running rollout. Each observer
     draws from its own stream ``[seed, 21, image_id, observer_id]``, so a
     prediction does not depend on which other observers are predicted.
     """
     observers = sorted({sp.observer_id for sp in corpus.scanpaths[split]})
-    if n_steps is None:
-        n_steps = corpus.config.scanpath_len
     preds = []
     for image_id in corpus.split_ids[split]:
         seeds = [[int(seed), 21, int(image_id), int(observer_id)]
                  for observer_id in observers]
         preds += model.sample_scanpaths(
             corpus.scene_by_id(image_id).E, observers, seeds,
-            n_steps=n_steps, mode=mode, image_id=image_id)
+            n_steps=corpus.config.scanpath_len, mode=mode,
+            image_id=image_id)
     return preds
 
 
@@ -367,14 +369,14 @@ def saliency_metrics(pred: SaliencyMap, gt_fixations, gt_map: SaliencyMap,
                           sim=sim, degenerate=degenerate)
 
 
-def saliency_report(preds, gt, resolution=(64, 64), sigma: float | None = None,
-                    seed: int = 0, n_shuffle: int = 10) -> dict:
+def saliency_report(preds, gt, resolution=(64, 64), seed: int = 0) -> dict:
     """Per-image pooled saliency scores and their means.
 
-    Fixations are pooled over observers per image on both sides. For each
-    image, sAUC negatives come from the ground-truth fixations of up to
-    ``n_shuffle`` other images chosen by the seed. ``maps`` holds the
-    predicted map of every predicted image, scored or not.
+    Fixations are pooled over observers per image on both sides, into maps
+    of ``build_saliency``'s default sigma. For each image, sAUC negatives
+    come from the ground-truth fixations of up to ``SHUFFLE_IMAGES`` other
+    images chosen by the seed. ``maps`` holds the predicted map of every
+    predicted image, scored or not.
     """
     pred_by_image: dict[int, list] = {}
     for sp in preds:
@@ -382,21 +384,20 @@ def saliency_report(preds, gt, resolution=(64, 64), sigma: float | None = None,
     gt_by_image: dict[int, list] = {}
     for sp in gt:
         gt_by_image.setdefault(sp.image_id, []).extend(sp.fixations)
-    maps = {image_id: build_saliency(fixations, sigma=sigma,
-                                     resolution=resolution)
+    maps = {image_id: build_saliency(fixations, resolution=resolution)
             for image_id, fixations in sorted(pred_by_image.items())}
     images = sorted(set(pred_by_image) & set(gt_by_image))
     rows = {}
     rng = np.random.default_rng([int(seed), 31])
     for image_id in images:
         others = [i for i in images if i != image_id]
-        chosen = (rng.choice(len(others), size=min(n_shuffle, len(others)),
+        chosen = (rng.choice(len(others),
+                             size=min(SHUFFLE_IMAGES, len(others)),
                              replace=False) if others else [])
         shuffle_fix = []
         for idx in chosen:
             shuffle_fix.extend(gt_by_image[others[int(idx)]])
-        gt_map = build_saliency(gt_by_image[image_id], sigma=sigma,
-                                resolution=resolution)
+        gt_map = build_saliency(gt_by_image[image_id], resolution=resolution)
         rows[image_id] = saliency_metrics(maps[image_id], gt_by_image[image_id],
                                           gt_map, shuffle_fix)
     means = {}

@@ -18,6 +18,9 @@ from .tensor import Tensor
 # scratch block take 1.25 MB
 BLOCK = 1 << 15
 
+# the moment decay rates and the denominator floor Kingma & Ba recommend
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam over a named parameter dict, updated in place as one array.
@@ -28,7 +31,7 @@ class Adam:
     is a few NumPy calls per block of the buffer rather than a few per
     parameter; the scratch buffer is one block long. Weight decay is
     decoupled from the moment estimates: each update applies
-    ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)``.
+    ``p -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * p)``.
     ``lr_scale`` multiplies the step size of the named parameters; the rest
     step at ``lr``. The step size is applied once per run of neighbouring
     parameters that share a scale, so no per-value scale vector is kept.
@@ -38,16 +41,11 @@ class Adam:
         self,
         params: dict[str, Tensor],
         lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 5e-5,
         lr_scale: dict[str, float] | None = None,
     ):
         self.params = dict(params)
-        self.lr = float(lr)
-        self.lr_scale = dict(lr_scale or {})
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
+        lr_scale = lr_scale or {}
         self.weight_decay = float(weight_decay)
         size = sum(p.data.size for p in self.params.values())
         flat, grad = np.empty(size), np.empty(size)
@@ -63,7 +61,7 @@ class Adam:
             view[...] = p.data
             p.data = view
             self._grad_views[name] = grad[start:stop].reshape(view.shape)
-            lr_p = self.lr * self.lr_scale.get(name, 1.0)
+            lr_p = float(lr) * lr_scale.get(name, 1.0)
             if runs and runs[-1][2] == lr_p:
                 runs[-1] = (runs[-1][0], stop, lr_p)
             else:
@@ -94,7 +92,7 @@ class Adam:
                     f"adam: gradient shape {g.shape} != param {name} {p.data.shape}")
             self._grad_views[name][...] = g
         self._t += 1
-        b1, b2, eps, wd = self.beta1, self.beta2, self.eps, self.weight_decay
+        b1, b2, eps, wd = BETA1, BETA2, EPS, self.weight_decay
         c1, c2 = 1.0 - b1**self._t, 1.0 - b2**self._t
         for flat, g, m, v, s, pieces in self._blocks:
             m *= b1

@@ -35,9 +35,6 @@ class Scanpath:
         """Fixation coordinates as an (n, 2) array."""
         return np.array([[f.x, f.y] for f in self.fixations], dtype=np.float64).reshape(-1, 2)
 
-    def durations(self) -> np.ndarray:
-        return np.array([f.dur_ms for f in self.fixations], dtype=np.float64)
-
     def validate(self) -> None:
         for i, f in enumerate(self.fixations):
             if not (0.0 <= f.x <= 1.0 and 0.0 <= f.y <= 1.0):

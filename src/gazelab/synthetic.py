@@ -170,6 +170,8 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
 
     n_blobs = int(rng.integers(BLOB_COUNT[0], BLOB_COUNT[1] + 1))
     blobs: list[Blob] = []
+    roi_mask = np.zeros((h, w), dtype=np.int64)
+    strongest = np.zeros((h, w))
     for b in range(n_blobs):
         # first two blobs pin one social and one nonsocial region per scene
         if b == 0:
@@ -192,16 +194,11 @@ def generate_scene(config: CorpusConfig, seed, scene_id: int) -> SyntheticScene:
             if (cx - 0.5) ** 2 + (cy - 0.5) ** 2 >= BLOB_CENTER_GAP**2:
                 break
         amp = float(rng.uniform(*BLOB_AMP))
-        E[channel] += _gaussian_bump(centers, cx, cy, sigma, amp).reshape(h, w)
+        value = _gaussian_bump(centers, cx, cy, sigma, amp).reshape(h, w)
+        E[channel] += value
         blobs.append(Blob(channel, category, cx, cy, sigma, amp))
-
-    roi_mask = np.zeros((h, w), dtype=np.int64)
-    strongest = np.zeros((h, w))
-    for blob in blobs:
-        value = _gaussian_bump(centers, blob.cx, blob.cy, blob.sigma,
-                               blob.amp).reshape(h, w)
-        owned = (value >= 0.5 * blob.amp) & (value > strongest)
-        roi_mask[owned] = blob.category
+        owned = (value >= 0.5 * amp) & (value > strongest)
+        roi_mask[owned] = category
         strongest = np.maximum(strongest, np.where(owned, value, 0.0))
 
     return SyntheticScene(id=scene_id, E=E, roi_mask=roi_mask, blobs=blobs)

@@ -75,9 +75,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), trainable=self.trainable)
-
     def __repr__(self) -> str:
         flag = ", trainable" if self.trainable else ""
         return f"Tensor(shape={self.data.shape}{flag})"

@@ -222,24 +222,24 @@ def fine_tune_per_observer(base: ScanpathModel, corpus, config: TrainConfig):
 
 
 def train_variant(variant: str, corpus, model_config: ModelConfig,
-                  train_config: TrainConfig, init_seed: int = 0):
-    """Initialize and train one ablation row's model."""
+                  train_config: TrainConfig):
+    """Initialize one ablation row's model from ``train_config.seed`` and
+    train it."""
     config = ablation_config(model_config, variant)
-    model = ScanpathModel(config, seed=init_seed)
+    model = ScanpathModel(config, seed=train_config.seed)
     train(model, corpus, train_config)
     return model
 
 
 def run_ablation_suite(corpus, train_config: TrainConfig,
                        model_config: ModelConfig | None = None,
-                       metric_config=None, n_steps: int | None = None,
-                       threads: int = 1):
+                       metric_config=None):
     """Train all six variants under one seed and score them on the test split.
 
     Returns (rows, models): one row per variant with mean value metrics and
     ranking aggregates, plus the trained models keyed by variant name.
     Variants that share a config ("none" and "OE") share one trained model
-    and its scores. ``threads`` is ignored.
+    and its scores.
     """
     # perfbench probes evaluate.* where callers look the functions up
     from .evaluate import predict_split, rank_eval, value_eval
@@ -253,12 +253,11 @@ def run_ablation_suite(corpus, train_config: TrainConfig,
     for variant in ABLATION_VARIANTS:
         key = astuple(ablation_config(model_config, variant))
         if key not in done:
-            model = train_variant(variant, corpus, model_config, train_config,
-                                  init_seed=train_config.seed)
-            preds = predict_split(model, corpus, "test", n_steps=n_steps,
+            model = train_variant(variant, corpus, model_config, train_config)
+            preds = predict_split(model, corpus, "test",
                                   seed=train_config.seed)
-            value = value_eval(preds, gt, metric_config, threads=threads)
-            ranking = rank_eval(preds, gt, metric_config, threads=threads)
+            value = value_eval(preds, gt, metric_config)
+            ranking = rank_eval(preds, gt, metric_config)
             measured = {**value.means, "mrr": ranking.mrr, **{
                 f"r_at_{k}": r for k, r in ranking.recall_at.items()}}
             done[key] = model, {name: measured[name]

@@ -666,7 +666,7 @@ def loop_multimatch(a, b, cfg=None):
         a, b = b, a
     scale = _screen_scale(cfg.aspect)
     pa, pb = a.xy() * scale, b.xy() * scale
-    da, db = a.durations(), b.durations()
+    da, db = (np.array([f.dur_ms for f in sp.fixations]) for sp in (a, b))
     if len(a) < 2 or len(b) < 2:
         cost = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
         pairs = align_minimum_cost(cost)

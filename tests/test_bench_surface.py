@@ -8,6 +8,7 @@ run. These tests read ``perfbench/`` and change nothing under it.
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -113,3 +114,152 @@ def test_cli_reaches_every_stage_clock(tmp_path):
     assert sorted(before) == ["predict", "rank", "train", "value"]
     assert all(units > 0 for units in before.values()), before
     assert all(after[stage] > before[stage] for stage in before), after
+
+
+def perfbench_trees():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def gazelab_bindings(tree) -> dict:
+    """The names a perfbench module binds to gazelab modules and objects."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gazelab"):
+                    module = importlib.import_module(alias.name)
+                    # a plain "import gazelab.x" binds the package
+                    names[alias.asname or "gazelab"] = \
+                        module if alias.asname else sys.modules["gazelab"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.startswith("gazelab")):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module,
+                                                            alias.name)
+    return names
+
+
+MISSING = object()
+
+
+def last_name(expr):
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def resolve(expr, names):
+    """The gazelab object ``expr`` names, MISSING for an attribute gazelab
+    lacks, or None for anything else. ``load_reference_rollout(root)``
+    names ``tests/support.py::reference_rollout``."""
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Call) and \
+            last_name(expr.func) == "load_reference_rollout":
+        return load_by_path("gazelab_test_support",
+                            ROOT / "tests" / "support.py").reference_rollout
+    if isinstance(expr, ast.Attribute):
+        owner = resolve(expr.value, names)
+        if owner is None or owner is MISSING:
+            return owner
+        return getattr(owner, expr.attr, MISSING)
+    return None
+
+
+def gazelab_calls() -> dict:
+    """``file:callee`` -> (callee, keywords) of each gazelab callable that
+    perfbench calls, with every keyword it passes there.
+
+    ``<...>.model.<method>(...)`` calls a ``ScanpathModel`` method, since
+    perfbench keeps its models under that name.
+    """
+    calls = {}
+    for name, tree in perfbench_trees():
+        names = gazelab_bindings(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            target = resolve(func, names)
+            if (target is None and isinstance(func, ast.Attribute)
+                    and last_name(func.value) == "model"):
+                target = getattr(gazelab.model.ScanpathModel, func.attr,
+                                 MISSING)
+            if target is None:
+                continue
+            key = f"{name}:{ast.unparse(func)}"
+            keywords = calls.setdefault(key, (target, set()))[1]
+            keywords.update(kw.arg for kw in node.keywords if kw.arg)
+    return calls
+
+
+GAZELAB_CALLS = gazelab_calls()
+
+
+@pytest.mark.parametrize("call", sorted(GAZELAB_CALLS))
+def test_every_keyword_perfbench_passes_is_accepted(call):
+    target, keywords = GAZELAB_CALLS[call]
+    assert target is not MISSING, f"{call}: gazelab has no such callable"
+    params = inspect.signature(target).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return
+    assert keywords <= set(params), \
+        f"{call} takes no {sorted(keywords - set(params))}"
+
+
+def test_keyword_scan_sees_the_known_calls():
+    # a scan that stopped resolving callees would pass the test above
+    seen = {(call, kw) for call, (_, keywords) in GAZELAB_CALLS.items()
+            for kw in keywords | {None}}
+    workload_calls = {
+        ("evaluate.value_eval", "threads"), ("evaluate.rank_eval", "threads"),
+        ("evaluate.predict_split", "seed"),
+        ("evaluate.saliency_report", "seed"),
+        ("self.model.sample_scanpath", "n_steps"),
+        ("self.model.sample_scanpath", "image_id"),
+        ("ScanpathModel", "params"), ("ScanpathModel", "seed"),
+        ("Tensor", "trainable"), ("self.model.one_hot", None),
+        ("self.model.rollout_teacher_forced", None),
+        ("load_reference_rollout(self.root)", "ior_sigma"),
+        ("load_reference_rollout(self.root)", "concat_onehot")}
+    assert {(f"workloads.py:{call}", kw) for call, kw in workload_calls} \
+        <= seen, seen
+
+
+def model_config_reads():
+    """(where, attribute) of each attribute perfbench reads from a name it
+    binds to a model's ``config``."""
+    for name, tree in perfbench_trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            bound = {target.id for node in ast.walk(func)
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Attribute)
+                     and node.value.attr == "config"
+                     and last_name(node.value.value) == "model"
+                     for target in node.targets
+                     if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in bound):
+                    yield f"{name}:{func.name}", node.attr
+
+
+MODEL_CONFIG_READS = sorted(set(model_config_reads()))
+
+
+def test_every_model_config_attribute_perfbench_reads_exists():
+    config = gazelab.model.ModelConfig()
+    missing = [(where, attr) for where, attr in MODEL_CONFIG_READS
+               if not hasattr(config, attr)]
+    assert not missing
+    check_model = {attr for where, attr in MODEL_CONFIG_READS
+                   if where == "workloads.py:check_model"}
+    assert {"enable_fi", "enable_fp", "uses_embedding", "uses_one_hot",
+            "hidden", "semantic_channels"} <= check_model, check_model

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import shutil
 import time
 import warnings
@@ -825,6 +826,13 @@ class TestCheckpointFit:
                 "max_steps 3") in capsys.readouterr().err
 
 
+def strict_json(path):
+    """The JSON document at ``path``; NaN and infinities raise."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -943,6 +951,34 @@ class TestPipeline:
         payload = json.loads((out / "analysis.json").read_text())
         assert "correlations" in payload and "social" in \
             payload["correlations"]
+
+    def test_one_image_split_reports_are_strict_json(self, workspace,
+                                                     tmp_path):
+        # the val split holds one image, so sAUC has no negatives
+        out = tmp_path / "sal"
+        assert main(["eval-saliency", "--config", SMOKE, "--seed", "0",
+                     "--data", workspace["data"],
+                     "--checkpoint", workspace["ckpt"], "--split", "val",
+                     "--out", str(out)]) == 0
+        rows = strict_json(out / "report.json")["rows"]
+        assert [row["value"] for row in rows if row["metric"] == "sauc"] \
+            == [None]
+        sauc = [row.value for row in read_report_csv(out / "report.csv")
+                if row.metric == "sauc"]
+        assert len(sauc) == 1 and math.isnan(sauc[0])
+
+    def test_constant_groups_analysis_is_strict_json(self, workspace,
+                                                     tmp_path):
+        # on the one val image, both groups' social proportions are
+        # constant and differ, so Welch's t is infinite
+        out = tmp_path / "an"
+        assert main(["analyze", "--config", SMOKE, "--seed", "0",
+                     "--data", workspace["data"],
+                     "--checkpoint", workspace["ckpt"], "--split", "val",
+                     "--out", str(out)]) == 0
+        payload = strict_json(out / "analysis.json")
+        tables = payload["group_comparison"]["ground_truth"]
+        assert None in [table["t"] for table in tables.values()]
 
     def test_classify_reports_accuracy(self, workspace, tmp_path):
         out = tmp_path / "cl"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -19,6 +20,7 @@ from gazelab.config import (
     provenance_block,
     read_report_csv,
     version_string,
+    write_json,
 )
 from gazelab.synthetic import CorpusConfig
 
@@ -212,6 +214,29 @@ class TestHashing:
         assert version.startswith("v0.1")
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestWriteJson:
+    def test_non_finite_floats_nested_become_null(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json({"t": -math.inf, "2": [1.5, math.nan, (math.inf,)],
+                    "ok": {"p": 0.25, "n": None}}, path)
+        assert json.loads(path.read_text(), parse_constant=refuse_constant) \
+            == {"2": [1.5, None, [None]], "ok": {"n": None, "p": 0.25},
+                "t": None}
+
+    def test_finite_document_written_as_json_dumps_does(self, tmp_path):
+        # integer keys keep their numeric order: 2 before 10
+        doc = {"b": [1, 2.5, "x"], "a": {"c": True, "d": None},
+               "e": {10: -0.0, 2: 1e300}}
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        assert path.read_text() == \
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 class TestReport:
     def rows(self):
         return [ReportRow("full", "test", "sm", 0.41, 0.02),
@@ -243,6 +268,19 @@ class TestReport:
         report = MetricReport([ReportRow("full", "test", "nss", value)], {})
         paths = emit_report(report, tmp_path)
         assert read_report_csv(paths["csv"])[0].value == float(value)
+
+    def test_non_finite_value_null_in_json_nan_in_csv(self, tmp_path):
+        rows = [ReportRow("model", "val", "sauc", float("nan")),
+                ReportRow("model", "val", "kld", float("inf"), float("nan"))]
+        paths = emit_report(MetricReport(rows, {}), tmp_path)
+        payload = json.loads(paths["json"].read_text(),
+                             parse_constant=refuse_constant)
+        assert [(r["value"], r["stderr"]) for r in payload["rows"]] == \
+            [(None, None), (None, None)]
+        assert paths["csv"].read_text().splitlines()[1:] == \
+            ["model,val,sauc,nan,", "model,val,kld,inf,nan"]
+        csv_rows = read_report_csv(paths["csv"])
+        assert math.isnan(csv_rows[0].value) and csv_rows[1].value == math.inf
 
     def test_csv_header_validated(self, tmp_path):
         bad = tmp_path / "report.csv"

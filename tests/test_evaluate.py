@@ -434,8 +434,9 @@ class TestPredictSplit:
             assert (got.image_id, got.observer_id) == \
                 (want.image_id, want.observer_id)
             np.testing.assert_array_equal(got.xy(), want.xy())
-            np.testing.assert_allclose(got.durations(), want.durations(),
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                [f.dur_ms for f in got.fixations],
+                [f.dur_ms for f in want.fixations], rtol=1e-12, atol=0)
 
     def test_steps_follow_corpus_scanpath_len(self):
         # not the length of the split's first record

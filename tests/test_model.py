@@ -571,10 +571,10 @@ class TestSampling:
         model.params["b_dur"].data[0] = 20.0
         E = random_E(cfg, seed=3)
         sp = model.sample_scanpath(E, 0, n_steps=4, mode="argmax", seed=0)
-        assert np.all(sp.durations() <= 5000.0)
+        assert all(f.dur_ms <= 5000.0 for f in sp.fixations)
         model.params["b_dur"].data[0] = -20.0
         sp = model.sample_scanpath(E, 0, n_steps=4, mode="sample", seed=0)
-        assert np.all(sp.durations() >= 50.0)
+        assert all(f.dur_ms >= 50.0 for f in sp.fixations)
 
     def test_invalid_mode_and_steps_rejected(self):
         cfg = tiny_config()
@@ -680,8 +680,9 @@ class TestBatchAxis:
                                           seed=seed, image_id=7)
             assert (path.image_id, path.observer_id) == (7, obs)
             np.testing.assert_array_equal(path.xy(), alone.xy())
-            np.testing.assert_allclose(path.durations(), alone.durations(),
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                [f.dur_ms for f in path.fixations],
+                [f.dur_ms for f in alone.fixations], rtol=1e-12, atol=0)
 
     def test_mismatched_batch_rejected(self):
         cfg = tiny_config()

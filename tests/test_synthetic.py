@@ -157,7 +157,7 @@ class TestSampling:
         scene = generate_scene(cfg, 1, 0)
         profile = generate_profiles(cfg, 1)[0]
         sp = sample_gt_scanpath(profile, scene, 20, 5)
-        durs = sp.durations()
+        durs = np.array([f.dur_ms for f in sp.fixations])
         assert np.all(durs >= 50.0) and np.all(durs <= 5000.0)
 
     def test_matches_priority_map_per_fixation(self):
