@@ -4,9 +4,10 @@ A command declares only the flags it reads, and ``main`` loads the run
 config, corpus and checkpoint they name. Every subcommand but
 ``grad-check`` reads an optional JSON run configuration plus dotted
 ``--set section.key=value`` overrides; a command that takes ``--seed``
-requires it, so no randomness hides in defaults. Exit codes: 0 on success,
-1 on usage errors, 2 on data or validation errors. A failed gradient probe
-also exits 2.
+requires it, so no randomness hides in defaults. A report hashes the run
+config the run used: ``--seed`` is its ``train.seed`` and a checkpoint its
+``model``. Exit codes: 0 on success, 1 on usage errors, 2 on data or
+validation errors. A failed gradient probe also exits 2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -35,6 +35,7 @@ from .config import (
     write_json,
 )
 from .evaluate import (
+    RECALL_KS,
     VALUE_METRICS,
     predict_split,
     rank_eval,
@@ -158,7 +159,10 @@ def _load_config(args) -> RunConfig:
         except ValueError as err:
             raise ValueError(f"{args.config}: {err}") from None
     apply_overrides(data, args.set)
-    return RunConfig.from_dict(data)
+    cfg = RunConfig.from_dict(data)
+    if "seed" in args:
+        cfg.train.seed = args.seed
+    return cfg
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -168,27 +172,30 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 
 def _load_data(args, cfg: RunConfig):
-    data_dir = args.data or cfg.paths.data_dir
-    corpus = read_corpus(data_dir)
+    """The corpus at ``--data``, else ``paths.data_dir``, kept in args."""
+    args.data = args.data or cfg.paths.data_dir
+    corpus = read_corpus(args.data)
     if corpus.config != cfg.corpus:
         raise ValueError(
-            f"corpus at {data_dir} was generated with a different corpus "
+            f"corpus at {args.data} was generated with a different corpus "
             "config than the one supplied")
     return corpus
 
 
 def _load_model(args, cfg: RunConfig, corpus) -> ScanpathModel:
     """The checkpoint's model, refused unless it fits the corpus
-    (``config.check_fit``)."""
-    path = args.checkpoint or cfg.paths.checkpoint
-    if path is None:
+    (``config.check_fit``); its path is kept in args and its config in
+    ``cfg.model``."""
+    args.checkpoint = args.checkpoint or cfg.paths.checkpoint
+    if args.checkpoint is None:
         raise ValueError(
             "no checkpoint given: pass --checkpoint or set paths.checkpoint")
-    model = read_checkpoint(path)
+    model = read_checkpoint(args.checkpoint)
     try:
         check_fit(model.config, corpus.config)
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise ValueError(f"{args.checkpoint}: {err}") from None
+    cfg.model = model.config
     return model
 
 
@@ -210,16 +217,15 @@ def _cmd_gen_data(args, cfg, corpus, model) -> int:
 
 
 def _cmd_train(args, cfg, corpus, model) -> int:
-    train_cfg = replace(cfg.train, seed=args.seed)
-    model = ScanpathModel(cfg.model, seed=args.seed)
-    _, history = train(model, corpus, train_cfg)
+    model = ScanpathModel(cfg.model, seed=cfg.train.seed)
+    _, history = train(model, corpus, cfg.train)
     out = _out_dir(args, cfg)
     write_checkpoint(model, out / "checkpoint.json")
     (out / "history.json").write_text(json.dumps(
         [{"epoch": e, "loss_pos": p, "loss_dur": d, "loss_total": t}
          for e, p, d, t in history], indent=2) + "\n")
     if history:
-        print(f"trained {train_cfg.epochs} epochs, "
+        print(f"trained {cfg.train.epochs} epochs, "
               f"final loss {history[-1][3]:.4f}; "
               f"checkpoint at {out / 'checkpoint.json'}")
     else:
@@ -228,8 +234,7 @@ def _cmd_train(args, cfg, corpus, model) -> int:
 
 
 def _cmd_finetune(args, cfg, corpus, model) -> int:
-    train_cfg = replace(cfg.train, seed=args.seed)
-    tuned = fine_tune_per_observer(model, corpus, train_cfg)
+    tuned = fine_tune_per_observer(model, corpus, cfg.train)
     out = _out_dir(args, cfg)
     for observer_id, copy in sorted(tuned.items()):
         write_checkpoint(copy, out / f"checkpoint_obs{observer_id}.json")
@@ -268,8 +273,8 @@ def _cmd_eval_rank(args, cfg, corpus, model) -> int:
     for k, value in sorted(result.recall_at.items()):
         rows.append(ReportRow("model", args.split, f"r_at_{k}", value))
     path = _report(cfg, rows, {}, _out_dir(args, cfg))
-    print(f"mrr {result.mrr:.4f}  r@1 {result.recall_at[1]:.1f}  "
-          f"r@5 {result.recall_at[5]:.1f}; report at {path}")
+    recall = "  ".join(f"r@{k} {result.recall_at[k]:.1f}" for k in RECALL_KS)
+    print(f"mrr {result.mrr:.4f}  {recall}; report at {path}")
     return 0
 
 
@@ -291,12 +296,11 @@ def _cmd_eval_saliency(args, cfg, corpus, model) -> int:
 
 
 def _cmd_ablate(args, cfg, corpus, model) -> int:
-    train_cfg = replace(cfg.train, seed=args.seed)
-    entries, _ = run_ablation_suite(corpus, train_cfg, cfg.model, cfg.metric)
+    entries, _ = run_ablation_suite(corpus, cfg.train, cfg.model, cfg.metric)
     path = _report(cfg, [ReportRow(entry["variant"], "test", name,
                                    entry[name])
                          for entry in entries for name in ABLATION_METRICS],
-                   {"train": args.seed}, _out_dir(args, cfg))
+                   {"train": cfg.train.seed}, _out_dir(args, cfg))
     for entry in entries:
         print(f"{entry['variant']:>9}: sm {entry['sm']:.4f}  "
               f"mrr {entry['mrr']:.4f}  r@1 {entry['r_at_1']:.1f}")
@@ -307,8 +311,11 @@ def _cmd_ablate(args, cfg, corpus, model) -> int:
 def _cmd_analyze(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split)
     groups = {p.id: p.group for p in corpus.profiles}
-    report = semantic_report(preds, corpus.scanpaths[args.split],
-                             corpus.scenes, groups=groups, seed=args.seed)
+    try:
+        report = semantic_report(preds, corpus.scanpaths[args.split],
+                                 corpus.scenes, groups=groups, seed=args.seed)
+    except ValueError as err:
+        raise ValueError(f"{args.data}: {err}") from None
     out = _out_dir(args, cfg)
     path = out / "analysis.json"
     write_json(report, path)
@@ -319,10 +326,13 @@ def _cmd_analyze(args, cfg, corpus, model) -> int:
 
 
 def _cmd_classify(args, cfg, corpus, model) -> int:
-    features = extract_observer_features(model)
     groups = {p.id: p.group for p in corpus.profiles}
-    labels = [groups[f.observer_id] for f in features]
-    result = classify_group_loocv(features, labels, seed=args.seed)
+    try:
+        features = extract_observer_features(model)
+        labels = [groups[f.observer_id] for f in features]
+        result = classify_group_loocv(features, labels, seed=args.seed)
+    except ValueError as err:
+        raise ValueError(f"{args.checkpoint}: {err}") from None
     out = _out_dir(args, cfg)
     detail = {
         "accuracy": result.accuracy,

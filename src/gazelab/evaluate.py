@@ -49,6 +49,8 @@ VALUE_METRICS = ("sm", "mm", "sed")
 SALIENCY_METRICS = ("cc", "auc", "nss", "sauc", "kld", "sim")
 # sAUC negatives come from at most this many other images
 SHUFFLE_IMAGES = 10
+# the cutoffs K of the reported recall R@K
+RECALL_KS = (1, 5)
 
 
 def _index_by_pair(preds) -> dict:
@@ -141,7 +143,7 @@ class RankingResult:
 
 
 def rank_eval(preds, gt, config: MetricConfig | None = None,
-              ks=(1, 5), threads: int = 1) -> RankingResult:
+              ks=RECALL_KS, threads: int = 1) -> RankingResult:
     """Rank every observer's ground truth against each prediction.
 
     Ground truths on the prediction's image are ordered by ScanMatch to

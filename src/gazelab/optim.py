@@ -40,8 +40,8 @@ class Adam:
     def __init__(
         self,
         params: dict[str, Tensor],
-        lr: float = 1e-4,
-        weight_decay: float = 5e-5,
+        lr: float,
+        weight_decay: float,
         lr_scale: dict[str, float] | None = None,
     ):
         self.params = dict(params)

@@ -4,9 +4,9 @@ The objective is teacher-forced negative log-likelihood: cross-entropy of
 each step's spatial map at the ground-truth cell, plus a weighted Gaussian
 NLL of the log duration. Batches group scanpaths of distinct observers on
 the same image so every update sees individual differences on a shared
-stimulus. A batch is recorded as one pass of the model's step core over
-its B scanpaths, with one ``softmax_nll`` and one ``gaussian_nll`` over
-all B * T rows, and updated by one flat Adam step.
+stimulus. A batch holds scanpaths of one length, recorded as one pass of
+the model's step core with one ``softmax_nll`` and one ``gaussian_nll``
+over all B * T rows, and updated by one flat Adam step.
 
 Baselines built here: the observer-agnostic model (all pathways off), the
 per-observer fine-tuned copies of that model, and the one-hot conditioned
@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .evaluate import VALUE_METRICS
+from .evaluate import RECALL_KS, VALUE_METRICS
 from .model import (
     ABLATION_VARIANTS,
     ModelConfig,
@@ -41,8 +41,12 @@ from .tensor import Tape, Tensor, gaussian_nll, softmax_nll
 FAST_PARAMS = ("W_u", "b_ior")
 FAST_LR_SCALE = 10.0
 
+# the duration NLL's weight against the position loss, and Adam's decay
+DURATION_LOSS_WEIGHT = 0.1
+WEIGHT_DECAY = 5e-5
+
 # the scores of one ablation row, in report order
-ABLATION_METRICS = VALUE_METRICS + ("mrr", "r_at_1", "r_at_5")
+ABLATION_METRICS = VALUE_METRICS + ("mrr", *(f"r_at_{k}" for k in RECALL_KS))
 
 
 @dataclass
@@ -51,23 +55,19 @@ class TrainConfig:
 
     epochs: int = 15
     lr: float = 1e-4
-    weight_decay: float = 5e-5
     batch_size: int = 2
     seed: int = 1
     ft_lr: float = 1e-5
     ft_epochs: int = 2
-    duration_loss_weight: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 0 or self.ft_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for name in ("lr", "weight_decay", "ft_lr", "duration_loss_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.lr == 0 or self.ft_lr == 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr", "ft_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def position_loss(logits: Tensor, cells: np.ndarray) -> Tensor:
@@ -75,12 +75,8 @@ def position_loss(logits: Tensor, cells: np.ndarray) -> Tensor:
 
     ``logits`` is (T * B, HW), the rows of a teacher-forced pass, and
     ``cells`` the ground-truth cell of each row; the loss is one fused
-    ``softmax_nll`` node.
+    ``softmax_nll`` node, which checks the shapes.
     """
-    if logits.shape[0] != len(cells):
-        raise ValueError(
-            f"got {logits.shape[0]} step maps for {len(cells)} ground-truth "
-            "fixations")
     return softmax_nll(logits, cells)
 
 
@@ -89,51 +85,41 @@ def duration_loss(mu: Tensor, var: Tensor, log_durations: np.ndarray) -> Tensor:
 
     ``mu`` and ``var`` hold one entry per row of a teacher-forced pass and
     ``log_durations`` the ground truth's; the loss is one fused
-    ``gaussian_nll`` node.
+    ``gaussian_nll`` node, which checks the shapes.
     """
-    fixations = len(log_durations)
-    if mu.shape != (fixations,) or var.shape != (fixations,):
-        raise ValueError(
-            f"got duration parameters of shapes {mu.shape} and {var.shape} "
-            f"for {fixations} ground-truth fixations")
     return gaussian_nll(mu, var, log_durations)
 
 
-def batch_loss(model: ScanpathModel, E: np.ndarray, items,
-               duration_weight: float = TrainConfig.duration_loss_weight):
+def batch_loss(model: ScanpathModel, E: np.ndarray, items):
     """Mean teacher-forced loss over the items [(observer_id, gt), ...] of
     one image; returns (total, position, duration).
 
-    The items of one length are read once (``read_fixations``, one
-    ``grid_cells`` call) and recorded as one pass of the step core, so a
-    batch adds no tape nodes per item. Items of different lengths make one
-    pass per length, each weighted by its share of the items, so every
-    item counts as much as in a mean of per-item losses.
+    The items are read once (``read_fixations``, one ``grid_cells`` call)
+    and recorded as one pass of the step core, so a batch adds no tape
+    nodes per item. Every scanpath of a batch must have the same length;
+    items of different lengths raise ValueError naming the lengths.
     """
-    by_length: dict[int, list] = {}
-    for observer_id, gt in items:
-        by_length.setdefault(len(gt), []).append((observer_id, gt))
+    rows, sizes = read_fixations([gt for _, gt in items])
+    steps = int(sizes[0])
+    if (sizes != steps).any():
+        raise ValueError("a batch holds scanpaths of one length, got "
+                         f"lengths {sorted(set(sizes.tolist()))}")
     cfg = model.config
-    pos = dur = 0.0
-    for steps, group in by_length.items():
-        rows, _ = read_fixations([gt for _, gt in group])
-        # step-major: row t * B + b is step t of scanpath b
-        cells = grid_cells(rows[:, 0], rows[:, 1], cfg.height,
-                           cfg.width).reshape(-1, steps).T
-        log_durations = np.log(rows[:, 2].reshape(-1, steps).T.ravel())
-        logits, mu, var = model.teacher_forced_batch(
-            E, [obs for obs, _ in group], cells)
-        share = len(group) / len(items)
-        pos = pos + position_loss(logits, cells.ravel()) * share
-        dur = dur + duration_loss(mu, var, log_durations) * share
-    return pos + dur * duration_weight, pos, dur
+    # step-major: row t * B + b is step t of scanpath b
+    cells = grid_cells(rows[:, 0], rows[:, 1], cfg.height,
+                       cfg.width).reshape(-1, steps).T
+    log_durations = np.log(rows[:, 2].reshape(-1, steps).T.ravel())
+    logits, mu, var = model.teacher_forced_batch(
+        E, [obs for obs, _ in items], cells)
+    pos = position_loss(logits, cells.ravel())
+    dur = duration_loss(mu, var, log_durations)
+    return pos + dur * DURATION_LOSS_WEIGHT, pos, dur
 
 
 def rollout_loss(model: ScanpathModel, E: np.ndarray, observer_id: int,
-                 gt: Scanpath,
-                 duration_weight: float = TrainConfig.duration_loss_weight):
+                 gt: Scanpath):
     """``batch_loss`` of one scanpath; returns (total, position, duration)."""
-    return batch_loss(model, E, [(observer_id, gt)], duration_weight)
+    return batch_loss(model, E, [(observer_id, gt)])
 
 
 def _epoch_batches(corpus, split: str, batch_size: int, rng):
@@ -171,7 +157,7 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
     loss is not finite, as when a run diverges, raises ValueError; each
     step runs with NumPy's floating-point warnings off.
     """
-    opt = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay,
+    opt = Adam(model.params, lr=config.lr, weight_decay=WEIGHT_DECAY,
                lr_scale=dict.fromkeys(FAST_PARAMS, FAST_LR_SCALE))
     history = []
     for epoch in range(config.epochs):
@@ -183,8 +169,7 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
             # a diverging run ends on the check below, not on NumPy warnings
             with np.errstate(all="ignore"):
                 with Tape() as tape:
-                    total, pos, dur = batch_loss(model, scene.E, items,
-                                                 config.duration_loss_weight)
+                    total, pos, dur = batch_loss(model, scene.E, items)
                 if not np.isfinite(total.data):
                     observers = [obs for obs, _ in items]
                     raise ValueError(

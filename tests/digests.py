@@ -26,8 +26,10 @@ The items:
     ``predict`` (argmax and sample), ``eval-value``, ``eval-rank``,
     ``eval-saliency``, ``analyze``, ``classify``, ``ablate`` (one epoch)
     and ``grad-check`` on the smoke corpus above, one line per written
-    file (``report.json`` with its timestamp and version masked) and one
-    ``cli-exit/<command> <code>`` line per command.
+    file (``report.json`` with its config hash, timestamp and version
+    masked), one ``cli/<command>/report.json#config_hash <hash>`` line per
+    report, so a change to the run-config schema moves only those lines,
+    and one ``cli-exit/<command> <code>`` line per command.
 Pytest does not collect this file.
 """
 
@@ -167,8 +169,11 @@ def cli_items(data: Path, work: Path):
         for path in sorted((out / name).iterdir()):
             content = path.read_bytes()
             if path.name == "report.json":
-                content = re.sub(rb'"(timestamp|version)": "[^"]*"',
-                                 rb'"\1": "-"', content)
+                yield (f"cli/{name}/report.json#config_hash",
+                       json.loads(content)["provenance"]["config_hash"])
+                content = re.sub(
+                    rb'"(config_hash|timestamp|version)": "[^"]*"',
+                    rb'"\1": "-"', content)
             yield f"cli/{name}/{path.name}", sha(content)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["grad-check", "--seed", str(SEED)])

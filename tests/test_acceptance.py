@@ -21,6 +21,7 @@ from gazelab.analysis import (
     roi_stats,
     spearman_rho,
 )
+from gazelab.cli import PROBE_CONFIG
 from gazelab.evaluate import (
     expected_random_mrr,
     predict_split,
@@ -65,11 +66,9 @@ def random_scanpath(rng, n, image_id=0, observer_id=0):
                  float(rng.uniform(80.0, 600.0))) for _ in range(n)])
 
 
-# small geometry where central differences stay cheap: 4x4 grid, 3 feature
-# channels, 2 semantic maps, rollouts of 3 steps
-GRAD_CONFIG = ModelConfig(n_observers=2, height=4, width=4, channels=3,
-                          observer_dim=3, hidden=4, semantic_channels=2,
-                          max_steps=3)
+# the grad-check command's geometry, where central differences stay cheap:
+# 4x4 grid, 3 feature channels, 2 semantic maps, rollouts of 3 steps
+GRAD_CONFIG = ModelConfig(**PROBE_CONFIG)
 
 
 def test_01_gradient_correctness():

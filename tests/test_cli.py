@@ -15,7 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazelab.cli import build_parser, main
-from gazelab.config import METRIC_VOCABULARY, read_report_csv
+from gazelab.config import (
+    METRIC_VOCABULARY,
+    RunConfig,
+    config_hash,
+    read_report_csv,
+)
 from gazelab.formats import read_scanpaths
 from gazelab.scanpath import Fixation, Scanpath
 
@@ -285,6 +290,17 @@ class TestValidationErrors:
                      "--set", "train.epochz=1", "--out", "x"])
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["train.weight_decay=0",
+                                         "train.duration_loss_weight=0.2"])
+    def test_fixed_training_constant_is_not_a_setting_exit_2(self, capsys,
+                                                             setting):
+        code = main(["gen-data", "--seed", "0", "--set", setting,
+                     "--out", "x"])
+        assert code == 2
+        key = setting.split(".")[1].split("=")[0]
+        assert (f"unknown keys in config section 'train': ['{key}']"
+                in capsys.readouterr().err)
 
     def test_config_file_error_names_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -826,6 +842,49 @@ class TestCheckpointFit:
                 "max_steps 3") in capsys.readouterr().err
 
 
+THREE_OBSERVERS = ["--set", "corpus.n_observers=3",
+                   "--set", "corpus.n_group_a=1",
+                   "--set", "model.n_observers=3"]
+
+
+class TestAnalysisInputNamed:
+    """``analyze`` and ``classify`` refuse input they cannot analyse by
+    naming the corpus directory or the checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def three(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("three")
+        data = str(root / "data")
+        assert main(["gen-data", "--config", SMOKE, *THREE_OBSERVERS,
+                     "--seed", "0", "--out", data]) == 0
+        return {"data": data,
+                "ckpt": smoke_checkpoint(root / "three.json", n_observers=3)}
+
+    @pytest.mark.parametrize("command, named, message", [
+        ("analyze", "data", "each group needs at least 2 values"),
+        ("classify", "ckpt", "need at least 4 observers for leave-one-out")],
+        ids=["analyze", "classify"])
+    def test_three_observers_exit_2(self, three, tmp_path, capsys, command,
+                                    named, message):
+        code = main([command, "--config", SMOKE, *THREE_OBSERVERS,
+                     "--seed", "0", "--data", three["data"],
+                     "--checkpoint", three["ckpt"],
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {three[named]}: {message}" in capsys.readouterr().err
+
+    def test_classify_without_observer_code_exit_2(self, workspace,
+                                                   tmp_path, capsys):
+        ckpt = smoke_checkpoint(tmp_path / "one_hot.json",
+                                observer_mode="one_hot_concat")
+        code = main(["classify", "--config", SMOKE, "--seed", "0",
+                     "--data", workspace["data"], "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"error: {ckpt}: observer features require a pathway"
+                in capsys.readouterr().err)
+
+
 def strict_json(path):
     """The JSON document at ``path``; NaN and infinities raise."""
     def refuse(name):
@@ -1056,3 +1115,28 @@ class TestProvenance:
             payload = json.loads((out / "report.json").read_text())
             hashes.append(payload["provenance"]["config_hash"])
         assert hashes[0] != hashes[1]
+
+    def test_ablate_hashes_the_seed_it_trained_with(self, workspace,
+                                                    tmp_path):
+        # the smoke config leaves train.seed at its default, 1
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", SMOKE, "--seed", "3",
+                     "--set", "train.epochs=1", "--data", workspace["data"],
+                     "--out", str(out)]) == 0
+        used = json.loads(Path(SMOKE).read_text())
+        used["train"].update(epochs=1, seed=3)
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["provenance"]["config_hash"] == \
+            config_hash(RunConfig.from_dict(used))
+
+    def test_checkpoint_command_hashes_the_checkpoint_model(self, workspace,
+                                                            tmp_path):
+        # hidden=32 fits the corpus, but the hidden=16 checkpoint runs
+        out = tmp_path / "rank"
+        assert main(["eval-rank", "--config", SMOKE,
+                     "--set", "model.hidden=32", "--data", workspace["data"],
+                     "--checkpoint", workspace["ckpt"],
+                     "--out", str(out)]) == 0
+        used = RunConfig.from_dict(json.loads(Path(SMOKE).read_text()))
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["provenance"]["config_hash"] == config_hash(used)

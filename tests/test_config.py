@@ -66,7 +66,7 @@ class TestRunConfig:
             "scanpath_len"]
         counts = {name: len(dataclasses.fields(section))
                   for name, section in RunConfig._SECTIONS}
-        assert counts == {"model": 11, "train": 8, "metric": 5, "corpus": 9,
+        assert counts == {"model": 11, "train": 6, "metric": 5, "corpus": 9,
                           "paths": 3}
 
     def test_model_corpus_mismatch_rejected(self):

@@ -636,21 +636,28 @@ class TestBatchAxis:
                              ids=["one-length", "ragged"])
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_batch_matches_mean_of_single_items(self, variant, lengths):
+        # a batch holds one length: items of mixed lengths are refused, and
+        # the batch of each length stands for the mean of its items
         cfg = ablation_config(tiny_config(), variant)
         model = ScanpathModel(cfg, seed=21)
         E = random_E(cfg, seed=21)
         items = self.items(cfg, lengths)
-        batch, batch_grads = self.loss_and_grads(
-            model, lambda: batch_loss(model, E, items, 0.1)[0])
-        singles = [self.loss_and_grads(
-            model, lambda obs=obs, gt=gt: rollout_loss(model, E, obs, gt,
-                                                       0.1)[0])
-            for obs, gt in items]
-        mean = sum(loss for loss, _ in singles) / len(items)
-        assert abs(batch - mean) <= 1e-10 * abs(mean)
-        for name, grad in batch_grads.items():
-            expect = sum(g[name] for _, g in singles) / len(items)
-            assert max_rel_err(grad, expect) <= 1e-10, name
+        if len(set(lengths)) > 1:
+            with pytest.raises(ValueError, match=r"lengths \[2, 4\]$"):
+                batch_loss(model, E, items)
+        for n in sorted(set(lengths)):
+            group = [(obs, gt) for obs, gt in items if len(gt) == n]
+            batch, batch_grads = self.loss_and_grads(
+                model, lambda: batch_loss(model, E, group)[0])
+            singles = [self.loss_and_grads(
+                model, lambda obs=obs, gt=gt: rollout_loss(model, E, obs,
+                                                           gt)[0])
+                for obs, gt in group]
+            mean = sum(loss for loss, _ in singles) / len(group)
+            assert abs(batch - mean) <= 1e-10 * abs(mean)
+            for name, grad in batch_grads.items():
+                expect = sum(g[name] for _, g in singles) / len(group)
+                assert max_rel_err(grad, expect) <= 1e-10, name
 
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_batch_records_as_many_nodes_as_one_item(self, variant):
@@ -739,7 +746,7 @@ class TestInvariants:
         gt = path_at_cells([5, 10, 3], cfg, observer_id=1)
 
         def f():
-            total, _, _ = rollout_loss(model, E, 1, gt, 0.1)
+            total, _, _ = rollout_loss(model, E, 1, gt)
             return total
 
         report = grad_check(f, model.params, eps=1e-5, tol=1e-4)
@@ -795,7 +802,7 @@ class TestInvariants:
         E = random_E(cfg, seed=7)
         gt = path_at_cells([0, 3, 2], cfg, observer_id=2)
         with Tape() as tape:
-            total, _, _ = rollout_loss(model, E, 2, gt, 0.1)
+            total, _, _ = rollout_loss(model, E, 2, gt)
         grads = tape.gradients(total)
         names = {name for name, p in model.params.items()
                  if p in grads}

@@ -573,7 +573,7 @@ class TestAdam:
     def test_parameters_become_views_of_one_buffer(self):
         params = {"w": Tensor(np.arange(6.0).reshape(2, 3), trainable=True),
                   "b": Tensor(np.array(-1.0), trainable=True)}
-        Adam(params, lr=0.1)
+        Adam(params, lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(params["w"].data,
                                       np.arange(6.0).reshape(2, 3))
         assert float(params["b"].data) == -1.0

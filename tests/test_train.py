@@ -75,11 +75,9 @@ class TestPositionLoss:
         assert float(loss.data) == pytest.approx(expect, abs=1e-12)
 
     def test_rows_are_step_major(self, monkeypatch):
-        # batch_loss hands both losses row t * B + b = step t of scanpath b,
-        # one pass per length
+        # batch_loss hands both losses row t * B + b = step t of scanpath b
         a = path_at([3, 1, 10], 3, 4, [200.0, 300.0, 400.0])
         b = path_at([0, 7, 4], 3, 4, [210.0, 310.0, 410.0], observer_id=1)
-        c = path_at([0, 1], 3, 4, [220.0, 320.0], observer_id=2)
         seen = []
 
         def seen_position_loss(logits, cells):
@@ -92,15 +90,13 @@ class TestPositionLoss:
 
         monkeypatch.setattr(train_module, "position_loss", seen_position_loss)
         monkeypatch.setattr(train_module, "duration_loss", seen_duration_loss)
-        train_module.batch_loss(*tiny_model(), [(0, a), (2, c), (1, b)])
+        train_module.batch_loss(*tiny_model(), [(0, a), (1, b)])
         assert seen == [[3, 0, 1, 7, 10, 4],
                         np.log([200.0, 210.0, 300.0, 310.0, 400.0,
-                                410.0]).tolist(),
-                        [0, 1],
-                        np.log([220.0, 320.0]).tolist()]
+                                410.0]).tolist()]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="maps"):
+        with pytest.raises(ValueError, match="needs 1 integer targets"):
             position_loss(Tensor(np.zeros((1, 12))), np.array([0, 1]))
 
     def test_out_of_bounds_fixation_rejected(self):
@@ -141,14 +137,14 @@ class TestDurationLoss:
         assert float(loss.data) == pytest.approx(expect, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="duration parameters"):
+        with pytest.raises(ValueError, match="must match and be nonempty"):
             duration_loss(Tensor(np.zeros(0)), Tensor(np.zeros(0)),
                           np.log([100.0]))
 
 
 class TestBatchRead:
-    # batch_loss reads each length group once: one array check, one
-    # grid_cells call, and Scanpath.validate only to word an error
+    # batch_loss reads a batch once: one array check, one grid_cells call,
+    # and Scanpath.validate only to word an error
 
     def test_bad_duration_rejected(self):
         model, E = tiny_model()
@@ -188,8 +184,9 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.epochs == 15 and cfg.lr == 1e-4
-        assert cfg.weight_decay == 5e-5 and cfg.ft_lr == 1e-5
-        assert cfg.ft_epochs == 2 and cfg.duration_loss_weight == 0.1
+        assert cfg.ft_lr == 1e-5 and cfg.ft_epochs == 2
+        assert train_module.WEIGHT_DECAY == 5e-5
+        assert train_module.DURATION_LOSS_WEIGHT == 0.1
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
