@@ -12,8 +12,8 @@ The saliency path pools fixations per image into Gaussian-smoothed density
 maps, each summing to one, and scores them with CC, AUC, NSS, sAUC, KLD,
 and SIM.
 
-Prediction makes one free-running rollout per image for all of its
-observers (``ScanpathModel.sample_scanpaths``).
+Prediction makes one free-running rollout for every observer on every
+image of a split (``ScanpathModel.sample_scanpaths``).
 
 Each evaluation call is one batched array sweep per metric: ScanMatch and
 string-edit distance score every pair of the call in one Needleman-Wunsch
@@ -69,20 +69,19 @@ def predict_split(model, corpus, split: str, mode: str = "argmax",
     """One predicted scanpath per (image, observer) of the split, each
     ``corpus.config.scanpath_len`` fixations long.
 
-    Each image's observers share one free-running rollout. Each observer
-    draws from its own stream ``[seed, 21, image_id, observer_id]``, so a
-    prediction does not depend on which other observers are predicted.
+    All of them share one free-running rollout of G images times B
+    observers, image-major. Each draws from its own stream
+    ``[seed, 21, image_id, observer_id]``, so a prediction does not depend
+    on which other images and observers are predicted.
     """
     observers = sorted({sp.observer_id for sp in corpus.scanpaths[split]})
-    preds = []
-    for image_id in corpus.split_ids[split]:
-        seeds = [[int(seed), 21, int(image_id), int(observer_id)]
-                 for observer_id in observers]
-        preds += model.sample_scanpaths(
-            corpus.scene_by_id(image_id).E, observers, seeds,
-            n_steps=corpus.config.scanpath_len, mode=mode,
-            image_id=image_id)
-    return preds
+    image_ids = corpus.split_ids[split]
+    seeds = [[int(seed), 21, int(image_id), int(observer_id)]
+             for image_id in image_ids for observer_id in observers]
+    return model.sample_scanpaths(
+        [corpus.scene_by_id(image_id).E for image_id in image_ids],
+        observers, seeds, n_steps=corpus.config.scanpath_len, mode=mode,
+        image_ids=image_ids)
 
 
 @dataclass

@@ -20,10 +20,10 @@ ablation rows stay trainable, and a model holds only the parameters its
 pathways read. FP builds its semantic maps from the scene's feature
 channels and inhibits the cells already fixated. All forward math runs on
 the in-house tensor engine, so the same code path serves training (under a
-tape) and inference. It has a batch axis of B observers on one image: a
-training batch is recorded in one pass, and all observers of an image are
-predicted in one free-running rollout. Grid cells follow
-``scanpath.grid_cells``.
+tape) and inference. Its rows are B observers on each of G images: a
+training batch is one image's B scanpaths recorded in one pass, and every
+observer on every image of a split is predicted in one free-running
+rollout of G * B rows. Grid cells follow ``scanpath.grid_cells``.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class ModelConfig:
 
 @dataclass
 class DecoderState:
-    """LSTM carries (B, 2h), row b = [hidden, cell] of observer b, plus the
-    step counter guarding against overruns."""
+    """LSTM carries (G * B, 2h), row g * B + b = [hidden, cell] of observer
+    b on image g, plus the step counter guarding against overruns."""
 
     carry: Tensor
     t: int = 0
@@ -213,15 +213,21 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
-def _each_step(term: Tensor, rows: int) -> Tensor:
-    """(rows, k) t-major rows of a per-observer term.
+def _each_step(term: Tensor, rows: int, images: int = 1) -> Tensor:
+    """(rows, k) rows (t * G + g) * B + b of a per-observer term on G
+    images.
 
-    ``term`` is (B, k), one row per observer, or (1, k), shared by every
-    observer. Row t * B + b of the result is row b of a (B, k) term, and
-    every row is the one row of a (1, k) term.
+    ``term`` is (B, k), one row per observer on every image, (G * B, k),
+    one row per observer of each image, or (G, k), shared by every
+    observer of an image. Row (t * G + g) * B + b of the result is row b,
+    row g * B + b or row g of the term.
     """
-    spread = Tensor(np.ones((rows // term.shape[0], 1, 1))) * term
-    return reshape(spread, (rows, term.shape[1]))
+    if images > 1 and term.shape[0] == images:
+        spread = (Tensor(np.ones((1, rows // images, 1)))
+                  * reshape(term, (images, 1, -1)))
+    else:
+        spread = Tensor(np.ones((rows // term.shape[0], 1, 1))) * term
+    return reshape(spread, (rows, term.shape[-1]))
 
 
 class ScanpathModel:
@@ -264,14 +270,17 @@ class ScanpathModel:
 
     # -- forward pieces --------------------------------------------------
     #
-    # Each pathway works on the t-major rows of B observers on one image:
-    # row t * B + b holds step t of observer b. Terms that depend on the
-    # observer but not on the step (the code u, its projections, the
-    # guidance map) are computed once as (B, .) and spread over the steps.
-    # Under teacher forcing every input that does not depend on the hidden
-    # state is known before the first step, so one call covers every step
-    # of every observer; the free-running rollout calls the same code with
-    # T = 1.
+    # Each pathway works on the rows of B observers on G images: row
+    # (t * G + g) * B + b holds step t of observer b on image g. Terms that
+    # depend on the observer but not on the step (the code u, its
+    # projections, the guidance map) are computed once and spread over the
+    # steps. Under teacher forcing every input that does not depend on the
+    # hidden state is known before the first step, so one call covers every
+    # step of every observer on one image (G = 1); the free-running rollout
+    # calls the same code with T = 1 on all G images of a split. E_flat is
+    # one image's (HW, C) features or the (G, HW, C) stack of G images, and
+    # each image's rows meet only its own features: the products with E
+    # are ``matmul``'s grouped form.
 
     def features(self, E: np.ndarray) -> Tensor:
         """Constant (HW, C) view of a (C, H, W) feature stack."""
@@ -300,13 +309,13 @@ class ScanpathModel:
 
     def integrate_features(self, E_flat: Tensor, maps: Tensor,
                            m_u: Tensor | None, u: Tensor | None) -> Tensor:
-        """(T * B, h) decoder input: row t * B + b is the fused map R_t of
-        observer b pooled over space.
+        """(T * G * B, h) decoder input: each row is the fused map R_t of
+        its observer pooled over space.
 
-        ``maps`` (T * B, HW) holds the map fed back into each step, ``m_u``
-        the guidance maps (B, HW), or one shared (1, HW), and ``u`` the
-        codes (B, d). The fixated stacks are X_t = E * m_t and X_u = E * m_u
-        (each row of E scaled by the map).
+        ``maps`` (T * G * B, HW) holds the map fed back into each step,
+        ``m_u`` the guidance maps (G * B, HW), or one shared per image
+        (G, HW), and ``u`` the codes (B, d). The fixated stacks are
+        X_t = E * m_t and X_u = E * m_u (each row of E scaled by the map).
 
         FI on: R_t = outer(u_s, u_c), where u_s comes from the channel mean
         of [X_t, X_u], u_c from their spatial mean, and each is shifted by
@@ -322,10 +331,13 @@ class ScanpathModel:
         glimpse = (maps @ E_flat) * (1.0 / cfg.cells)
         if not cfg.enable_fi:
             return glimpse @ p["W_fi"] + p["b_fi"]
-        rowsum = Tensor(E_flat.data.sum(axis=1) * (0.5 / cfg.channels))
-        spatial = (maps + _each_step(m_u, rows)) * rowsum
+        images = E_flat.shape[0] if E_flat.data.ndim == 3 else 1
+        rowsum = (E_flat.data.sum(axis=-1).reshape(images, -1)
+                  * (0.5 / cfg.channels))
+        spatial = ((maps + _each_step(m_u, rows, images))
+                   * Tensor(np.repeat(rowsum, rows // images, axis=0)))
         u_s = relu(linear(spatial, p["W_hs"], p["b_hs"]))
-        guided = _each_step(m_u @ E_flat, rows)
+        guided = _each_step(m_u @ E_flat, rows, images)
         pooled = concat([glimpse, guided * (1.0 / cfg.cells)], axis=1)
         u_c = relu(linear(pooled, p["W_hc"], p["b_hc"]))
         if u is not None:
@@ -334,17 +346,17 @@ class ScanpathModel:
         return reshape(mean(u_s, axis=1), (rows, 1)) * u_c
 
     def initial_state(self, batch: int) -> DecoderState:
-        """Zero carries for ``batch`` observers at step 0."""
+        """Zero carries for ``batch`` rows at step 0."""
         return DecoderState(Tensor(np.zeros((batch, 2 * self.config.hidden))))
 
     def decoder_step(self, X: Tensor, state: DecoderState,
                      observer_ids) -> tuple[DecoderState, Tensor]:
-        """LSTM over the T * B rows of X from ``state``, one sequence per
-        observer.
+        """LSTM over the T * G * B rows of X from ``state``, one sequence
+        per observer on each image.
 
-        Returns the state after the last step and the (T * B, h) hidden
+        Returns the state after the last step and the (T * G * B, h) hidden
         states. All input projections are one matmul; the recurrence is one
-        ``lstm`` node over their (T, B, 4h) reshape.
+        ``lstm`` node over their (T, G * B, 4h) reshape.
         """
         cfg = self.config
         h = cfg.hidden
@@ -356,7 +368,8 @@ class ScanpathModel:
                 f"{cfg.max_steps}")
         p = self.params
         if cfg.uses_one_hot:
-            identity = np.tile(self.one_hots(observer_ids), (steps, 1))
+            identity = np.tile(self.one_hots(observer_ids),
+                               (X.shape[0] // len(observer_ids), 1))
             X = concat([X, Tensor(identity)], axis=1)
         Z = linear(X, p["W_ih"], p["b_lstm"])
         seq = lstm(reshape(Z, (steps, batch, 4 * h)), p["W_hh"], state.carry)
@@ -368,8 +381,8 @@ class ScanpathModel:
                             u: Tensor | None,
                             visited: np.ndarray | None = None
                             ) -> tuple[Tensor, Tensor, Tensor]:
-        """(T * B, HW) next-fixation logits with the map weights and
-        descriptors, for hidden states H (T * B, h) and codes u (B, d).
+        """(T * G * B, HW) next-fixation logits with the map weights and
+        descriptors, for hidden states H (T * G * B, h) and codes u (B, d).
 
         FP on: semantic map l of a row is the spatial map A[l] read from
         its hidden state h by W_a, plus this scene's feature channels
@@ -377,12 +390,12 @@ class ScanpathModel:
         q = W_q @ h + b_q, so the maps follow the image. Per-map
         descriptors V[l] = mean over space of E gated by S[l], softmax
         weights beta over maps, and the logits are the beta-weighted sum of
-        the maps. ``visited`` (T * B, HW) counts the fixations made before
+        the maps. ``visited`` (rows, HW) counts the fixations made before
         each row's step per cell; spread by inhibition_kernel and scaled by
         the learned strength softplus(b_ior), it is subtracted from the
-        logits (inhibition of return). Returns the logits, beta (T * B, L)
-        and V (T * B * L, C). FP off: a hidden-state projection, with beta
-        a point mass (T * B, 1) and V zeros (T * B, C).
+        logits (inhibition of return). Returns the logits, beta (rows, L)
+        and V (rows * L, C). FP off: a hidden-state projection, with beta
+        a point mass (rows, 1) and V zeros (rows, C).
         """
         cfg = self.config
         p = self.params
@@ -396,7 +409,7 @@ class ScanpathModel:
         A = reshape(linear(H, p["W_a"], p["b_a"]), (n, cfg.cells))
         queries = reshape(linear(H, p["W_q"], p["b_q"]),
                           (n, cfg.channels))
-        S = A + linear(queries, E_flat)
+        S = A + queries @ Tensor(E_flat.data.swapaxes(-1, -2))
         V = (S @ E_flat) * (1.0 / cfg.cells)
         scores = linear(V, p["W_b"])
         if u is not None:
@@ -427,23 +440,33 @@ class ScanpathModel:
 
     # -- rollouts --------------------------------------------------------
 
-    def _context(self, E: np.ndarray, observer_ids):
-        """Per-rollout constants (E_flat, observer_ids, u, m_u) of B
-        observers on one image; u is None if unread, m_u None without FI."""
+    def _context(self, stacks, observer_ids):
+        """Per-rollout constants (E_flat (G, HW, C), observer_ids, u, m_u)
+        of B observers on each of G feature stacks; u is None if unread,
+        m_u None without FI.
+
+        Each image's guidance maps come from a pass of their own, so no
+        pass holds more than one image's (B, HW, h) scores.
+        """
         u = self.encode_observers(observer_ids)
         if not self.config.uses_embedding:
             u = None
-        E_flat = self.features(E)
-        m_u = (self.observer_guidance(E_flat, u)
-               if self.config.enable_fi else None)
+        flats = [self.features(E) for E in stacks]
+        m_u = None
+        if self.config.enable_fi:
+            guides = [self.observer_guidance(E_flat, u) for E_flat in flats]
+            # a training batch is one image: its tape gets no concat node
+            m_u = guides[0] if len(guides) == 1 else concat(guides, axis=0)
+        E_flat = Tensor(np.stack([E_flat.data for E_flat in flats]))
         return E_flat, list(observer_ids), u, m_u
 
     def _steps(self, context, maps: Tensor, visited: np.ndarray,
                state: DecoderState):
-        """The step core shared by both rollouts, over the T * B t-major
-        rows of maps.
+        """The step core shared by both rollouts, over the rows of maps:
+        T * B t-major rows on one image, or G * B image-major rows of one
+        step.
 
-        Returns (state, logits (T * B, HW), mu (T * B,), var (T * B,)).
+        Returns (state, logits (rows, HW), mu (rows,), var (rows,)).
         """
         E_flat, observer_ids, u, m_u = context
         X = self.integrate_features(E_flat, maps, m_u, u)
@@ -474,7 +497,7 @@ class ScanpathModel:
             raise ValueError(
                 f"ground truth length {steps} exceeds max_steps "
                 f"{cfg.max_steps}")
-        context = self._context(E, observer_ids)
+        context = self._context([E], observer_ids)
         forced = np.zeros((steps, batch, cfg.cells))
         forced[np.arange(steps)[:, None], np.arange(batch), cells] = 1.0
         visited = (np.cumsum(forced, axis=0) - forced).reshape(-1, cfg.cells)
@@ -500,22 +523,25 @@ class ScanpathModel:
                  reshape(narrow(mu, 0, t, 1), ()),
                  reshape(narrow(var, 0, t, 1), ())) for t in range(len(gt))]
 
-    def sample_scanpaths(self, E: np.ndarray, observer_ids, seeds,
+    def sample_scanpaths(self, stacks, observer_ids, seeds,
                          n_steps: int | None = None, mode: str = "argmax",
-                         image_id: int = -1) -> list[Scanpath]:
-        """One free-running rollout of B observers on one image, each
-        feeding back its own soft maps; returns their B scanpaths.
+                         image_ids=None) -> list[Scanpath]:
+        """One free-running rollout of B observers on each of G images,
+        each feeding back its own soft maps; returns the G * B scanpaths,
+        image-major.
 
-        Each step is one pass of the step core with T = 1 from the carried
-        states. The cells an observer fixates, not its soft maps, feed its
-        inhibition of return, as the ground-truth cells do under teacher
-        forcing.
+        ``stacks`` holds the G (C, H, W) feature stacks and ``image_ids``
+        their ids (-1 each by default). Row g * B + b of the rollout is
+        observer ``observer_ids[b]`` on image g, and each step is one pass
+        of the step core with T = 1 from the carried states. The cells an
+        observer fixates, not its soft maps, feed its inhibition of return,
+        as the ground-truth cells do under teacher forcing.
 
         ``argmax`` picks the modal cell and the median duration exp(mu);
         ``sample`` draws the cell from m_t and the duration log-normally.
-        Observer b draws from its own stream ``default_rng(seeds[b])``, so
-        its scanpath does not depend on which observers share the rollout.
-        Durations are clamped to ``DUR_CLAMP_MS``.
+        Row r draws from its own stream ``default_rng(seeds[r])``, so its
+        scanpath does not depend on which observers and images share the
+        rollout. Durations are clamped to ``DUR_CLAMP_MS``.
         """
         cfg = self.config
         steps = cfg.max_steps if n_steps is None else int(n_steps)
@@ -524,12 +550,16 @@ class ScanpathModel:
                 f"n_steps {steps} outside [1, {cfg.max_steps}]")
         if mode not in ("argmax", "sample"):
             raise ValueError("mode must be 'argmax' or 'sample'")
-        batch = len(observer_ids)
-        if len(seeds) != batch:
+        image_ids = [-1] * len(stacks) if image_ids is None else image_ids
+        if len(image_ids) != len(stacks):
             raise ValueError(
-                f"got {len(seeds)} seeds for {batch} observers")
+                f"got {len(image_ids)} image ids for {len(stacks)} images")
+        batch = len(stacks) * len(observer_ids)
+        if len(seeds) != batch:
+            raise ValueError(f"got {len(seeds)} seeds for {len(observer_ids)} "
+                             f"observers on {len(stacks)} images")
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        context = self._context(E, observer_ids)
+        context = self._context(stacks, observer_ids)
         state = self.initial_state(batch)
         m_prev = Tensor(np.ones((batch, 1))) * self.initial_map()
         visited = np.zeros((batch, cfg.cells))
@@ -543,26 +573,27 @@ class ScanpathModel:
                 cells[t] = np.argmax(m_prev.data, axis=1)
                 log_durs[t] = mu.data
             else:
-                for b, rng in enumerate(rngs):
-                    prob = m_prev.data[b]
-                    cells[t, b] = rng.choice(prob.size, p=prob / prob.sum())
-                    log_durs[t, b] = rng.normal(mu.data[b],
-                                                np.sqrt(var.data[b]))
+                for r, rng in enumerate(rngs):
+                    prob = m_prev.data[r]
+                    cells[t, r] = rng.choice(prob.size, p=prob / prob.sum())
+                    log_durs[t, r] = rng.normal(mu.data[r],
+                                                np.sqrt(var.data[r]))
             visited[np.arange(batch), cells[t]] += 1.0
         with np.errstate(over="ignore"):  # an inf duration is clamped too
             durs = np.clip(np.exp(log_durs), *DUR_CLAMP_MS)
         rows = np.dstack([cell_centers(cfg.height, cfg.width)[cells], durs])
+        keys = [(i, o) for i in image_ids for o in observer_ids]
         return [Scanpath(image_id=image_id, observer_id=int(observer_id),
                          fixations=tuple(Fixation(*row)
-                                         for row in rows[:, b].tolist()))
-                for b, observer_id in enumerate(observer_ids)]
+                                         for row in rows[:, r].tolist()))
+                for r, (image_id, observer_id) in enumerate(keys)]
 
     def sample_scanpath(self, E: np.ndarray, observer_id: int,
                         n_steps: int | None = None, mode: str = "argmax",
                         seed=0, image_id: int = -1) -> Scanpath:
         """``sample_scanpaths`` of one observer, drawing from ``seed``."""
-        return self.sample_scanpaths(E, [observer_id], [seed], n_steps, mode,
-                                     image_id)[0]
+        return self.sample_scanpaths([E], [observer_id], [seed], n_steps,
+                                     mode, [image_id])[0]
 
 
 def ablation_config(base: ModelConfig, variant: str) -> ModelConfig:

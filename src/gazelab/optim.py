@@ -1,9 +1,11 @@
 """Bias-corrected Adam with decoupled weight decay, over one flat buffer.
 
-A step sweeps the buffer once, in blocks of ``BLOCK`` values: each block
-runs all of Adam's elementwise operations while its slices of the
-parameters, gradient and moments fit in a 2 MB L2 cache together, so the
-arrays are read from memory once a step rather than once an operation.
+A step sweeps the buffer once, in ceil(size / ``BLOCK``) blocks of equal
+size (the last up to one value per block shorter), so no block is a short
+tail that costs as many NumPy calls as a full one. Each block runs all of
+Adam's elementwise operations while its slices of the parameters,
+gradient and moments fit in a 2 MB L2 cache together, so the arrays are
+read from memory once a step rather than once an operation.
 The operations and their order are the same for every value as in one
 whole-buffer pass, so the update is bit-identical to it.
 """
@@ -14,8 +16,8 @@ import numpy as np
 
 from .tensor import Tensor
 
-# 32,768 float64 values are 256 KB; a block's four buffer slices and the
-# scratch block take 1.25 MB
+# the most values a block holds: 32,768 float64 values are 256 KB, and a
+# block's four buffer slices and the scratch block take 1.25 MB
 BLOCK = 1 << 15
 
 # the moment decay rates and the denominator floor Kingma & Ba recommend
@@ -50,7 +52,10 @@ class Adam:
         size = sum(p.data.size for p in self.params.values())
         flat, grad = np.empty(size), np.empty(size)
         m, v = np.zeros(size), np.zeros(size)
-        scratch = np.empty(min(size, BLOCK))
+        # ceil(size / BLOCK) blocks, each ceil(size / blocks) values long
+        blocks = max(1, -(-size // BLOCK))
+        block = max(1, -(-size // blocks))
+        scratch = np.empty(block)
         self._t = 0
         self._grad_views = {}
         runs = []  # (start, stop, lr) of neighbours sharing a scale
@@ -70,8 +75,8 @@ class Adam:
         # per block: its views of the four buffers and the scratch, and
         # the runs of step sizes cut at the block's edges
         self._blocks = []
-        for lo in range(0, size, BLOCK):
-            hi = min(lo + BLOCK, size)
+        for lo in range(0, size, block):
+            hi = min(lo + block, size)
             pieces = [(max(a, lo) - lo, min(b, hi) - lo, lr)
                       for a, b, lr in runs if a < hi and b > lo]
             self._blocks.append((flat[lo:hi], grad[lo:hi], m[lo:hi],

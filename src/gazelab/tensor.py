@@ -300,14 +300,30 @@ def _as_matrices(av: np.ndarray, bv: np.ndarray) -> tuple:
 
 
 def matmul(a, b) -> Tensor:
-    """``a @ b`` of 1-D and 2-D operands, or of two stacks of matrices.
+    """``a @ b`` of 1-D and 2-D operands, of two stacks of matrices, or of
+    row groups and a stack.
 
     Vectors and matrices multiply as in NumPy. Two 3-D operands
     ``(S, n, k) @ (S, k, m)`` give the S products ``a[s] @ b[s]`` as one
-    ``(S, n, m)`` result; both must be 3-D and hold S matrices each.
+    ``(S, n, m)`` result; both must be 3-D and hold S matrices each. A
+    2-D ``a`` of G groups of n rows times a stack ``b`` ``(G, k, m)`` is
+    the grouped form: rows ``g * n`` to ``g * n + n - 1`` of the
+    ``(G * n, m)`` result are group g of ``a`` times ``b[g]``, one NumPy
+    call for all groups. With G = 1 that call is the plain ``a @ b[0]``.
     """
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.data, b.data
+    if av.ndim == 2 and bv.ndim == 3:
+        groups, k, m = bv.shape
+        if not groups or av.shape[1] != k or av.shape[0] % groups:
+            raise ShapeError(
+                f"matmul: grouped operands must be (G * n, k) and (G, k, m), got "
+                f"{av.shape} and {bv.shape}")
+        a3 = av.reshape(groups, -1, k)
+        return _trace("matmul", (a3 @ bv).reshape(-1, m), (a, b),
+                      lambda g: (g.reshape(groups, -1, m) @ bv.swapaxes(1, 2)
+                                 ).reshape(av.shape),
+                      lambda g: a3.swapaxes(1, 2) @ g.reshape(groups, -1, m))
     if av.ndim == 3 or bv.ndim == 3:
         if av.ndim != 3 or bv.ndim != 3 or av.shape[0] != bv.shape[0] \
                 or av.shape[2] != bv.shape[1]:

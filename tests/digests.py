@@ -19,6 +19,8 @@ The items:
     the smoke corpus;
   * argmax and sampled test predictions of the trained full model on the
     smoke corpus and of an untrained full model on the default corpus;
+  * argmax and sampled test predictions of each distinct ablation config,
+    untrained, on the mid-size corpus (three test images);
   * for each prediction set: the saliency maps and scores, the
     ``semantic_report``, and the value and rank rows;
   * the LOOCV group classifier on the trained full model's codes;
@@ -141,6 +143,23 @@ def prediction_items(name: str, model, corpus, work: Path):
             + [ranking.mrr, sorted(ranking.recall_at.items())])
 
 
+def variant_prediction_items(corpus, work: Path):
+    base = RunConfig.from_dict(MID).model
+    seen = set()
+    for variant in ABLATION_VARIANTS:
+        config = ablation_config(base, variant)
+        if dataclasses.astuple(config) in seen:
+            continue
+        seen.add(dataclasses.astuple(config))
+        model = ScanpathModel(config, seed=SEED)
+        for mode in ("argmax", "sample"):
+            preds = predict_split(model, corpus, "test", mode=mode, seed=SEED)
+            path = work / f"mid-{variant}-{mode}.jsonl"
+            write_scanpaths(preds, path)
+            yield (f"predictions/mid-untrained/{variant}/{mode}",
+                   sha(path.read_bytes()))
+
+
 def cli_items(data: Path, work: Path):
     out = work / "cli"
     ckpt = out / "train" / "checkpoint.json"
@@ -218,6 +237,7 @@ def items(work: Path):
     yield from prediction_items("default-untrained",
                                 ScanpathModel(RunConfig().model, seed=SEED),
                                 corpus, work)
+    yield from variant_prediction_items(read_corpus(data["mid"]), work)
 
     features = extract_observer_features(full)
     groups = {p.id: p.group for p in smoke.profiles}

@@ -137,9 +137,15 @@ def primitive_grad_cases(seed: int) -> dict:
     seed_case("matmul stacked")
     s, m3, n3, p3 = dims(4)
     a3, b3, rd3 = t((s, m3, n3)), t((s, n3, p3)), reader((s, m3, p3))
+    # and the grouped form (G * m, n) @ (G, n, p), G >= 2, on a third
+    seed_case("matmul grouped")
+    groups, mg, ng, pg = dims(4, lo=2)
+    ag, bg = t((groups * mg, ng)), t((groups, ng, pg))
+    rdg = reader((groups * mg, pg))
     cases["matmul"] = (
-        lambda a=a, b=b, rd=rd, a3=a3, b3=b3, rd3=rd3: rd(matmul(a, b)) + rd3(matmul(a3, b3)),
-        {"a": a, "b": b, "a3": a3, "b3": b3})
+        lambda a=a, b=b, rd=rd, a3=a3, b3=b3, rd3=rd3, ag=ag, bg=bg, rdg=rdg:
+            rd(matmul(a, b)) + rd3(matmul(a3, b3)) + rdg(matmul(ag, bg)),
+        {"a": a, "b": b, "a3": a3, "b3": b3, "ag": ag, "bg": bg})
 
     seed_case("linear")
     n, k, m = dims(3)

@@ -413,16 +413,20 @@ class TestSaliencyReport:
 
 
 class TestPredictSplit:
-    # each image's observers share one rollout; every prediction must be
-    # the one its observer's own rollout, on its own stream, gives
-    @pytest.mark.parametrize("mode", ["argmax", "sample"])
-    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
-    def test_matches_one_rollout_per_observer(self, variant, mode):
-        corpus_cfg = smoke_config()
-        corpus = build_corpus(corpus_cfg, 0)
-        config = ablation_config(ModelConfig(
-            n_observers=4, height=8, width=8, channels=6, observer_dim=3,
-            hidden=4, semantic_channels=2, max_steps=4), variant)
+    # every observer on every image of the split shares one rollout; every
+    # prediction must be the one its observer's own rollout on its own
+    # image, on its own stream, gives
+    BASE = ModelConfig(n_observers=4, height=8, width=8, channels=6,
+                       observer_dim=3, hidden=4, semantic_channels=2,
+                       max_steps=4)
+
+    @staticmethod
+    def check_one_rollout_per_observer(config, mode):
+        corpus = build_corpus(replace(smoke_config(), n_scenes=12), 0)
+        stacks = [corpus.scene_by_id(i).E for i in corpus.split_ids["test"]]
+        assert len(stacks) >= 3
+        assert all(np.any(a != b) for k, a in enumerate(stacks)
+                   for b in stacks[k + 1:])
         model = ScanpathModel(config, seed=3)
         preds = predict_split(model, corpus, "test", mode=mode, seed=9)
         expect = [model.sample_scanpath(
@@ -437,6 +441,19 @@ class TestPredictSplit:
             np.testing.assert_allclose(
                 [f.dur_ms for f in got.fixations],
                 [f.dur_ms for f in want.fixations], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["argmax", "sample"])
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_matches_one_rollout_per_observer(self, variant, mode):
+        self.check_one_rollout_per_observer(
+            ablation_config(self.BASE, variant), mode)
+
+    @pytest.mark.parametrize("mode", ["argmax", "sample"])
+    def test_shared_guidance_matches_one_rollout_per_observer(self, mode):
+        # one-hot identity with FI on: no observer code, so each image has
+        # one guidance map shared by its observers
+        self.check_one_rollout_per_observer(
+            replace(self.BASE, observer_mode="one_hot_concat"), mode)
 
     def test_steps_follow_corpus_scanpath_len(self):
         # not the length of the split's first record

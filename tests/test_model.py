@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gazelab.config import TrainConfig
 from gazelab.model import (
     ABLATION_VARIANTS,
     IOR_SIGMA_CELLS,
@@ -671,6 +672,18 @@ class TestBatchAxis:
             counts.append(len(tape.nodes))
         assert counts[0] == counts[1] == counts[2], counts
 
+    def test_default_full_model_batch_records_82_ops_on_24_leaves(self):
+        # the tape the README states: a default full-model training batch
+        # records 82 op nodes, and its leaves are the model's 24 parameters
+        cfg = ModelConfig()
+        model = ScanpathModel(cfg, seed=0)
+        items = self.items(cfg, [cfg.max_steps] * TrainConfig().batch_size)
+        with Tape() as tape:
+            batch_loss(model, random_E(cfg), items)
+        leaves = sum(node.op == "leaf" for node in tape.nodes)
+        assert (len(tape.nodes) - leaves, leaves) == (82, 24)
+        assert len(model.params) == 24
+
     @pytest.mark.parametrize("mode", ["argmax", "sample"])
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_shared_rollout_matches_one_rollout_per_observer(self, variant,
@@ -680,8 +693,8 @@ class TestBatchAxis:
         E = random_E(cfg, seed=23)
         observers = [2, 0, 1]
         seeds = [[5, obs] for obs in observers]
-        shared = model.sample_scanpaths(E, observers, seeds, n_steps=4,
-                                        mode=mode, image_id=7)
+        shared = model.sample_scanpaths([E], observers, seeds, n_steps=4,
+                                        mode=mode, image_ids=[7])
         for obs, seed, path in zip(observers, seeds, shared):
             alone = model.sample_scanpath(E, obs, n_steps=4, mode=mode,
                                           seed=seed, image_id=7)
@@ -701,7 +714,12 @@ class TestBatchAxis:
         with pytest.raises(ValueError, match="max_steps"):
             model.teacher_forced_batch(E, [0], np.zeros((5, 1), dtype=int))
         with pytest.raises(ValueError, match="seeds"):
-            model.sample_scanpaths(E, [0, 1], [0], n_steps=2)
+            model.sample_scanpaths([E], [0, 1], [0], n_steps=2)
+        with pytest.raises(ValueError, match="seeds"):
+            model.sample_scanpaths([E, E], [0, 1], [0, 1], n_steps=2)
+        with pytest.raises(ValueError, match="image ids"):
+            model.sample_scanpaths([E, E], [0], [0, 1], n_steps=2,
+                                   image_ids=[3])
 
 
 class TestInvariants:

@@ -78,6 +78,34 @@ class TestForward:
         for s in range(3):
             np.testing.assert_allclose(out[s], naive_matmul(a[s], b[s]), rtol=1e-12)
 
+    def test_grouped_matmul_is_each_group_product(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(6, 4))
+        b = rng.normal(size=(3, 4, 5))
+        out = matmul(a, b).data
+        assert out.shape == (6, 5)
+        for g in range(3):
+            np.testing.assert_allclose(out[2 * g:2 * g + 2],
+                                       naive_matmul(a[2 * g:2 * g + 2], b[g]),
+                                       rtol=1e-12)
+
+    def test_one_group_is_the_plain_product_bit_for_bit(self):
+        # a model training batch is one image: the grouped form must give
+        # it the bytes of the 2-D product, forward and backward
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(5, 37))
+        e = rng.normal(size=(37, 11))
+        g = rng.normal(size=(5, 11))
+        results = []
+        for b in (e, e[None]):
+            a = Tensor(x.copy(), trainable=True)
+            with Tape() as tape:
+                out = matmul(a, b)
+                loss = tsum(mul(out, g))
+            results.append((out.data, tape.gradients(loss)[a]))
+        for plain, grouped in zip(*results):
+            assert_same_bytes(grouped, plain)
+
     def test_stacked_matmul_shape_errors(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(3, 2, 4\).*\(2, 4, 5\)"):
             matmul(np.ones((3, 2, 4)), np.ones((2, 4, 5)))
@@ -87,6 +115,8 @@ class TestForward:
             matmul(np.ones((3, 2, 4)), np.ones((4, 5)))
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 4\).*\(3, 4, 5\)"):
             matmul(np.ones((2, 4)), np.ones((3, 4, 5)))
+        with pytest.raises(ShapeError, match=r"matmul.*\(6, 3\).*\(3, 4, 5\)"):
+            matmul(np.ones((6, 3)), np.ones((3, 4, 5)))
         with pytest.raises(ShapeError, match=r"matmul.*\(4,\).*\(3, 4, 5\)"):
             matmul(np.ones(4), np.ones((3, 4, 5)))
 
@@ -548,11 +578,11 @@ class TestAdam:
                                           oracle.params[name], err_msg=name)
 
     def test_blocked_update_matches_per_array_oracle_bit_for_bit(self):
-        # three blocks, a scaled parameter across the first block edge, an
-        # unscaled one across the second, and a 0-d parameter
+        # three equal blocks of 24,257 values: an unscaled parameter across
+        # the first block edge, a scaled one across the second, and a 0-d
+        # parameter
         rng = np.random.default_rng(17)
-        shapes = {"a": (BLOCK - 5,), "b": (), "c": (100, 200),
-                  "d": (BLOCK + 7,)}
+        shapes = {"a": (BLOCK - 5,), "b": (), "c": (100, 400), "d": (7,)}
         start = {name: rng.normal(size=shape)
                  for name, shape in shapes.items()}
         scale = {"c": 10.0}
