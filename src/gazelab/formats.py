@@ -2,13 +2,16 @@
 
 Everything is JSON or JSON Lines with an embedded schema version string
 (``isp-gaze-v1`` and friends) so format drift is detectable; the only
-binary artifact is the 8-bit PGM saliency image. Readers validate
-strictly and name the offending line, writers are deterministic so equal
-inputs give byte-identical files.
+binary artifact is the 8-bit PGM saliency image. A checkpoint stores each
+parameter's values as the base64 of their little-endian float64 bytes;
+the files people author hold decimal numbers. Readers validate strictly
+and name the offending line, writers are deterministic so equal inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -33,7 +36,7 @@ from .tensor import Tensor
 
 GAZE_FORMAT = "isp-gaze-v1"
 SCENE_FORMAT = "isp-scene-v2"
-CKPT_FORMAT = "isp-ckpt-v4"
+CKPT_FORMAT = "isp-ckpt-v5"
 OBSERVERS_FORMAT = "isp-observers-v1"
 MANIFEST_FORMAT = "isp-corpus-v2"
 
@@ -310,23 +313,53 @@ def read_observers(path, channels: int | None = None) -> list:
 
 
 def write_checkpoint(model: ScanpathModel, path) -> None:
-    payload = {
-        "format": CKPT_FORMAT,
-        "config": dataclasses.asdict(model.config),
-        "params": {name: {"shape": list(p.data.shape),
-                          "data": p.data.ravel().tolist()}
-                   for name, p in sorted(model.params.items())},
-    }
+    """Write ``model``'s config and parameters; a non-finite parameter
+    value is a ValueError naming the parameter, and nothing is written."""
+    params = {}
+    for name, p in sorted(model.params.items()):
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"{path}: parameter {name} holds a non-finite "
+                             "value")
+        params[name] = {"shape": list(p.data.shape), "data": base64.b64encode(
+            p.data.astype("<f8", copy=False).tobytes()).decode("ascii")}
+    payload = {"format": CKPT_FORMAT,
+               "config": dataclasses.asdict(model.config),
+               "params": params}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
                           + "\n")
+
+
+def _float64_values(where: str, text, size: int) -> np.ndarray:
+    """The ``size`` finite values that ``text``, the base64 of their
+    little-endian float64 bytes, holds, as a writable native array.
+    The length is checked before decoding, so an oversized string costs
+    no memory."""
+    length = 4 * -(-8 * size // 3)
+    if not isinstance(text, str) or len(text) != length:
+        got = (f"{len(text)} characters" if isinstance(text, str)
+               else type(text).__name__)
+        raise ValueError(f"{where}: data must be a base64 string of {length} "
+                         f"characters ({size} float64 values), got {got}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{where}: data is not base64: {err}") from None
+    if len(raw) != 8 * size:  # padding other than the writer's
+        raise ValueError(f"{where}: data holds {len(raw)} bytes, expected "
+                         f"{8 * size}")
+    values = np.frombuffer(raw, "<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where}: data holds a non-finite value")
+    return values
 
 
 def read_checkpoint(path) -> ScanpathModel:
     """Model of a checkpoint file.
 
     ``params`` must hold exactly the parameters ``param_shapes`` gives for
-    the stored config, each as {"shape": [...], "data": [...]} with that
-    shape and prod(shape) finite numbers.
+    the stored config, each as {"shape": [...], "data": "..."} with that
+    shape and ``data`` the base64 of its prod(shape) finite values as
+    row-major little-endian float64 bytes.
     """
     data = read_json(path, CKPT_FORMAT)
     try:
@@ -358,12 +391,8 @@ def read_checkpoint(path) -> ScanpathModel:
         if tuple(dims) != shape:
             raise ValueError(f"{where} has shape {tuple(dims)}, "
                              f"expected {shape}")
-        data = _numeric_array(f"{where}: data", entry["data"])
-        size = math.prod(shape)
-        if data.shape != (size,):
-            raise ValueError(f"{where}: data must be a list of {size} finite "
-                             "numbers")
-        params[name] = Tensor(data.reshape(shape), trainable=True)
+        values = _float64_values(where, entry["data"], math.prod(shape))
+        params[name] = Tensor(values.reshape(shape), trainable=True)
     return ScanpathModel(config, params=params)
 
 

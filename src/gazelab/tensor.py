@@ -437,7 +437,11 @@ def reshape(a, shape) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: {a.data.shape} to {tuple(shape)}") from exc
     sa = a.data.shape
-    return _trace("reshape", out.copy(), (a,), lambda g: g.reshape(sa))
+    # a view of the operand: no caller writes into the result or mutates
+    # an operand it has reshaped; a strided result is copied to C order
+    if not out.flags.c_contiguous:
+        out = out.copy()
+    return _trace("reshape", out, (a,), lambda g: g.reshape(sa))
 
 
 # ---------------------------------------------------------------------------

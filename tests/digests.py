@@ -31,7 +31,10 @@ The items:
     file (``report.json`` with its config hash, timestamp and version
     masked), one ``cli/<command>/report.json#config_hash <hash>`` line per
     report, so a change to the run-config schema moves only those lines,
-    and one ``cli-exit/<command> <code>`` line per command.
+    one ``cli/<command>/<checkpoint>#params`` line per written checkpoint
+    (the parameters ``read_checkpoint`` returns, in name order), so a
+    change to the checkpoint encoding moves only the file lines, and one
+    ``cli-exit/<command> <code>`` line per command.
 Pytest does not collect this file.
 """
 
@@ -70,7 +73,11 @@ from gazelab.evaluate import (  # noqa: E402
     saliency_report,
     value_eval,
 )
-from gazelab.formats import read_corpus, write_scanpaths  # noqa: E402
+from gazelab.formats import (  # noqa: E402
+    read_checkpoint,
+    read_corpus,
+    write_scanpaths,
+)
 from gazelab.metrics import MetricConfig, substitution_matrix  # noqa: E402
 from gazelab.model import (  # noqa: E402
     ABLATION_VARIANTS,
@@ -194,6 +201,10 @@ def cli_items(data: Path, work: Path):
                     rb'"(config_hash|timestamp|version)": "[^"]*"',
                     rb'"\1": "-"', content)
             yield f"cli/{name}/{path.name}", sha(content)
+            if path.name.startswith("checkpoint"):
+                yield f"cli/{name}/{path.name}#params", sha(
+                    [[n, sha(p.data)] for n, p in
+                     sorted(read_checkpoint(path).params.items())])
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["grad-check", "--seed", str(SEED)])
     yield "cli-exit/grad-check", code

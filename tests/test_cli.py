@@ -605,9 +605,10 @@ class TestValidationErrors:
                      "parameter W_u: missing keys ['shape']",
                      id="ckpt-no-shape"),
         pytest.param("checkpoint",
-                     lambda doc: doc["params"]["W_u"]["data"].__setitem__(
-                         0, "x"),
-                     "parameter W_u: data must be", id="ckpt-string-data"),
+                     lambda doc: doc["params"]["W_u"].__setitem__(
+                         "data", "!" + doc["params"]["W_u"]["data"][1:]),
+                     "parameter W_u: data is not base64",
+                     id="ckpt-string-data"),
         pytest.param("observers",
                      lambda doc: doc["observers"][1].__setitem__("temp", "x"),
                      "observers[1].temp must be a finite number",
@@ -669,7 +670,7 @@ class TestValidationErrors:
                      "--data", workspace["data"], "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert (f"{ckpt}: expected format 'isp-ckpt-v4', got 'isp-ckpt-v3'"
+        assert (f"{ckpt}: expected format 'isp-ckpt-v5', got 'isp-ckpt-v3'"
                 in capsys.readouterr().err)
 
     def test_previous_manifest_version_exit_2(self, workspace, tmp_path,

@@ -1,5 +1,6 @@
 """File format round-trip and validation tests."""
 
+import base64
 import copy
 import json
 import re
@@ -427,9 +428,25 @@ def _param(name, key, value):
     return lambda doc: doc["params"][name].__setitem__(key, value)
 
 
-def _param_value(name, index, value):
-    return lambda doc: doc["params"][name]["data"].__setitem__(index, value)
+def _param_data(name, values):
+    """An edit that stores ``values`` as parameter ``name``'s data."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return _param(name, "data", base64.b64encode(raw).decode("ascii"))
 
+
+def _edit_data(name, edit):
+    """An edit that replaces parameter ``name``'s data string ``s`` by
+    ``edit(s)``."""
+    def apply(doc):
+        entry = doc["params"][name]
+        entry["data"] = edit(entry["data"])
+    return apply
+
+
+# W_u holds 9 values: 72 bytes, 96 base64 characters; b_dur 2 values: 16
+# bytes, 24 characters
+NOT_A_STRING = r"data must be a base64 string of 96 characters \(9 float64 " \
+               r"values\), got "
 
 # (edit, message) per malformed checkpoint entry; the message follows
 # "<path>: "
@@ -437,23 +454,37 @@ CHECKPOINT_EDITS = [
     pytest.param(lambda doc: doc["params"]["W_u"].pop("shape"),
                  r"parameter W_u: missing keys \['shape'\]",
                  id="shape-missing"),
-    pytest.param(_param_value("W_u", 0, "x"),
-                 "parameter W_u: data must be a nested list of finite numbers",
-                 id="data-string"),
-    pytest.param(_param_value("W_u", 0, None),
-                 "parameter W_u: data must be", id="data-null"),
-    pytest.param(_param_value("W_u", 0, True),
-                 "parameter W_u: data must be", id="data-true"),
-    pytest.param(_param_value("W_u", 0, 10 ** 400),
-                 "parameter W_u: data must be", id="data-huge-int"),
-    pytest.param(_param_value("W_u", 0, float("nan")),
-                 "parameter W_u: data must be a nested list of finite numbers",
+    pytest.param(_edit_data("W_u", lambda s: "!" + s[1:]),
+                 "parameter W_u: data is not base64", id="data-string"),
+    pytest.param(_param("W_u", "data", None),
+                 "parameter W_u: " + NOT_A_STRING + "NoneType",
+                 id="data-null"),
+    pytest.param(_param("W_u", "data", True),
+                 "parameter W_u: " + NOT_A_STRING + "bool", id="data-true"),
+    pytest.param(_param("W_u", "data", 10 ** 400),
+                 "parameter W_u: " + NOT_A_STRING + "int",
+                 id="data-huge-int"),
+    pytest.param(_param_data("W_u", [np.nan] + [0.0] * 8),
+                 "parameter W_u: data holds a non-finite value",
                  id="data-nan"),
-    pytest.param(lambda doc: doc["params"]["b_dur"]["data"].pop(),
-                 "parameter b_dur: data must be a list of 2 finite numbers",
+    pytest.param(_param_data("W_u", [0.0] * 8 + [-np.inf]),
+                 "parameter W_u: data holds a non-finite value",
+                 id="data-inf"),
+    pytest.param(_param_data("b_dur", [1.0]),
+                 r"parameter b_dur: data must be a base64 string of 24 "
+                 r"characters \(2 float64 values\), got 12 characters",
                  id="data-short"),
+    # the length is refused before the characters are decoded
+    pytest.param(_edit_data("W_u", lambda s: s + "!!!!"),
+                 "parameter W_u: data must be a base64 string of 96 "
+                 "characters", id="data-long"),
+    # 24 characters without padding decode to 18 bytes
+    pytest.param(_param("b_dur", "data", "A" * 24),
+                 "parameter b_dur: data holds 18 bytes, expected 16",
+                 id="data-padding"),
     pytest.param(_param("b_dur", "data", [[1.0, 2.0]]),
-                 "parameter b_dur: data must be a list of 2", id="data-2d"),
+                 r"parameter b_dur: data must be a base64 string of 24 "
+                 r"characters \(2 float64 values\), got list", id="data-2d"),
     pytest.param(_param("b_dur", "shape", "2"),
                  "parameter b_dur: shape must be a list of non-negative "
                  "integers", id="shape-string"),
@@ -528,7 +559,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"format": "isp-gaze-v1", "config": {},'
                         ' "params": {}}')
-        with pytest.raises(ValueError, match="isp-ckpt-v4"):
+        with pytest.raises(ValueError, match="isp-ckpt-v5"):
             read_checkpoint(path)
 
     def test_config_value_kind_checked(self, tmp_path):
@@ -542,24 +573,28 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     def test_previous_version_rejected_by_tag(self, tmp_path):
-        # v3 configs hold the enable_oe switch; v2 checkpoints also hold
-        # every parameter, including those of the pathways a variant
+        # v4 checkpoints hold each parameter's values as a list of numbers;
+        # v3 configs also hold the enable_oe switch; v2 checkpoints also
+        # hold every parameter, including those of the pathways a variant
         # switches off
         model = ScanpathModel(self.config(), seed=0)
         path = tmp_path / "ckpt.json"
         write_checkpoint(model, path)
         payload = json.loads(path.read_text())
-        payload["config"]["enable_oe"] = True
-        for version in ("isp-ckpt-v3", "isp-ckpt-v2"):
+        for name, tensor in model.params.items():
+            payload["params"][name]["data"] = tensor.data.ravel().tolist()
+        for version in ("isp-ckpt-v4", "isp-ckpt-v3", "isp-ckpt-v2"):
             payload["format"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError,
-                               match="expected format 'isp-ckpt-v4'"):
+                               match="expected format 'isp-ckpt-v5'"):
                 read_checkpoint(path)
-            for name, shape in (("W_fi", [3, 6]), ("b_fi", [6]),
-                                ("W_fp", [16, 6]), ("b_fp", [16])):
-                payload["params"][name] = {
-                    "shape": shape, "data": [0.0] * int(np.prod(shape))}
+            payload["config"]["enable_oe"] = True
+            if version == "isp-ckpt-v3":
+                for name, shape in (("W_fi", [3, 6]), ("b_fi", [6]),
+                                    ("W_fp", [16, 6]), ("b_fp", [16])):
+                    payload["params"][name] = {
+                        "shape": shape, "data": [0.0] * int(np.prod(shape))}
 
     @pytest.mark.parametrize("edit, message", CHECKPOINT_EDITS)
     def test_malformed_entry_names_parameter(self, tmp_path, edit, message):
@@ -578,6 +613,46 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}:1: expected a JSON object")):
             read_checkpoint(path)
+
+    def test_values_read_back_are_writable_native_float64(self, tmp_path):
+        # grad_check and the optimizer write into parameters in place
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(ScanpathModel(self.config(), seed=0), path)
+        for tensor in read_checkpoint(path).params.values():
+            assert tensor.data.dtype == np.float64
+            assert tensor.data.dtype.isnative
+            assert tensor.data.flags.writeable
+            assert tensor.data.flags.c_contiguous
+
+    def test_extreme_values_round_trip_byte_exact(self, tmp_path):
+        model = ScanpathModel(self.config(), seed=0)
+        extremes = [-0.0, 5e-324, np.finfo(np.float64).max,
+                    -np.finfo(np.float64).max, np.finfo(np.float64).tiny]
+        model.params["W_u"].data.flat[:len(extremes)] = extremes
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(model, path)
+        loaded = read_checkpoint(path).params["W_u"].data
+        assert loaded.tobytes() == model.params["W_u"].data.tobytes()
+        assert np.signbit(loaded.flat[0])
+
+    def test_writer_refuses_nan_and_names_the_parameter(self, tmp_path):
+        model = ScanpathModel(self.config(), seed=0)
+        model.params["b_dur"].data[1] = np.nan
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: parameter b_dur holds a non-finite value")):
+            write_checkpoint(model, path)
+        assert not path.exists()
+
+    def test_data_is_base64_of_little_endian_float64(self, tmp_path):
+        # the README's one-line NumPy reader
+        model = ScanpathModel(self.config(), seed=3)
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(model, path)
+        for name, entry in json.loads(path.read_text())["params"].items():
+            values = np.frombuffer(base64.b64decode(entry["data"]),
+                                   "<f8").reshape(entry["shape"])
+            np.testing.assert_array_equal(values, model.params[name].data)
 
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_write_read_write_byte_identical(self, tmp_path, variant):

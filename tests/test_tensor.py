@@ -177,6 +177,18 @@ class TestForward:
             taped = run()
         np.testing.assert_array_equal(bare, taped)
 
+    def test_reshape_views_a_contiguous_result_and_copies_a_strided_one(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        view = reshape(x, (2, 6))
+        assert np.shares_memory(view.data, x.data)
+        # (4, 3) with strides (8, 32) reshapes to a strided view of x
+        strided = reshape(Tensor(x.data.T), (2, 2, 3))
+        assert strided.data.flags.c_contiguous
+        assert not np.shares_memory(strided.data, x.data)
+        np.testing.assert_array_equal(strided.data,
+                                      x.data.T.copy().reshape(2, 2, 3))
+        assert reshape(Tensor([2.0]), ()).data.shape == ()
+
 
 class TestBackward:
     def test_grad_of_inner_product_is_other_factor(self):
