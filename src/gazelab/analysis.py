@@ -314,7 +314,7 @@ def classify_group_loocv(features, labels, epochs: int = 200,
 
     All n folds train as one model: their rows, labels, class weights and
     weights stack along a leading fold axis, each epoch records one tape of
-    stacked ``matmul`` products, and one Adam step moves every fold. The
+    batched ``matmul`` products, and one Adam step moves every fold. The
     loss is the sum of the folds' losses and Adam is elementwise, so each
     fold steps as it would alone.
     """

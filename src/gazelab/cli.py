@@ -31,6 +31,7 @@ from .config import (
     apply_overrides,
     check_fit,
     emit_report,
+    naming,
     provenance_block,
     write_json,
 )
@@ -154,10 +155,8 @@ def _load_config(args) -> RunConfig:
     data = {}
     if args.config:
         data = read_json(args.config)
-        try:  # the file on its own, so its errors name it
+        with naming(args.config):  # the file on its own, so its errors name it
             RunConfig.from_dict(data)
-        except ValueError as err:
-            raise ValueError(f"{args.config}: {err}") from None
     apply_overrides(data, args.set)
     cfg = RunConfig.from_dict(data)
     if "seed" in args:
@@ -191,10 +190,8 @@ def _load_model(args, cfg: RunConfig, corpus) -> ScanpathModel:
         raise ValueError(
             "no checkpoint given: pass --checkpoint or set paths.checkpoint")
     model = read_checkpoint(args.checkpoint)
-    try:
+    with naming(args.checkpoint):
         check_fit(model.config, corpus.config)
-    except ValueError as err:
-        raise ValueError(f"{args.checkpoint}: {err}") from None
     cfg.model = model.config
     return model
 
@@ -221,12 +218,10 @@ def _cmd_train(args, cfg, corpus, model) -> int:
     _, history = train(model, corpus, cfg.train)
     out = _out_dir(args, cfg)
     write_checkpoint(model, out / "checkpoint.json")
-    (out / "history.json").write_text(json.dumps(
-        [{"epoch": e, "loss_pos": p, "loss_dur": d, "loss_total": t}
-         for e, p, d, t in history], indent=2) + "\n")
+    (out / "history.json").write_text(json.dumps(history, indent=2) + "\n")
     if history:
         print(f"trained {cfg.train.epochs} epochs, "
-              f"final loss {history[-1][3]:.4f}; "
+              f"final loss {history[-1]['loss_total']:.4f}; "
               f"checkpoint at {out / 'checkpoint.json'}")
     else:
         print(f"checkpoint at {out / 'checkpoint.json'} (no epochs run)")
@@ -254,10 +249,8 @@ def _cmd_predict(args, cfg, corpus, model) -> int:
 
 def _cmd_eval_value(args, cfg, corpus, model) -> int:
     preds = read_scanpaths(args.pred)
-    try:
+    with naming(args.pred):
         result = value_eval(preds, corpus.scanpaths[args.split], cfg.metric)
-    except ValueError as err:
-        raise ValueError(f"{args.pred}: {err}") from None
     path = _report(cfg, [ReportRow(args.variant, args.split, name,
                                    result.means[name], result.stderr[name])
                          for name in VALUE_METRICS], {}, _out_dir(args, cfg))
@@ -311,11 +304,9 @@ def _cmd_ablate(args, cfg, corpus, model) -> int:
 def _cmd_analyze(args, cfg, corpus, model) -> int:
     preds = predict_split(model, corpus, args.split)
     groups = {p.id: p.group for p in corpus.profiles}
-    try:
+    with naming(args.data):
         report = semantic_report(preds, corpus.scanpaths[args.split],
                                  corpus.scenes, groups=groups, seed=args.seed)
-    except ValueError as err:
-        raise ValueError(f"{args.data}: {err}") from None
     out = _out_dir(args, cfg)
     path = out / "analysis.json"
     write_json(report, path)
@@ -327,12 +318,10 @@ def _cmd_analyze(args, cfg, corpus, model) -> int:
 
 def _cmd_classify(args, cfg, corpus, model) -> int:
     groups = {p.id: p.group for p in corpus.profiles}
-    try:
+    with naming(args.checkpoint):
         features = extract_observer_features(model)
         labels = [groups[f.observer_id] for f in features]
         result = classify_group_loocv(features, labels, seed=args.seed)
-    except ValueError as err:
-        raise ValueError(f"{args.checkpoint}: {err}") from None
     out = _out_dir(args, cfg)
     detail = {
         "accuracy": result.accuracy,

@@ -16,6 +16,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +27,17 @@ from .metrics import MetricConfig
 from .model import ModelConfig
 from .synthetic import CorpusConfig
 from .train import ABLATION_METRICS, TrainConfig
+
+
+@contextmanager
+def naming(where):
+    """Name the input a ValueError raised in the block came from: it leaves
+    as a ValueError ``f"{where}: {err}"``, without the original chained.
+    Other exceptions pass unchanged."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def is_integer(value) -> bool:
@@ -284,11 +296,9 @@ def read_report_csv(path) -> list[ReportRow]:
                 raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} "
                                  f"fields, got {len(record)}")
             variant, split, metric, value, stderr = record
-            try:
+            with naming(where):
                 rows.append(ReportRow(variant=variant, split=split,
                                       metric=metric, value=float(value),
                                       stderr=None if stderr == "" else
                                       float(stderr)))
-            except ValueError as err:
-                raise ValueError(f"{where}: {err}") from None
     return rows

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import coerce_section, is_finite_number, is_integer
+from .config import coerce_section, is_finite_number, is_integer, naming
 from .model import ModelConfig, ScanpathModel, param_shapes
 from .scanpath import Fixation, Scanpath
 from .synthetic import (
@@ -90,16 +90,6 @@ def read_json(path, expected_format: str | None = None) -> dict:
     return document
 
 
-def _check_header(path, lines, expected: str) -> None:
-    if not lines:
-        raise ValueError(f"{path}: empty file, expected {expected} header")
-    header = _parse_json(path, lines[0])
-    if header.get("format") != expected:
-        raise ValueError(
-            f"{path}:1: expected format {expected!r}, "
-            f"got {header.get('format')!r}")
-
-
 def _require_keys(where: str, record: dict, keys: tuple) -> None:
     missing = sorted(set(keys) - set(record))
     if missing:
@@ -107,6 +97,25 @@ def _require_keys(where: str, record: dict, keys: tuple) -> None:
     extra = sorted(set(record) - set(keys))
     if extra:
         raise ValueError(f"{where}: unexpected keys {extra}")
+
+
+def _records(path, expected: str, keys: tuple):
+    """The records of a JSON-lines file: a header object of format
+    ``expected``, then one object per line with exactly ``keys``. Yields
+    ``(where, record)``, where ``where`` is "path:line" for errors."""
+    lines = _read_lines(path)
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected {expected} header")
+    header = _parse_json(path, lines[0])
+    if header.get("format") != expected:
+        raise ValueError(
+            f"{path}:1: expected format {expected!r}, "
+            f"got {header.get('format')!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{lineno}"
+        record = _parse_json(path, line, lineno)
+        _require_keys(where, record, keys)
+        yield where, record
 
 
 def write_scanpaths(scanpaths, path) -> None:
@@ -124,13 +133,9 @@ def write_scanpaths(scanpaths, path) -> None:
 def read_scanpaths(path) -> list:
     """Scanpaths of a gaze file; each record's fixations must pass
     ``Scanpath.validate``, whose error follows the file and line."""
-    lines = _read_lines(path)
-    _check_header(path, lines, GAZE_FORMAT)
     scanpaths = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        where = f"{path}:{lineno}"
-        record = _parse_json(path, line, lineno)
-        _require_keys(where, record, ("image_id", "observer_id", "fixations"))
+    for where, record in _records(path, GAZE_FORMAT,
+                                  ("image_id", "observer_id", "fixations")):
         for key in ("image_id", "observer_id"):
             if not is_integer(record[key]):
                 raise ValueError(f"{where}: {key} must be a JSON integer, "
@@ -141,10 +146,8 @@ def read_scanpaths(path) -> list:
                              "of [x, y, dur_ms] triples")
         sp = Scanpath(record["image_id"], record["observer_id"],
                       [Fixation(*row) for row in rows.tolist()])
-        try:
+        with naming(where):
             sp.validate()
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
         scanpaths.append(sp)
     return scanpaths
 
@@ -218,40 +221,35 @@ def read_scenes(path, shape: tuple | None = None) -> list:
     (H, W) integer array of ``CATEGORIES`` codes, and each blob an object
     of the six ``Blob`` fields whose channel indexes E.
     """
-    lines = _read_lines(path)
-    _check_header(path, lines, SCENE_FORMAT)
     scenes = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        record = _parse_json(path, line, lineno)
-        _require_keys(f"{path}:{lineno}", record,
-                      ("id", "E", "roi_mask", "blobs"))
+    for where, record in _records(path, SCENE_FORMAT,
+                                  ("id", "E", "roi_mask", "blobs")):
         if not is_integer(record["id"]):
-            raise ValueError(f"{path}:{lineno}: id must be a JSON integer, "
+            raise ValueError(f"{where}: id must be a JSON integer, "
                              f"got {record['id']!r}")
-        E = _numeric_array(f"{path}:{lineno}: E", record["E"])
+        E = _numeric_array(f"{where}: E", record["E"])
         if E.ndim != 3 or 0 in E.shape:
-            raise ValueError(f"{path}:{lineno}: E must be a nonempty (C, H, W) "
+            raise ValueError(f"{where}: E must be a nonempty (C, H, W) "
                              f"array, got shape {E.shape}")
         if shape is not None and E.shape != tuple(shape):
-            raise ValueError(f"{path}:{lineno}: E has shape {E.shape}, "
+            raise ValueError(f"{where}: E has shape {E.shape}, "
                              f"expected {tuple(shape)}")
         if np.abs(E).max() > MAX_FEATURE_MAGNITUDE:
-            raise ValueError(f"{path}:{lineno}: E entries must lie within "
+            raise ValueError(f"{where}: E entries must lie within "
                              f"+-{MAX_FEATURE_MAGNITUDE:g}")
-        roi = _numeric_array(f"{path}:{lineno}: roi_mask", record["roi_mask"],
+        roi = _numeric_array(f"{where}: roi_mask", record["roi_mask"],
                              integers=True)
         if roi.shape != E.shape[1:]:
-            raise ValueError(f"{path}:{lineno}: roi_mask has shape "
+            raise ValueError(f"{where}: roi_mask has shape "
                              f"{roi.shape}, expected {E.shape[1:]}")
         if roi.min() < 0 or roi.max() >= len(CATEGORIES):
-            raise ValueError(f"{path}:{lineno}: roi_mask codes must lie in "
+            raise ValueError(f"{where}: roi_mask codes must lie in "
                              f"[0, {len(CATEGORIES) - 1}]")
         scenes.append(SyntheticScene(
             id=record["id"],
             E=E,
             roi_mask=roi.astype(np.int64),
-            blobs=_read_blobs(f"{path}:{lineno}", record["blobs"],
-                              E.shape[0]),
+            blobs=_read_blobs(where, record["blobs"], E.shape[0]),
         ))
     return scenes
 
@@ -304,11 +302,9 @@ def read_observers(path, channels: int | None = None) -> list:
             if not is_finite_number(record[key]):
                 raise ValueError(f"{where}.{key} must be a finite number, "
                                  f"got {record[key]!r}")
-        try:
+        with naming(where):
             profiles.append(ObserverProfile(
                 **dict(record, channel_pref=pref)))
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
     return profiles
 
 
@@ -362,12 +358,11 @@ def read_checkpoint(path) -> ScanpathModel:
     row-major little-endian float64 bytes.
     """
     data = read_json(path, CKPT_FORMAT)
-    try:
-        config = coerce_section(ModelConfig, data.get("config", {}), "config")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    _require_keys(path, data, ("format", "config", "params"))
+    with naming(path):
+        config = coerce_section(ModelConfig, data["config"], "config")
     expected = param_shapes(config)
-    stored = data.get("params")
+    stored = data["params"]
     if not isinstance(stored, dict):
         raise ValueError(f'{path}: "params" must be an object')
     missing = sorted(set(expected) - set(stored))
@@ -425,14 +420,10 @@ def read_corpus(data_dir) -> Corpus:
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: no corpus manifest found")
     manifest = read_json(manifest_path, MANIFEST_FORMAT)
-    try:
-        config = coerce_section(CorpusConfig, manifest.get("config", {}),
-                                "corpus")
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from exc
-    missing = sorted({"seed", "splits", "files"} - set(manifest))
-    if missing:
-        raise ValueError(f"{manifest_path}: missing keys {missing}")
+    _require_keys(manifest_path, manifest,
+                  ("format", "seed", "config", "splits", "files"))
+    with naming(manifest_path):
+        config = coerce_section(CorpusConfig, manifest["config"], "corpus")
     seed, files = manifest["seed"], manifest["files"]
     splits = manifest["splits"]
     if not is_integer(seed):

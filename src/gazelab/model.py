@@ -280,7 +280,7 @@ class ScanpathModel:
     # calls the same code with T = 1 on all G images of a split. E_flat is
     # one image's (HW, C) features or the (G, HW, C) stack of G images, and
     # each image's rows meet only its own features: the products with E
-    # are ``matmul``'s grouped form.
+    # are ``matmul``'s batched form.
 
     def features(self, E: np.ndarray) -> Tensor:
         """Constant (HW, C) view of a (C, H, W) feature stack."""
@@ -558,7 +558,8 @@ class ScanpathModel:
         if len(seeds) != batch:
             raise ValueError(f"got {len(seeds)} seeds for {len(observer_ids)} "
                              f"observers on {len(stacks)} images")
-        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rngs = ([np.random.default_rng(seed) for seed in seeds]
+                if mode == "sample" else [])
         context = self._context(stacks, observer_ids)
         state = self.initial_state(batch)
         m_prev = Tensor(np.ones((batch, 1))) * self.initial_map()

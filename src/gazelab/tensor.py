@@ -300,43 +300,38 @@ def _as_matrices(av: np.ndarray, bv: np.ndarray) -> tuple:
 
 
 def matmul(a, b) -> Tensor:
-    """``a @ b`` of 1-D and 2-D operands, of two stacks of matrices, or of
-    row groups and a stack.
+    """``a @ b`` of 1-D and 2-D operands, or of G row groups and a stack of
+    G matrices.
 
-    Vectors and matrices multiply as in NumPy. Two 3-D operands
-    ``(S, n, k) @ (S, k, m)`` give the S products ``a[s] @ b[s]`` as one
-    ``(S, n, m)`` result; both must be 3-D and hold S matrices each. A
-    2-D ``a`` of G groups of n rows times a stack ``b`` ``(G, k, m)`` is
-    the grouped form: rows ``g * n`` to ``g * n + n - 1`` of the
-    ``(G * n, m)`` result are group g of ``a`` times ``b[g]``, one NumPy
-    call for all groups. With G = 1 that call is the plain ``a @ b[0]``.
+    Vectors and matrices multiply as in NumPy. A 3-D ``b`` ``(G, k, m)``
+    takes an ``a`` of G groups of n rows, as ``(G, n, k)`` or as its
+    ``(G * n, k)`` reshape: group g of the result is group g of ``a`` times
+    ``b[g]``, one NumPy call for all groups, and the result keeps ``a``'s
+    rank, ``(G, n, m)`` or ``(G * n, m)``. The two layouts give the same
+    bytes, and with G = 1 those of the 2-D product with ``b[0]``.
     """
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.data, b.data
-    if av.ndim == 2 and bv.ndim == 3:
+    if bv.ndim == 3:
         groups, k, m = bv.shape
-        if not groups or av.shape[1] != k or av.shape[0] % groups:
+        if not groups or av.ndim not in (2, 3) or av.shape[-1] != k or \
+                (av.shape[0] != groups if av.ndim == 3
+                 else av.shape[0] % groups):
             raise ShapeError(
-                f"matmul: grouped operands must be (G * n, k) and (G, k, m), got "
-                f"{av.shape} and {bv.shape}")
-        a3 = av.reshape(groups, -1, k)
-        return _trace("matmul", (a3 @ bv).reshape(-1, m), (a, b),
-                      lambda g: (g.reshape(groups, -1, m) @ bv.swapaxes(1, 2)
+                f"matmul: a stack (G, k, m) needs (G, n, k) or (G * n, k) "
+                f"rows, got {av.shape} and {bv.shape}")
+        n = av.shape[-2] if av.ndim == 3 else av.shape[0] // groups
+        a3 = av.reshape(groups, n, k)
+        return _trace("matmul", (a3 @ bv).reshape(av.shape[:-1] + (m,)),
+                      (a, b),
+                      lambda g: (g.reshape(groups, n, m) @ bv.swapaxes(1, 2)
                                  ).reshape(av.shape),
-                      lambda g: a3.swapaxes(1, 2) @ g.reshape(groups, -1, m))
-    if av.ndim == 3 or bv.ndim == 3:
-        if av.ndim != 3 or bv.ndim != 3 or av.shape[0] != bv.shape[0] \
-                or av.shape[2] != bv.shape[1]:
-            raise ShapeError(
-                f"matmul: stacked operands must be (S, n, k) and (S, k, m), got "
-                f"{av.shape} and {bv.shape}")
-        return _trace("matmul", av @ bv, (a, b),
-                      lambda g: g @ bv.swapaxes(-1, -2),
-                      lambda g: av.swapaxes(-1, -2) @ g)
+                      lambda g: a3.swapaxes(1, 2) @ g.reshape(groups, n, m))
     if av.ndim == 0 or bv.ndim == 0:
         raise ShapeError(f"matmul: operands must be at least 1-D, got {av.shape} and {bv.shape}")
     if av.ndim > 2 or bv.ndim > 2:
-        raise ShapeError(f"matmul: operands must be at most 3-D, got {av.shape} and {bv.shape}")
+        raise ShapeError(f"matmul: operands must be at most 2-D unless b is a (G, k, m) "
+                         f"stack, got {av.shape} and {bv.shape}")
     if av.shape[-1] != (bv.shape[0] if bv.ndim >= 1 else None):
         raise ShapeError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
     out = av @ bv

@@ -151,11 +151,12 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
 
     Each batch is one ``batch_loss`` recording, one backward pass and one
     Adam step; Adam moves the parameters into one flat buffer, so after
-    training each ``p.data`` is a view of it. History rows are (epoch,
-    position_loss, duration_loss, total), each averaged over the epoch's
-    batches. Deterministic given the corpus and config seeds. A batch whose
-    loss is not finite, as when a run diverges, raises ValueError; each
-    step runs with NumPy's floating-point warnings off.
+    training each ``p.data`` is a view of it. Each history row is a dict of
+    ``epoch``, ``loss_pos``, ``loss_dur`` and ``loss_total``, the losses
+    averaged over the epoch's batches. Deterministic given the corpus and
+    config seeds. A batch whose loss is not finite, as when a run diverges,
+    raises ValueError; each step runs with NumPy's floating-point warnings
+    off.
     """
     opt = Adam(model.params, lr=config.lr, weight_decay=WEIGHT_DECAY,
                lr_scale=dict.fromkeys(FAST_PARAMS, FAST_LR_SCALE))
@@ -178,7 +179,8 @@ def train(model: ScanpathModel, corpus, config: TrainConfig):
                 opt.step(tape.gradients(total))
             sums += (float(pos.data), float(dur.data), float(total.data))
         means = sums / max(1, len(batches))
-        history.append((epoch, means[0], means[1], means[2]))
+        history.append({"epoch": epoch, "loss_pos": means[0],
+                        "loss_dur": means[1], "loss_total": means[2]})
     return model, history
 
 

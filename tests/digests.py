@@ -34,7 +34,13 @@ The items:
     one ``cli/<command>/<checkpoint>#params`` line per written checkpoint
     (the parameters ``read_checkpoint`` returns, in name order), so a
     change to the checkpoint encoding moves only the file lines, and one
-    ``cli-exit/<command> <code>`` line per command.
+    ``cli-exit/<command> <code>`` line per command;
+  * one ``cli-error/<case>`` line per malformed input given to
+    ``cli.main``: the digest of what it writes to stderr, with the work
+    directory masked, for each kind of input a reader or command names in
+    its error (run config, checkpoint, corpus files, predictions) and for
+    a broken header, JSON line and record of a JSON-lines file; and one
+    ``report-csv-error`` line, the message of a bad report CSV row.
 Pytest does not collect this file.
 """
 
@@ -51,6 +57,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import re  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -66,7 +73,7 @@ from gazelab.analysis import (  # noqa: E402
     extract_observer_features,
     semantic_report,
 )
-from gazelab.config import RunConfig  # noqa: E402
+from gazelab.config import RunConfig, read_report_csv  # noqa: E402
 from gazelab.evaluate import (  # noqa: E402
     predict_split,
     rank_eval,
@@ -76,14 +83,17 @@ from gazelab.evaluate import (  # noqa: E402
 from gazelab.formats import (  # noqa: E402
     read_checkpoint,
     read_corpus,
+    write_checkpoint,
     write_scanpaths,
 )
 from gazelab.metrics import MetricConfig, substitution_matrix  # noqa: E402
 from gazelab.model import (  # noqa: E402
     ABLATION_VARIANTS,
+    ModelConfig,
     ScanpathModel,
     ablation_config,
 )
+from gazelab.scanpath import Fixation, Scanpath  # noqa: E402
 from gazelab.train import train  # noqa: E402
 
 SMOKE = ROOT / "configs" / "smoke.json"
@@ -210,6 +220,167 @@ def cli_items(data: Path, work: Path):
     yield "cli-exit/grad-check", code
 
 
+def edit_json(path: Path, edit) -> None:
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
+def edit_line(path: Path, lineno: int, text) -> None:
+    """Replace line ``lineno`` of a file, or apply ``text`` to its record."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text if isinstance(text, str) else \
+        json.dumps(text(json.loads(lines[lineno - 1])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def cli_error_items(data: Path, work: Path):
+    """One malformed input per case, each given to the command that reads
+    it; the digest is of stderr with ``work`` masked."""
+    cases = work / "cli-error"
+    cases.mkdir()
+    ckpt = work / "cli" / "train" / "checkpoint.json"
+    pred = work / "cli" / "predict-argmax" / "predictions_test.jsonl"
+    smoke = json.loads(SMOKE.read_text())
+    three = ["--set", "corpus.n_observers=3", "--set", "corpus.n_group_a=1",
+             "--set", "model.n_observers=3"]
+
+    def checkpoint(name, **changes):
+        path = cases / f"{name}.json"
+        write_checkpoint(ScanpathModel(
+            ModelConfig(**{**smoke["model"], **changes}), seed=SEED), path)
+        return path
+
+    def copy(name, source=None):
+        path = cases / name
+        if source is None:
+            shutil.copytree(data, path)
+        else:
+            shutil.copy(source, path)
+        return path
+
+    def text(name, content):
+        path = cases / name
+        path.write_text(content)
+        return path
+
+    def predicted(name, scanpaths):
+        path = cases / name
+        write_scanpaths(scanpaths, path)
+        return path
+
+    def edit(path, change):
+        change(path)
+        return path
+
+    run = ["--config", SMOKE]
+    seed = ["--seed", SEED]
+
+    def eval_value(pred_path, data_dir=data, config=SMOKE):
+        return ["eval-value", "--config", config, "--data", data_dir,
+                "--pred", pred_path]
+
+    def predict(ckpt_path, data_dir=data):
+        return ["predict", *run, *seed, "--data", data_dir,
+                "--checkpoint", ckpt_path]
+
+    gaze_header = json.dumps({"format": "isp-gaze-v1"})
+    bad_fixation = Scanpath(0, 1, [Fixation(0.5, 0.5, -5.0)])
+    duplicate = Scanpath(0, 0, [Fixation(0.5, 0.5, 120.0)])
+    three_data = cases / "three-data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main([str(a) for a in ["gen-data", *run, *three, *seed,
+                                   "--out", three_data]])
+    three_ckpt = checkpoint("three", n_observers=3)
+    commands = {
+        # each input a command names in its errors
+        "run-config-value": eval_value(pred, config=text(
+            "config.json", json.dumps({"model": {"hidden": "x"}}))),
+        "checkpoint-fit": predict(checkpoint("six", n_observers=6)),
+        "checkpoint-config": predict(edit(
+            copy("unknown.json", ckpt), lambda p: edit_json(
+                p, lambda d: d["config"].__setitem__("colour", 1)))),
+        "eval-value-duplicate": eval_value(
+            predicted("duplicate.jsonl", [duplicate, duplicate])),
+        "gaze-fixation": eval_value(
+            predicted("fixation.jsonl", [duplicate, bad_fixation])),
+        "analyze-three-observers": ["analyze", *run, *three, *seed,
+                                    "--data", three_data,
+                                    "--checkpoint", three_ckpt],
+        "classify-three-observers": ["classify", *run, *three, *seed,
+                                     "--data", three_data,
+                                     "--checkpoint", three_ckpt],
+        "classify-one-hot": ["classify", *run, *seed, "--data", data,
+                             "--checkpoint", checkpoint(
+                                 "one-hot", observer_mode="one_hot_concat")],
+        "observers-temp": eval_value(pred, edit(
+            copy("observers-temp"), lambda d: edit_json(
+                d / "observers.json",
+                lambda o: o["observers"][1].__setitem__("temp", 0.0)))),
+        "manifest-config": eval_value(pred, edit(
+            copy("manifest-config"), lambda d: edit_json(
+                d / "manifest.json",
+                lambda m: m["config"].__setitem__("n_scenes", "x")))),
+        "manifest-no-files": eval_value(pred, edit(
+            copy("manifest-no-files"), lambda d: edit_json(
+                d / "manifest.json", lambda m: m.pop("files")))),
+        # a JSON-lines file's header, lines and records
+        "gaze-empty": eval_value(text("empty.jsonl", "")),
+        "gaze-header": eval_value(text(
+            "header.jsonl", json.dumps({"format": "isp-gaze-v0"}) + "\n")),
+        "gaze-bad-json": eval_value(text(
+            "bad-json.jsonl", gaze_header + "\n{\"image_id\": 0,\n")),
+        "gaze-missing-key": eval_value(edit(
+            copy("missing-key.jsonl", pred), lambda p: edit_line(
+                p, 3, lambda r: {k: r[k] for k in ("image_id",
+                                                   "fixations")}))),
+        "gaze-unexpected-key": eval_value(edit(
+            copy("extra-key.jsonl", pred), lambda p: edit_line(
+                p, 2, lambda r: {**r, "note": 1}))),
+        "scenes-empty": eval_value(pred, edit(
+            copy("scenes-empty"),
+            lambda d: (d / "scenes.jsonl").write_text(""))),
+        "scenes-header": eval_value(pred, edit(
+            copy("scenes-header"), lambda d: edit_line(
+                d / "scenes.jsonl", 1, json.dumps({"format": "x"})))),
+        "scenes-bad-json": eval_value(pred, edit(
+            copy("scenes-bad-json"),
+            lambda d: edit_line(d / "scenes.jsonl", 3, "[1, 2"))),
+        "scenes-missing-key": eval_value(pred, edit(
+            copy("scenes-missing-key"), lambda d: edit_line(
+                d / "scenes.jsonl", 2, lambda r: {
+                    k: v for k, v in r.items() if k != "blobs"}))),
+        # top-level keys of the manifest and the checkpoint
+        "manifest-no-config": eval_value(pred, edit(
+            copy("manifest-no-config"), lambda d: edit_json(
+                d / "manifest.json", lambda m: m.pop("config")))),
+        "manifest-unexpected-key": eval_value(pred, edit(
+            copy("manifest-extra"), lambda d: edit_json(
+                d / "manifest.json",
+                lambda m: m.__setitem__("note", 1)))),
+        "checkpoint-no-config": predict(edit(
+            copy("no-config.json", ckpt),
+            lambda p: edit_json(p, lambda d: d.pop("config")))),
+        "checkpoint-unexpected-key": predict(edit(
+            copy("extra.json", ckpt),
+            lambda p: edit_json(p, lambda d: d.__setitem__("note", 1)))),
+    }
+    for name, argv in commands.items():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            cli.main([str(a) for a in argv + ["--out", cases / "out"]])
+        yield f"cli-error/{name}", sha(
+            err.getvalue().replace(str(work), "<work>").encode())
+    report = text("report.csv", "variant,split,metric,value,stderr\n"
+                  "full,test,banana,0.4,\n")
+    try:
+        read_report_csv(report)
+    except ValueError as error:
+        yield "report-csv-error/unknown-metric", sha(
+            str(error).replace(str(work), "<work>").encode())
+
+
 def items(work: Path):
     configs = {}
     for name, sections in (("eval-long", EVAL_LONG), ("mid", MID)):
@@ -259,6 +430,7 @@ def items(work: Path):
          [float(p) for p in result.probabilities]])
 
     yield from cli_items(data["smoke"], work)
+    yield from cli_error_items(data["smoke"], work)
 
 
 def main() -> int:

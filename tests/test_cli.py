@@ -942,6 +942,17 @@ class TestPipeline:
             reports.append(payload)
         assert reports[0] == reports[1]
 
+    def test_history_file_holds_the_rows_train_returns(self, workspace):
+        from gazelab.formats import read_corpus
+        from gazelab.model import ScanpathModel
+        from gazelab.train import train
+        cfg = RunConfig.from_dict(json.loads(Path(SMOKE).read_text()))
+        cfg.train.epochs, cfg.train.seed = 2, 0  # the workspace's run
+        _, history = train(ScanpathModel(cfg.model, seed=0),
+                           read_corpus(workspace["data"]), cfg.train)
+        written = workspace["root"] / "train" / "history.json"
+        assert json.loads(written.read_text()) == history
+
     def test_predict_writes_valid_scanpaths(self, workspace, tmp_path):
         out = tmp_path / "pred"
         assert main(["predict", "--config", SMOKE, "--seed", "0",

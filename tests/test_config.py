@@ -17,6 +17,7 @@ from gazelab.config import (
     canonical_json,
     config_hash,
     emit_report,
+    naming,
     provenance_block,
     read_report_csv,
     version_string,
@@ -235,6 +236,36 @@ class TestWriteJson:
         write_json(doc, path)
         assert path.read_text() == \
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestNaming:
+    def test_value_error_gets_the_name_and_no_chain(self):
+        with pytest.raises(ValueError) as caught:
+            with naming("data/scenes.jsonl:3"):
+                raise ValueError("E has shape (2,)")
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "data/scenes.jsonl:3: E has shape (2,)"
+        assert caught.value.__suppress_context__
+        assert caught.value.__cause__ is None
+
+    def test_subclass_leaves_as_a_plain_value_error(self):
+        class Narrow(ValueError):
+            pass
+
+        with pytest.raises(ValueError) as caught:
+            with naming("ckpt.json"):
+                raise Narrow("shape")
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "ckpt.json: shape"
+
+    @pytest.mark.parametrize("error", [KeyError("k"), OSError("disk"),
+                                       RecursionError("deep")],
+                             ids=["KeyError", "OSError", "RecursionError"])
+    def test_other_exceptions_pass_unchanged(self, error):
+        with pytest.raises(type(error)) as caught:
+            with naming("somewhere"):
+                raise error
+        assert caught.value is error
 
 
 class TestReport:

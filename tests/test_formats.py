@@ -448,9 +448,13 @@ def _edit_data(name, edit):
 NOT_A_STRING = r"data must be a base64 string of 96 characters \(9 float64 " \
                r"values\), got "
 
-# (edit, message) per malformed checkpoint entry; the message follows
-# "<path>: "
+# (edit, message) per malformed checkpoint: its top-level keys, then one
+# parameter entry; the message follows "<path>: "
 CHECKPOINT_EDITS = [
+    pytest.param(lambda doc: doc.pop("config"), r"missing keys \['config'\]",
+                 id="no-config"),
+    pytest.param(lambda doc: doc.__setitem__("note", 1),
+                 r"unexpected keys \['note'\]", id="unexpected-key"),
     pytest.param(lambda doc: doc["params"]["W_u"].pop("shape"),
                  r"parameter W_u: missing keys \['shape'\]",
                  id="shape-missing"),
@@ -683,6 +687,10 @@ def edit_manifest(data_dir, edit):
 
 # (edit, message) per manifest entry that the reader once used unchecked
 MANIFEST_EDITS = [
+    pytest.param(lambda m: m.pop("config"), r"missing keys \['config'\]",
+                 id="no-config"),
+    pytest.param(lambda m: m.__setitem__("note", 1),
+                 r"unexpected keys \['note'\]", id="unexpected-key"),
     pytest.param(lambda m: m.__setitem__("seed", None),
                  '"seed" must be an integer', id="seed-null"),
     pytest.param(lambda m: m.__setitem__("seed", 1.5),

@@ -106,6 +106,28 @@ class TestForward:
         for plain, grouped in zip(*results):
             assert_same_bytes(grouped, plain)
 
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_row_groups_and_their_reshape_give_the_same_bytes(self, groups):
+        # the LOOCV classifier passes (G, n, k) rows, the model (G * n, k):
+        # both layouts are one product, forward and backward
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(groups, 5, 37))
+        e = rng.normal(size=(groups, 37, 11))
+        g = rng.normal(size=(groups, 5, 11))
+        results = []
+        for shape in (x.shape, (groups * 5, 37)):
+            a = Tensor(x.reshape(shape).copy(), trainable=True)
+            b = Tensor(e.copy(), trainable=True)
+            with Tape() as tape:
+                out = matmul(a, b)
+                loss = tsum(mul(out, g.reshape(out.data.shape)))
+            grads = tape.gradients(loss)
+            assert out.data.shape == shape[:-1] + (11,)
+            results.append((out.data.reshape(groups, 5, 11),
+                            grads[a].reshape(x.shape), grads[b]))
+        for rows_3d, rows_2d in zip(*results):
+            assert_same_bytes(rows_2d, rows_3d)
+
     def test_stacked_matmul_shape_errors(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(3, 2, 4\).*\(2, 4, 5\)"):
             matmul(np.ones((3, 2, 4)), np.ones((2, 4, 5)))

@@ -253,8 +253,10 @@ class TestTrain:
         model = ScanpathModel(small_model_config(corpus_cfg), seed=0)
         _, history = train(model, corpus,
                            TrainConfig(epochs=3, lr=3e-4, seed=0))
-        assert len(history) == 3
-        assert history[-1][3] < history[0][3]
+        assert [sorted(row) for row in history] == \
+            [["epoch", "loss_dur", "loss_pos", "loss_total"]] * 3
+        assert [row["epoch"] for row in history] == [0, 1, 2]
+        assert history[-1]["loss_total"] < history[0]["loss_total"]
 
     def test_trained_parameters_freed_without_cyclic_collector(self):
         # a recorded tensor marks its tape by a token, not by the tape,
